@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
 
 def cmd_corpus(args) -> int:
     config = corpus.RunConfig(scalars=_parse_scalars(args.mode), seed=args.seed,
-                              window=tuple(args.range), fmt=args.format)
+                              window=tuple(args.range))
     report = corpus.run_corpus(config)
     report.update(_meta())
     if args.format == "json":

@@ -7,7 +7,7 @@ by the configured seed, so a corpus run is reproducible cell by cell.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import characters, homalg, windows
 from .errors import LocalP2Error, MembershipError
@@ -29,7 +29,6 @@ class RunConfig:
     seed: int = 0
     sum_samples: int = 100
     window: tuple[int, int] = (-8, 8)
-    fmt: str = "text"
 
 
 def standard_corpus() -> dict[str, Representation]:
@@ -67,12 +66,12 @@ def _cell(name: str, fn) -> dict:
 
 
 def _check_pair(m: Representation, n: Representation, scalars: Scalars) -> dict:
-    ext = homalg.ext_dims_Y(m, n, scalars)
+    cy3 = homalg.verify_cy3_duality(m, n, scalars)
+    ext = cy3["ext_mn"]
     euler = homalg.euler_form_Y(m.dims, n.dims)
     alt = sum((-1) ** i * e for i, e in enumerate(ext))
-    cy3 = homalg.verify_cy3_duality(m, n, scalars)
     ok = alt == euler and cy3["passed"]
-    return {"_ok": ok, "ext": list(ext), "euler": euler, "cy3": cy3["passed"]}
+    return {"_ok": ok, "ext": ext, "euler": euler, "cy3": cy3["passed"]}
 
 
 def _twist_roundtrip(m: Representation) -> dict:

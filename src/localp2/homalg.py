@@ -67,16 +67,21 @@ def _t2_blocks_y(m, n) -> list[tuple[str, int, int]]:
     return out
 
 
+def _terms_Y(m, n) -> tuple[list[tuple[str, int, int]], ...]:
+    return (_vertex_blocks(m, n), _t1_blocks(m, n, ARROW_ORDER), _t2_blocks_y(m, n),
+            _vertex_blocks(m, n))
+
+
+def _term_dims(terms) -> tuple[int, ...]:
+    return tuple(sum(r * c for _, r, c in blocks) for blocks in terms)
+
+
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side."""
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
     mm, nm = dict(m.matrices), dict(n.matrices)
-
-    t0 = _vertex_blocks(m, n)
-    t1 = _t1_blocks(m, n, ARROW_ORDER)
-    t2 = _t2_blocks_y(m, n)
-    t3 = _vertex_blocks(m, n)
+    terms = _, t1, t2, t3 = _terms_Y(m, n)
 
     d0 = intertwiner_matrix(m, n, ARROW_ORDER)
 
@@ -98,17 +103,16 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     d1 = b1.matrix()
 
     # Degree 2: the signed dual of degree 0.
-    b2 = BlockMap([(f"v{v}", n.dims[v], m.dims[v]) for v in VERTICES], t2)
+    b2 = BlockMap(t3, t2)
     for name in ARROW_ORDER:
         a = arrow(name)
         b2.add_left(f"v{a.source}", name, nm[name], 1)
         b2.add_right(f"v{a.target}", name, mm[name], -1)
     d2 = b2.matrix()
 
-    dims = tuple(sum(r * c for _, r, c in blocks) for blocks in (t0, t1, t2, t3))
     diffs = (d0, d1, d2)
     _check_composition(diffs, "Y")
-    return ExtComplex("y", dims, diffs)
+    return ExtComplex("y", _term_dims(terms), diffs)
 
 
 def build_ext_complex_P2(m: P2Representation, n: P2Representation) -> ExtComplex:
@@ -131,7 +135,7 @@ def build_ext_complex_P2(m: P2Representation, n: P2Representation) -> ExtComplex
                 b1.add_right(f"r_c{k}", f"a{i}", mm[f"b{j}"], e)
     d1 = b1.matrix()
 
-    dims = tuple(sum(r * c for _, r, c in blocks) for blocks in (t0, t1, t2))
+    dims = _term_dims((t0, t1, t2))
     diffs = (d0, d1)
     _check_composition(diffs, "P2")
     return ExtComplex("p2", dims, diffs)
@@ -214,16 +218,17 @@ def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) 
 def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
     """The CLI-facing record for one Ext computation."""
     if side == "y":
-        cx = build_ext_complex_Y(m, n)
+        duality = verify_cy3_duality(m, n, scalars)
+        ext, cy3 = duality["ext_mn"], duality["passed"]
+        term_dims = _term_dims(_terms_Y(m, n))
         euler = euler_form_Y(m.dims, n.dims)
-        cy3 = verify_cy3_duality(m, n, scalars)["passed"]
     elif side == "p2":
         cx = build_ext_complex_P2(m, n)
+        ext, cy3 = list(ext_dims_of(cx, scalars)), None
+        term_dims = cx.term_dims
         euler = euler_form_P2(m.dims, n.dims)
-        cy3 = None
     else:
         raise InternalCheckError(f"unknown side {side!r}")
-    ext = ext_dims_of(cx, scalars)
     alt = sum((-1) ** i * e for i, e in enumerate(ext))
     if alt != euler:
         raise InternalCheckError(
@@ -233,8 +238,8 @@ def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
         "side": side,
         "dims_M": list(m.dims),
         "dims_N": list(n.dims),
-        "term_dims": list(cx.term_dims),
-        "ext_dims": list(ext),
+        "term_dims": list(term_dims),
+        "ext_dims": ext,
         "euler": euler,
         "cy3_ok": cy3,
     }

@@ -1,23 +1,27 @@
-"""Exact linear algebra over the rationals, with an optional prime-field rank backend.
+"""Exact sparse linear algebra over the rationals, with an optional prime-field rank mode.
 
 Every homology dimension in this package is an exact rank; no floating point
-anywhere.  Ranks are computed by fraction-free (Bareiss) elimination over the
-integers after clearing row denominators.  The prime-field mode recomputes
-ranks modulo a large prime (> 2**30) and is contractually required to agree
-with the rational mode on the regression corpus.
+anywhere.  Matrices store sparse rows, and one elimination routine
+(``_echelon``) row-reduces them over Q with ``Fraction`` entries or over GF(p)
+with integer residues.  It backs ``rank`` in both modes as well as ``rref``,
+``nullspace``, ``coords_in_colspace`` and ``quotient_projection``.  The
+prime-field mode computes ranks modulo a large prime (> 2**30) and is
+contractually required to agree with the rational mode on the regression
+corpus.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import ScalarModeError, ShapeError
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
+
+Row = dict[int, Fraction]
 
 
 @dataclass(frozen=True)
@@ -40,25 +44,25 @@ Scalars = Union[RationalScalars, PrimeScalars]
 RATIONAL = RationalScalars()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mat:
-    """Immutable dense matrix over Fraction; the zero-row/zero-column cases keep their shape."""
+    """Immutable sparse matrix over Fraction; the zero-row/zero-column cases keep their shape.
+
+    ``sparse`` holds one ``{column: value}`` dict per row with no explicit
+    zeros; the dicts are never mutated once a ``Mat`` holds them.
+    """
 
     rows: int
     cols: int
-    data: tuple[tuple[Fraction, ...], ...]
+    sparse: tuple[Row, ...]
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
-        return Mat(rows, cols, tuple(tuple([_F0] * cols) for _ in range(rows)))
-
-    @staticmethod
-    def identity(n: int) -> "Mat":
-        return Mat(n, n, tuple(tuple(_F1 if i == j else _F0 for j in range(n)) for i in range(n)))
+        return Mat(rows, cols, ({},) * rows)
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        rows = [tuple(Fraction(x) for x in row) for row in entries]
+        rows = [[Fraction(x) for x in row] for row in entries]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -69,24 +73,40 @@ class Mat:
             if cols is None:
                 raise ShapeError("empty matrix literal needs an explicit column count")
             ncols = cols
-        return Mat(len(rows), ncols, tuple(rows))
+        return Mat(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+    @property
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense read-only view, row by row."""
+        return tuple(tuple(r.get(j, _F0) for j in range(self.cols)) for r in self.sparse)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse)))
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(tuple(self.data[i][j] for i in range(self.rows)) for j in range(self.cols)))
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, v in row.items():
+                out[j][i] = v
+        return Mat(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return not any(self.sparse)
 
     def scale(self, s) -> "Mat":
         s = Fraction(s)
-        return Mat(self.rows, self.cols, tuple(tuple(s * x for x in row) for row in self.data))
+        if not s:
+            return Mat.zeros(self.rows, self.cols)
+        return Mat(self.rows, self.cols,
+                   tuple({j: s * v for j, v in row.items()} for row in self.sparse))
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self.data)
+        return tuple(row.get(j, _F0) for row in self.sparse)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -94,8 +114,12 @@ class Mat:
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError(f"add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        return Mat(self.rows, self.cols,
-                   tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.data, other.data)))
+        out = []
+        for ra, rb in zip(self.sparse, other.sparse):
+            row = dict(ra)
+            _axpy(row, rb, -1, 0)
+            out.append(row)
+        return Mat(self.rows, self.cols, tuple(out))
 
     def __sub__(self, other: "Mat") -> "Mat":
         return self + (-other)
@@ -103,178 +127,143 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        out = [[_F0] * other.cols for _ in range(self.rows)]
-        for i, row in enumerate(self.data):
-            orow = out[i]
-            for k, v in enumerate(row):
-                if v:
-                    brow = other.data[k]
-                    for j, w in enumerate(brow):
-                        if w:
-                            orow[j] += v * w
-        return Mat(self.rows, other.cols, tuple(tuple(r) for r in out))
+        out = []
+        for row in self.sparse:
+            acc: Row = {}
+            for k, v in row.items():
+                for j, w in other.sparse[k].items():
+                    acc[j] = acc.get(j, 0) + v * w
+            out.append({j: x for j, x in acc.items() if x})
+        return Mat(self.rows, other.cols, tuple(out))
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack: row counts differ")
-    data = tuple(tuple(x for m in mats for x in m.data[i]) for i in range(rows))
-    return Mat(rows, sum(m.cols for m in mats), data)
+    out: list[Row] = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:
+        for acc, row in zip(out, m.sparse):
+            acc.update((off + j, v) for j, v in row.items())
+        off += m.cols
+    return Mat(rows, off, tuple(out))
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack: column counts differ")
-    return Mat(sum(m.rows for m in mats), cols, tuple(row for m in mats for row in m.data))
+    return Mat(sum(m.rows for m in mats), cols, tuple(row for m in mats for row in m.sparse))
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:
-    out = [[_F0] * (a.cols + b.cols) for _ in range(a.rows + b.rows)]
-    for i in range(a.rows):
-        out[i][: a.cols] = list(a.data[i])
-    for i in range(b.rows):
-        out[a.rows + i][a.cols:] = list(b.data[i])
-    return Mat(a.rows + b.rows, a.cols + b.cols, tuple(tuple(r) for r in out))
+    shifted = tuple({a.cols + j: v for j, v in row.items()} for row in b.sparse)
+    return Mat(a.rows + b.rows, a.cols + b.cols, a.sparse + shifted)
 
 
-def _integer_rows(m: Mat) -> list[list[int]]:
-    # Row scaling by the denominator lcm does not change the rank.
-    rows = []
-    for row in m.data:
-        if any(row):
-            scale = lcm(*(x.denominator for x in row)) if len(row) else 1
-            rows.append([int(x * scale) for x in row])
-    return rows
+def _axpy(row: dict, prow: dict, f, p: int) -> None:
+    """row -= f * prow in place, modulo p when p is nonzero; zeros are dropped."""
+    for j, v in prow.items():
+        x = row.get(j, 0) - f * v
+        if p:
+            x %= p
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
-def _rank_bareiss(rows: list[list[int]], ncols: int) -> int:
-    m = len(rows)
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if rows[i][c]:
-                piv = i
+def _field_rows(m: Mat, p: int) -> list[dict]:
+    """Mutable copies of the nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q."""
+    if not p:
+        return [dict(row) for row in m.sparse if row]
+    out = []
+    for row in m.sparse:
+        residues = {}
+        for j, x in row.items():
+            if x.denominator % p == 0:
+                raise ScalarModeError(
+                    f"matrix entry {x} has a denominator divisible by the prime {p}")
+            r = x.numerator * pow(x.denominator, -1, p) % p
+            if r:
+                residues[j] = r
+        if residues:
+            out.append(residues)
+    return out
+
+
+def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
+    """Row-reduce sparse rows over Q (p = 0, Fraction values) or GF(p) (int residues).
+
+    Each row is cleared at its leftmost column by the monic pivot row of that
+    column until its leftmost column has no pivot yet; it then becomes that
+    column's monic pivot row.  Returns {pivot column: row}, its size is the
+    rank.  With ``reduced`` the pivot rows are back-substituted into the
+    reduced row echelon form, which is unique.  The rows are consumed.
+    """
+    pivots: dict[int, dict] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                inv = pow(row[c], -1, p) if p else 1 / row[c]
+                pivots[c] = {j: v * inv % p if p else v * inv for j, v in row.items()}
                 break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][c]
-        prow = rows[r]
-        for i in range(r + 1, m):
-            irow = rows[i]
-            f = irow[c]
-            if f:
-                for j in range(c + 1, ncols):
-                    irow[j] = (p * irow[j] - f * prow[j]) // prev
-                irow[c] = 0
-            elif p != prev:
-                # Bareiss exact division applies to untouched rows as well.
-                for j in range(c + 1, ncols):
-                    irow[j] = (p * irow[j]) // prev
-        prev = p
-        r += 1
-        if r == m:
-            break
-    return r
+            _axpy(row, prow, row[c], p)
+    if reduced:
+        for c in sorted(pivots, reverse=True):
+            prow = pivots[c]
+            for other in pivots.values():
+                f = other.get(c)
+                if f is not None and other is not prow:
+                    _axpy(other, prow, f, p)
+    return pivots
 
 
-def _rank_mod_p(m: Mat, p: int) -> int:
-    rows = []
-    for row in m.data:
-        if any(row):
-            rows.append([(x.numerator * pow(x.denominator, -1, p)) % p for x in row])
-    nrows = len(rows)
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], -1, p)
-        prow = rows[r]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f:
-                irow = rows[i]
-                mult = (f * inv) % p
-                for j in range(c, m.cols):
-                    irow[j] = (irow[j] - mult * prow[j]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r
+def _rref_pivots(m: Mat) -> dict[int, dict]:
+    return _echelon(_field_rows(m, 0), 0, True)
 
 
 def rank(m: Mat, scalars: Scalars = RATIONAL) -> int:
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    if isinstance(scalars, PrimeScalars):
-        return _rank_mod_p(m, scalars.p)
-    return _rank_bareiss(_integer_rows(m), m.cols)
+    p = scalars.p if isinstance(scalars, PrimeScalars) else 0
+    return len(_echelon(_field_rows(m, p), p, False))
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form over Fraction, with the pivot column indices."""
-    a = [list(row) for row in m.data]
-    pivots: list[int] = []
-    r = 0
-    for c in range(m.cols):
-        piv = None
-        for i in range(r, m.rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = _F1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        prow = a[r]
-        for i in range(m.rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], prow)]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return Mat(m.rows, m.cols, tuple(tuple(row) for row in a)), tuple(pivots)
+    pivots = _rref_pivots(m)
+    order = sorted(pivots)
+    rows = tuple(pivots[c] for c in order) + ({},) * (m.rows - len(order))
+    return Mat(m.rows, m.cols, rows), tuple(order)
 
 
 def nullspace(m: Mat) -> Mat:
     """Kernel basis as columns, ordered by free-column index (deterministic)."""
-    red, pivots = rref(m)
+    pivots = _rref_pivots(m)
     free = [c for c in range(m.cols) if c not in pivots]
-    cols = []
-    for f in free:
-        v = [_F0] * m.cols
-        v[f] = _F1
-        for i, p in enumerate(pivots):
-            v[p] = -red.data[i][f]
-        cols.append(v)
-    return Mat(m.cols, len(free), tuple(tuple(col[i] for col in cols) for i in range(m.cols)))
+    index = {f: i for i, f in enumerate(free)}
+    out: list[Row] = [{} for _ in range(m.cols)]
+    for f, i in index.items():
+        out[f][i] = _F1
+    for c, prow in pivots.items():
+        out[c] = {index[j]: -v for j, v in prow.items() if j != c}
+    return Mat(m.cols, len(free), tuple(out))
 
 
 def coords_in_colspace(basis: Mat, vectors: Mat) -> Mat | None:
     """Solve basis @ X = vectors exactly; None when some column is outside the span."""
     if basis.rows != vectors.rows:
         raise ShapeError("coords_in_colspace: row counts differ")
-    red, pivots = rref(hstack([basis, vectors]))
-    if any(p >= basis.cols for p in pivots):
+    n = basis.cols
+    pivots = _rref_pivots(hstack([basis, vectors]))
+    if any(c >= n for c in pivots):
         return None
-    out = [[_F0] * vectors.cols for _ in range(basis.cols)]
-    for i, p in enumerate(pivots):
-        for j in range(vectors.cols):
-            out[p][j] = red.data[i][basis.cols + j]
-    return Mat(basis.cols, vectors.cols, tuple(tuple(r) for r in out))
+    out: list[Row] = [{} for _ in range(n)]
+    for c, prow in pivots.items():
+        out[c] = {j - n: v for j, v in prow.items() if j >= n}
+    return Mat(n, vectors.cols, tuple(out))
 
 
 def quotient_projection(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -284,18 +273,19 @@ def quotient_projection(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     coordinates of the column space, in increasing order; those indices are
     returned so callers can lift quotient basis vectors to representatives.
     """
-    red, pivots = rref(m.transpose())
+    pivots = _rref_pivots(m.transpose())
     free = tuple(j for j in range(m.rows) if j not in pivots)
-    out = [[_F0] * m.rows for _ in free]
-    for fi, f in enumerate(free):
-        out[fi][f] = _F1
-        for i, p in enumerate(pivots):
-            out[fi][p] = -red.data[i][f]
-    return Mat(len(free), m.rows, tuple(tuple(r) for r in out)), free
+    index = {f: i for i, f in enumerate(free)}
+    out: list[Row] = [{f: _F1} for f in free]
+    for c, prow in pivots.items():
+        for j, v in prow.items():
+            if j != c:
+                out[index[j]][c] = -v
+    return Mat(len(free), m.rows, tuple(out)), free
 
 
 class BlockMap:
-    """Assembles a linear map between direct sums of Hom-spaces.
+    """Assembles a sparse linear map between direct sums of Hom-spaces.
 
     Each block is a matrix space Hom(k^c, k^r) flattened row-major; the
     contributions are of the form phi -> sign * L @ phi (add_left) or
@@ -316,36 +306,37 @@ class BlockMap:
             self._in[label] = (off, r, c)
             off += r * c
         self.in_dim = off
-        self._rows = [[_F0] * self.in_dim for _ in range(self.out_dim)]
+        self._rows: list[Row] = [{} for _ in range(self.out_dim)]
 
     def add_left(self, out_label: str, in_label: str, left: Mat, sign: int = 1) -> None:
         ooff, orows, ocols = self._out[out_label]
         ioff, irows, icols = self._in[in_label]
         if ocols != icols or left.rows != orows or left.cols != irows:
             raise ShapeError(f"add_left shape mismatch at {out_label}<-{in_label}")
-        for r in range(orows):
-            for ri in range(irows):
-                v = left.data[r][ri]
-                if v:
-                    sv = sign * v
-                    base_o = ooff + r * ocols
-                    base_i = ioff + ri * icols
-                    row = self._rows
-                    for c in range(ocols):
-                        row[base_o + c][base_i + c] += sv
+        rows = self._rows
+        for r, lrow in enumerate(left.sparse):
+            for ri, v in lrow.items():
+                sv = sign * v
+                base_o = ooff + r * ocols
+                base_i = ioff + ri * icols
+                for c in range(ocols):
+                    row = rows[base_o + c]
+                    row[base_i + c] = row.get(base_i + c, 0) + sv
 
     def add_right(self, out_label: str, in_label: str, right: Mat, sign: int = 1) -> None:
         ooff, orows, ocols = self._out[out_label]
         ioff, irows, icols = self._in[in_label]
         if orows != irows or right.rows != icols or right.cols != ocols:
             raise ShapeError(f"add_right shape mismatch at {out_label}<-{in_label}")
-        for ci in range(icols):
-            for c in range(ocols):
-                v = right.data[ci][c]
-                if v:
-                    sv = sign * v
-                    for r in range(orows):
-                        self._rows[ooff + r * ocols + c][ioff + r * icols + ci] += sv
+        rows = self._rows
+        for ci, rrow in enumerate(right.sparse):
+            for c, v in rrow.items():
+                sv = sign * v
+                for r in range(orows):
+                    row = rows[ooff + r * ocols + c]
+                    j = ioff + r * icols + ci
+                    row[j] = row.get(j, 0) + sv
 
     def matrix(self) -> Mat:
-        return Mat(self.out_dim, self.in_dim, tuple(tuple(r) for r in self._rows))
+        return Mat(self.out_dim, self.in_dim,
+                   tuple({j: x for j, x in row.items() if x} for row in self._rows))

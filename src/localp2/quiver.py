@@ -273,7 +273,8 @@ def check_relations(rep: Representation | P2Representation) -> RelationCheck:
     return RelationCheck(not violated, tuple(violated))
 
 
-def _require_valid(rep: Representation, context: str) -> Representation:
+def require_valid(rep: Representation, context: str) -> Representation:
+    """Postcondition of every constructor and twist: all relations hold, else an internal error."""
     chk = check_relations(rep)
     if not chk.ok:
         raise InternalCheckError(f"{context}: relations violated: {chk.violated}")
@@ -305,7 +306,7 @@ def point_module(coords: Sequence, t=0, heart: int = 0, label: str | None = None
         mats[f"c{i}"] = Mat.from_rows([[t * p[i - 1]]])
     if label is None:
         label = f"point ({p[0]}:{p[1]}:{p[2]}) t={t} heart={heart}"
-    return _require_valid(representation(heart, (1, 1, 1), mats, label), "point_module")
+    return require_valid(representation(heart, (1, 1, 1), mats, label), "point_module")
 
 
 def h0(m: int) -> int:
@@ -359,7 +360,7 @@ def pushforward_module(d: int, heart: int = 0, label: str | None = None) -> Repr
         # The fiber coordinate acts by zero on the zero section.
     if label is None:
         label = f"pushforward O({d}) heart={heart}"
-    return _require_valid(representation(heart, dims, mats, label), "pushforward_module")
+    return require_valid(representation(heart, dims, mats, label), "pushforward_module")
 
 
 def simple_module(vertex: int, heart: int = 0, label: str | None = None) -> Representation:

@@ -26,7 +26,7 @@ from .linalg import (
     rank,
     vstack,
 )
-from .quiver import Representation, check_relations, epsilon, representation
+from .quiver import Representation, epsilon, representation, require_valid
 
 
 def _curl(mats: Mapping[str, Mat], family: str) -> Mat:
@@ -118,13 +118,6 @@ def window_membership(rep: Representation, direction: str) -> MembershipReport:
     raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
-def _postcheck(rep: Representation, context: str) -> Representation:
-    chk = check_relations(rep)
-    if not chk.ok:
-        raise InternalCheckError(f"{context}: twisted module violates {chk.violated}")
-    return rep
-
-
 def twist_up(rep: Representation) -> Representation:
     """Re-present the module in heart n+1; the new top space is ker(kappa2)."""
     membership = window_membership(rep, "up")
@@ -143,8 +136,7 @@ def twist_up(rep: Representation) -> Representation:
     for i in (1, 2, 3):
         new_mats[f"a{i}"] = mats[f"b{i}"]
     for j in (1, 2, 3):
-        rows = kernel.data[(j - 1) * h2: j * h2]
-        new_mats[f"b{j}"] = Mat(h2, new_top, rows)
+        new_mats[f"b{j}"] = Mat(h2, new_top, kernel.sparse[(j - 1) * h2: j * h2])
     for k in (1, 2, 3):
         stacked = vstack([mats[f"c{j}"] @ mats[f"a{k}"] for j in (1, 2, 3)])
         coords = coords_in_colspace(kernel, stacked)
@@ -154,7 +146,7 @@ def twist_up(rep: Representation) -> Representation:
 
     out = representation(rep.heart + 1, (h1, h2, new_top), new_mats,
                          f"twist_up({rep.label})")
-    return _postcheck(out, "twist_up")
+    return require_valid(out, "twist_up")
 
 
 def twist_down(rep: Representation) -> Representation:
@@ -173,9 +165,9 @@ def twist_down(rep: Representation) -> Representation:
 
     new_mats: dict[str, Mat] = {}
     for i in (1, 2, 3):
-        cols = range((i - 1) * h0, i * h0)
-        new_mats[f"a{i}"] = Mat(new_bottom, h0,
-                                tuple(tuple(row[c] for c in cols) for row in proj.data))
+        off = (i - 1) * h0
+        new_mats[f"a{i}"] = Mat(new_bottom, h0, tuple(
+            {j - off: v for j, v in row.items() if off <= j < off + h0} for row in proj.sparse))
     for j in (1, 2, 3):
         new_mats[f"b{j}"] = mats[f"a{j}"]
     for k in (1, 2, 3):
@@ -186,12 +178,12 @@ def twist_down(rep: Representation) -> Representation:
         for f in free:
             j, pos = divmod(f, h0)
             cols.append(big[j].column(pos))
-        new_mats[f"c{k}"] = Mat(h1, new_bottom,
-                                tuple(tuple(col[r] for col in cols) for r in range(h1)))
+        new_mats[f"c{k}"] = Mat.from_rows([[col[r] for col in cols] for r in range(h1)],
+                                          cols=new_bottom)
 
     out = representation(rep.heart - 1, (new_bottom, h0, h1), new_mats,
                          f"twist_down({rep.label})")
-    return _postcheck(out, "twist_down")
+    return require_valid(out, "twist_down")
 
 
 @dataclass(frozen=True)

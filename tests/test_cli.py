@@ -84,6 +84,15 @@ def test_ext_prime_mode(tmp_path, capsys):
     assert code == 2 and "2**30" in stderr
 
 
+def test_ext_prime_mode_denominator_divisible_by_p(tmp_path, capsys):
+    pt = tmp_path / "pt.json"
+    run(capsys, "mk", "point", "1:0:0", "--t", "1/2147483659", "-o", str(pt))
+    code, _, stderr = run(capsys, "ext", str(pt), str(pt), "--mode", "prime", "2147483659")
+    assert code == 2
+    assert "Traceback" not in stderr and stderr.startswith("error:")
+    assert len(stderr.splitlines()) == 1
+
+
 def test_ext_heart_mismatch_exit_code(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "mk", "simple", "0", "--heart", "0", "-o", str(a))

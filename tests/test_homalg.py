@@ -20,7 +20,7 @@ from localp2.homalg import (
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import PrimeScalars
+from localp2.linalg import RATIONAL, PrimeScalars
 from localp2.quiver import (
     direct_sum,
     hom_space,
@@ -69,6 +69,15 @@ def test_ext_oracles_Y():
     assert ext_dims_Y(line2, line2) == ext_pushforward(2, 2) == (1, 0, 0, 1)
     assert ext_dims_Y(s0, line2) == ext_pushforward(0, 2) == (6, 0, 0, 0)
     assert ext_dims_Y(line2, s0) == ext_pushforward(2, 0) == (0, 0, 0, 6)
+
+
+@pytest.mark.parametrize("scalars", [RATIONAL, PRIME], ids=["rational", "prime"])
+def test_ext_pushforward_ladder_matches_oracle(scalars):
+    # Unlike the Euler cross-check, this sees every rank of every differential.
+    mods = [pushforward_module(a, 0) for a in range(5)]
+    for a, m in enumerate(mods):
+        for b, n in enumerate(mods):
+            assert ext_dims_Y(m, n, scalars) == ext_pushforward(a, b), (a, b)
 
 
 def test_ext_oracles_simples():

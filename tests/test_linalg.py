@@ -54,11 +54,16 @@ def _rank_by_minors(m: Mat) -> int:
     return 0
 
 
-small_matrices = st.integers(1, 4).flatmap(
-    lambda r: st.integers(1, 4).flatmap(
-        lambda c: st.lists(
-            st.lists(st.integers(-4, 4), min_size=c, max_size=c),
-            min_size=r, max_size=r)))
+def _matrices(entries):
+    return st.integers(1, 4).flatmap(
+        lambda r: st.integers(1, 4).flatmap(
+            lambda c: st.lists(
+                st.lists(entries, min_size=c, max_size=c),
+                min_size=r, max_size=r)))
+
+
+small_matrices = _matrices(st.integers(-4, 4))
+small_fraction_matrices = _matrices(st.fractions(-4, 4, max_denominator=4))
 
 
 @settings(max_examples=60, deadline=None)
@@ -69,13 +74,14 @@ def test_rank_matches_minor_oracle(rows):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_matrices)
+@given(small_fraction_matrices)
 def test_rank_transpose_and_prime_agreement(rows):
     m = Mat.from_rows(rows)
     r = rank(m)
     assert rank(m.transpose()) == r
-    # Minors of these matrices are far below the modulus, so the mod-p rank
-    # cannot drop and must agree exactly.
+    # Scaling each row by its denominator lcm (at most 12) gives integer
+    # entries of size at most 48, whose minors are far below the modulus, so
+    # the mod-p rank cannot drop and must agree exactly.
     assert rank(m, PRIME) == r
 
 
@@ -119,6 +125,13 @@ def test_quotient_projection_kills_image_and_has_full_rank():
     assert proj.rows == 1 and len(free) == 1
     assert (proj @ m).is_zero()
     assert rank(proj) == 1
+
+
+def test_prime_rank_rejects_denominator_divisible_by_p():
+    m = Mat.from_rows([[1, Fraction(1, PRIME.p)], [0, 1]])
+    assert rank(m) == 2
+    with pytest.raises(ScalarModeError):
+        rank(m, PRIME)
 
 
 def test_prime_scalars_rejects_small_modulus():
