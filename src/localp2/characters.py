@@ -14,17 +14,25 @@ terms are mutually dual and never contribute.
 
 Cocycle bookkeeping uses branch-tagged symbols D_k^(1), D_k^(3) for the sub-
 and quotient module and the extension rule D^(2) = D^(1) + D^(3).
+
+A character is stored as one flat sparse integer map on (symbol, variable)
+pairs, with variable None for the constant term; sums, scaling and differences
+are dict operations, and sorted LinearForm entries are built only for display.
+The Koszul rewrite and the extension rule are both linear substitutions of
+symbols and variables, done by the single routine ``_substitute``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Mapping
 
 from .errors import InputError, MissingVariableError
 
 Branch = str | None
 Var = tuple[Branch, int]
+# A flat character key: (symbol, variable), with variable None for the constant term.
+Key = tuple[Var, Var | None]
 
 
 def _vkey(v: Var):
@@ -63,13 +71,6 @@ class LinearForm:
     def constant(c: int) -> "LinearForm":
         return LinearForm((), c)
 
-    def coeff(self, key) -> int:
-        v = _as_var(key)
-        return dict(self.terms).get(v, 0)
-
-    def variables(self) -> tuple[Var, ...]:
-        return tuple(v for v, _ in self.terms)
-
     def is_zero(self) -> bool:
         return not self.terms and self.const == 0
 
@@ -91,14 +92,6 @@ class LinearForm:
         return LinearForm(tuple((v, scalar * c) for v, c in self.terms), scalar * self.const)
 
     __rmul__ = __mul__
-
-    def substitute(self, key, replacement: "LinearForm") -> "LinearForm":
-        v = _as_var(key)
-        c = self.coeff(v)
-        if not c:
-            return self
-        rest = LinearForm.make({w: cc for w, cc in self.terms if w != v}, self.const)
-        return rest + replacement * c
 
     def evaluate(self, assignment: Mapping) -> int:
         values = {_as_var(k): int(x) for k, x in assignment.items()}
@@ -132,79 +125,103 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class DetCharacter:
-    """Finite-support map from window symbols D_k to LinearForm exponents."""
+    """Finite-support map from window symbols D_k to LinearForm exponents.
 
-    entries: tuple[tuple[Var, LinearForm], ...] = ()
+    Stored flat: ``coeffs[(symbol, variable)]`` is the coefficient of the
+    variable in the symbol's exponent, with variable ``None`` for the constant
+    term.  Zero coefficients are dropped once, when a character is built; the
+    dict is never mutated afterwards.  Sorted ``entries`` are derived on demand.
+    """
+
+    coeffs: Mapping[Key, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.coeffs.items()))
 
     @staticmethod
     def make(mapping: Mapping[Var, LinearForm]) -> "DetCharacter":
-        items = tuple(sorted(((s, f) for s, f in mapping.items() if not f.is_zero()),
-                             key=lambda t: _vkey(t[0])))
-        return DetCharacter(items)
+        flat: dict[Key, int] = {}
+        for s, f in mapping.items():
+            flat.update(((s, v), c) for v, c in f.terms)
+            flat[s, None] = f.const
+        return DetCharacter(flat)
+
+    @property
+    def entries(self) -> tuple[tuple[Var, LinearForm], ...]:
+        return tuple((s, self.form(s)) for s in self.symbols())
 
     def form(self, key) -> LinearForm:
         s = _as_var(key)
-        return dict(self.entries).get(s, LinearForm())
+        row = {v: c for (t, v), c in self.coeffs.items() if t == s}
+        const = row.pop(None, 0)
+        return LinearForm.make(row, const)
+
+    def rendered(self) -> dict[str, str]:
+        """Display form for reports: ``{"D<k>": "<exponent>"}`` in symbol order."""
+        return {format_var(s, "D"): str(f) for s, f in self.entries}
 
     def symbols(self) -> tuple[Var, ...]:
-        return tuple(s for s, _ in self.entries)
+        return tuple(sorted({s for s, _ in self.coeffs}, key=_vkey))
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self.coeffs
 
     def __add__(self, other: "DetCharacter") -> "DetCharacter":
-        out = dict(self.entries)
-        for s, f in other.entries:
-            out[s] = out.get(s, LinearForm()) + f
-        return DetCharacter.make(out)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) + c
+        return DetCharacter(out)
 
     def __neg__(self) -> "DetCharacter":
-        return DetCharacter(tuple((s, -f) for s, f in self.entries))
+        return self.scale(-1)
 
     def __sub__(self, other: "DetCharacter") -> "DetCharacter":
-        return self + (-other)
+        return self + other.scale(-1)
 
     def scale(self, scalar: int) -> "DetCharacter":
-        return DetCharacter.make({s: f * scalar for s, f in self.entries})
-
-    def substitute_symbol(self, key, combo: Mapping[Var, int]) -> "DetCharacter":
-        s0 = _as_var(key)
-        out: dict[Var, LinearForm] = {}
-        for s, f in self.entries:
-            if s == s0:
-                for s2, c in combo.items():
-                    out[s2] = out.get(s2, LinearForm()) + f * c
-            else:
-                out[s] = out.get(s, LinearForm()) + f
-        return DetCharacter.make(out)
+        return DetCharacter({k: scalar * c for k, c in self.coeffs.items()})
 
     def map_forms(self, fn: Callable[[LinearForm], LinearForm]) -> "DetCharacter":
         return DetCharacter.make({s: fn(f) for s, f in self.entries})
 
     def branches(self) -> set[Branch]:
-        out: set[Branch] = set()
-        for s, f in self.entries:
-            out.add(s[0])
-            for v in f.variables():
-                out.add(v[0])
-        return out
+        return {x[0] for key in self.coeffs for x in key if x is not None}
 
     def evaluate(self, assignment: Mapping) -> dict[Var, int]:
         return {s: f.evaluate(assignment) for s, f in self.entries}
 
 
-def _h(branch: Branch, k: int) -> LinearForm:
-    return LinearForm.variable((branch, k))
+def _substitute(char: DetCharacter, symbol_map: Mapping[Var, Mapping[Var, int]],
+                variable_map: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
+    """Replace every mapped symbol and variable by its integer combination, in one pass.
+
+    Unmapped symbols and variables, and the constant term, stay as they are.
+    A replacement must not mention a mapped key again (the rewrites here never
+    do), so the result does not depend on the order of the substitutions.
+    """
+    out: dict[Key, int] = {}
+    for (s, v), c in char.coeffs.items():
+        for s2, a in symbol_map.get(s, {s: 1}).items():
+            for v2, b in variable_map.get(v, {v: 1}).items():
+                out[s2, v2] = out.get((s2, v2), 0) + a * b * c
+    return DetCharacter(out)
 
 
 def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
-    """The window character of the canonical square root in the given heart."""
-    n = heart
-    return DetCharacter.make({
-        (branch, n): 3 * (_h(branch, n + 2) - _h(branch, n + 1)),
-        (branch, n + 1): 3 * (_h(branch, n) - _h(branch, n + 2)),
-        (branch, n + 2): 3 * (_h(branch, n + 1) - _h(branch, n)),
-    })
+    """The window character of the canonical square root in the given heart.
+
+    D_n -> 3(h_{n+2} - h_{n+1}), and cyclically for D_{n+1} and D_{n+2}.
+    """
+    d = [(branch, heart + j) for j in range(3)]
+    return DetCharacter({(d[i], d[(i + shift) % 3]): c
+                         for i in range(3) for shift, c in ((2, 3), (1, -3))})
+
+
+# Koszul relation per direction: (offset of the eliminated index, its replacement).
+_KOSZUL = {"up": (0, ((1, 3), (2, -3), (3, 1))), "down": (3, ((0, 1), (1, -3), (2, 3)))}
 
 
 def koszul_rewrite(char: DetCharacter, k: int, direction: str = "up") -> DetCharacter:
@@ -216,19 +233,11 @@ def koszul_rewrite(char: DetCharacter, k: int, direction: str = "up") -> DetChar
     The dimension variable with the same index is rewritten by the identical
     relation inside every exponent form.
     """
-    if direction not in ("up", "down"):
+    if direction not in _KOSZUL:
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
-    out = char
-    for b in sorted(char.branches(), key=lambda x: x or ""):
-        if direction == "up":
-            sym, combo = (b, k), {(b, k + 1): 3, (b, k + 2): -3, (b, k + 3): 1}
-            var, repl = (b, k), 3 * _h(b, k + 1) - 3 * _h(b, k + 2) + _h(b, k + 3)
-        else:
-            sym, combo = (b, k + 3), {(b, k): 1, (b, k + 1): -3, (b, k + 2): 3}
-            var, repl = (b, k + 3), _h(b, k) - 3 * _h(b, k + 1) + 3 * _h(b, k + 2)
-        out = out.substitute_symbol(sym, combo)
-        out = out.map_forms(lambda f: f.substitute(var, repl))
-    return out
+    offset, combo = _KOSZUL[direction]
+    relation = {(b, k + offset): {(b, k + j): c for j, c in combo} for b in char.branches()}
+    return _substitute(char, relation, relation)
 
 
 # Block layout of the two complexes: (degree parity, (slot_M, slot_N), multiplicity).
@@ -246,21 +255,14 @@ _P2_LAYOUT = (
 )
 
 
-def _hom_block_char(heart: int, s: int, t: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
-    out: dict[Var, LinearForm] = {}
-    key_n = (branch_n, heart + t)
-    key_m = (branch_m, heart + s)
-    out[key_n] = out.get(key_n, LinearForm()) + _h(branch_m, heart + s)
-    out[key_m] = out.get(key_m, LinearForm()) - _h(branch_n, heart + t)
-    return DetCharacter.make(out)
-
-
 def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
-    total = DetCharacter()
+    out: dict[Key, int] = {}
     for parity, blocks in layout:
         for (s, t), mult in blocks:
-            total = total + _hom_block_char(heart, s, t, branch_m, branch_n).scale(parity * mult)
-    return total
+            m, n = (branch_m, heart + s), (branch_n, heart + t)
+            out[n, m] = out.get((n, m), 0) + parity * mult
+            out[m, n] = out.get((m, n), 0) - parity * mult
+    return DetCharacter(out)
 
 
 def full_complex_char(heart: int, branch_m: Branch = None, branch_n: Branch = None) -> DetCharacter:
@@ -282,14 +284,9 @@ def expand_extension(char: DetCharacter, whole: str = "2",
                      parts: tuple[str, str] = ("1", "3")) -> DetCharacter:
     """Rewrite branch ``whole`` as the sum of the two part branches (symbols and variables)."""
     a, b = parts
-    out = char
-    indices = sorted({s[1] for s in char.symbols() if s[0] == whole})
-    for k in indices:
-        out = out.substitute_symbol((whole, k), {(a, k): 1, (b, k): 1})
-    var_indices = sorted({v[1] for _, f in out.entries for v in f.variables() if v[0] == whole})
-    for k in var_indices:
-        out = out.map_forms(lambda f, k=k: f.substitute((whole, k), _h(a, k) + _h(b, k)))
-    return out
+    split = {x: {(a, x[1]): 1, (b, x[1]): 1}
+             for key in char.coeffs for x in key if x is not None and x[0] == whole}
+    return _substitute(char, split, split)
 
 
 def eval_char(char: DetCharacter, assignment: Mapping) -> dict[Var, int]:
@@ -299,13 +296,10 @@ def eval_char(char: DetCharacter, assignment: Mapping) -> dict[Var, int]:
 
 def char_diff(lhs: DetCharacter, rhs: DetCharacter) -> list[dict]:
     """Per-symbol differences, rendered for reports; empty when equal."""
-    out = []
-    seen = sorted(set(lhs.symbols()) | set(rhs.symbols()), key=_vkey)
-    for s in seen:
-        fl, fr = lhs.form(s), rhs.form(s)
-        if fl != fr:
-            out.append({"symbol": format_var(s, "D"), "lhs_form": str(fl), "rhs_form": str(fr)})
-    return out
+    fl, fr = lhs.coeffs, rhs.coeffs
+    differ = {k[0] for k in fl.keys() | fr.keys() if fl.get(k, 0) != fr.get(k, 0)}
+    return [{"symbol": format_var(s, "D"), "lhs_form": str(lhs.form(s)),
+             "rhs_form": str(rhs.form(s))} for s in sorted(differ, key=_vkey)]
 
 
 def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: dict) -> dict:
@@ -321,7 +315,7 @@ def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: d
 def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
     """Koszul-rewriting the window character of heart n yields the heart n+1 character.
 
-    Coefficient-level equality of LinearForms for every consecutive pair:
+    Coefficient-level equality of the characters for every consecutive pair:
     a proof for all modules lying in the overlapping hearts.
     """
     if n_max <= n_min:
@@ -334,10 +328,7 @@ def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
         if diff:
             return _report("theorem3", (n_min, n_max), diff, {"failed_pair": [n, n + 1]})
         if not witness:
-            witness = {
-                "pair": [n, n + 1],
-                "character": {format_var(s, "D"): str(f) for s, f in rhs.entries},
-            }
+            witness = {"pair": [n, n + 1], "character": rhs.rendered()}
     return _report("theorem3", (n_min, n_max), [], witness)
 
 
@@ -346,8 +337,7 @@ def verify_theorem4() -> dict:
     lhs = geometric_char(0)
     rhs = ori_char(0)
     diff = char_diff(lhs, rhs)
-    witness = {"character": {format_var(s, "D"): str(f) for s, f in rhs.entries}}
-    return _report("theorem4", (0, 0), diff, witness)
+    return _report("theorem4", (0, 0), diff, {"character": rhs.rendered()})
 
 
 def verify_square_root(n_min: int = -8, n_max: int = 8) -> dict:
@@ -358,10 +348,7 @@ def verify_square_root(n_min: int = -8, n_max: int = 8) -> dict:
         diff = char_diff(lhs, rhs)
         if diff:
             return _report("square-root", (n_min, n_max), diff, {"failed_heart": n})
-    witness = {
-        "heart": n_min,
-        "character": {format_var(s, "D"): str(f) for s, f in full_complex_char(n_min).entries},
-    }
+    witness = {"heart": n_min, "character": full_complex_char(n_min).rendered()}
     return _report("square-root", (n_min, n_max), [], witness)
 
 
@@ -376,9 +363,16 @@ def verify_cocycle(n_min: int = -8, n_max: int = 8) -> dict:
         diff = char_diff(lhs, rhs)
         if diff:
             return _report("cocycle", (n_min, n_max), diff, {"failed_heart": n})
-    sample = full_complex_char(n_min, "1", "3")
-    witness = {
-        "heart": n_min,
-        "mixed_character": {format_var(s, "D"): str(f) for s, f in sample.entries},
-    }
+    witness = {"heart": n_min, "mixed_character": full_complex_char(n_min, "1", "3").rendered()}
     return _report("cocycle", (n_min, n_max), [], witness)
+
+
+# Identity name -> verifier over hearts (lo, hi); shared by ``localp2 verify``
+# and the corpus.  The verifiers are looked up by name at call time, so a
+# wrapper installed on a module attribute sees every call.
+IDENTITIES: dict[str, Callable[[int, int], dict]] = {
+    "theorem3": lambda lo, hi: verify_theorem3(lo, hi),
+    "theorem4": lambda lo, hi: verify_theorem4(),
+    "square-root": lambda lo, hi: verify_square_root(lo, hi),
+    "cocycle": lambda lo, hi: verify_cocycle(lo, hi),
+}

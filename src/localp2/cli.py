@@ -43,24 +43,32 @@ def _meta() -> dict:
     return {"version": __version__, "conventions": CONVENTIONS}
 
 
+def _fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+
+
 def _parse_point(text: str) -> tuple[Fraction, Fraction, Fraction]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"expected x0:x1:x2, got {text!r}")
-    try:
-        return tuple(Fraction(p) for p in parts)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad coordinate in {text!r}: {exc}") from exc
+    return tuple(_fraction(p, f"coordinate in {text!r}") for p in parts)
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise InputError(f"expected three comma-separated dims, got {text!r}")
-    try:
-        return tuple(int(p) for p in parts)
-    except ValueError as exc:
-        raise InputError(f"bad dimension in {text!r}: {exc}") from exc
+    return tuple(_int(p, f"dimension in {text!r}") for p in parts)
 
 
 def _parse_scalars(mode: list[str] | None) -> Scalars:
@@ -69,10 +77,7 @@ def _parse_scalars(mode: list[str] | None) -> Scalars:
     if mode[0] == "prime":
         if len(mode) != 2:
             raise InputError("usage: --mode prime <p>")
-        try:
-            return PrimeScalars(int(mode[1]))
-        except ValueError as exc:
-            raise InputError(f"bad prime: {mode[1]!r}") from exc
+        return PrimeScalars(_int(mode[1], "prime"))
     raise InputError(f"unknown scalar mode {mode[0]!r}")
 
 
@@ -110,11 +115,11 @@ def _print_json(payload: dict) -> None:
 
 def cmd_mk(args) -> int:
     if args.constructor == "point":
-        rep = point_module(_parse_point(args.args[0]), Fraction(args.t), args.heart)
+        rep = point_module(_parse_point(args.args[0]), _fraction(args.t, "--t"), args.heart)
     elif args.constructor == "pushforward":
-        rep = pushforward_module(int(args.args[0]), args.heart)
+        rep = pushforward_module(_int(args.args[0], "degree"), args.heart)
     elif args.constructor == "simple":
-        rep = simple_module(int(args.args[0]), args.heart)
+        rep = simple_module(_int(args.args[0], "vertex"), args.heart)
     elif args.constructor == "sum":
         if len(args.args) < 2:
             raise InputError("sum needs at least two representation files")
@@ -163,9 +168,7 @@ def cmd_orichar(args) -> int:
         payload = {"heart": args.heart, "dims": list(dims),
                    "exponents": {characters.format_var(s, "D"): v for s, v in values.items()}}
     else:
-        payload = {"heart": args.heart,
-                   "exponents": {characters.format_var(s, "D"): str(f)
-                                 for s, f in char.entries}}
+        payload = {"heart": args.heart, "exponents": char.rendered()}
     payload.update(_meta())
     if args.format == "json":
         _print_json(payload)
@@ -213,17 +216,7 @@ def cmd_window(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = args.range
-    if args.identity == "theorem3":
-        report = characters.verify_theorem3(lo, hi)
-    elif args.identity == "theorem4":
-        report = characters.verify_theorem4()
-    elif args.identity == "square-root":
-        report = characters.verify_square_root(lo, hi)
-    elif args.identity == "cocycle":
-        report = characters.verify_cocycle(lo, hi)
-    else:
-        raise InputError(f"unknown identity {args.identity!r}")
+    report = characters.IDENTITIES[args.identity](*args.range)
     report.update(_meta())
     if args.format == "json":
         _print_json(report)
@@ -303,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_window)
 
     p = sub.add_parser("verify", help="machine-check one of the symbolic identities")
-    p.add_argument("identity", choices=("theorem3", "theorem4", "square-root", "cocycle"))
+    p.add_argument("identity", choices=tuple(characters.IDENTITIES))
     p.add_argument("--range", nargs=2, type=int, default=(-8, 8))
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_verify)

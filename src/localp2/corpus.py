@@ -131,14 +131,9 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
                            lambda m=m, n=n: _check_pair(m, n, scalars)))
 
     lo, hi = config.window
-    for identity, fn in (
-        ("theorem3", lambda: characters.verify_theorem3(lo, hi)),
-        ("theorem4", characters.verify_theorem4),
-        ("square-root", lambda: characters.verify_square_root(lo, hi)),
-        ("cocycle", lambda: characters.verify_cocycle(lo, hi)),
-    ):
+    for identity, fn in characters.IDENTITIES.items():
         cells.append(_cell(f"verify:{identity}", lambda fn=fn: (
-            lambda rep: {"_ok": rep["status"] == "pass", "diff": rep["diff"]})(fn())))
+            lambda rep: {"_ok": rep["status"] == "pass", "diff": rep["diff"]})(fn(lo, hi))))
 
     for name in (n for n in ROUNDTRIP_NAMES if n in objs):
         cells.append(_cell(f"twist-roundtrip:{name}",

@@ -37,6 +37,35 @@ class PrimeScalars:
     def __post_init__(self):
         if self.p <= 2**30:
             raise ScalarModeError(f"prime modulus must exceed 2**30, got {self.p}")
+        if self.p >= _MR_LIMIT:
+            raise ScalarModeError(f"prime modulus must be below {_MR_LIMIT} to be proved prime, "
+                                  f"got {self.p}")
+        if not _is_prime(self.p):
+            raise ScalarModeError(f"modulus {self.p} is not prime")
+
+
+# Miller-Rabin with the 13 prime bases 2..41 proves primality of every n below
+# _MR_LIMIT (Sorenson and Webster, 2015); moduli at or above it are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test for 41 < n < _MR_LIMIT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 Scalars = Union[RationalScalars, PrimeScalars]

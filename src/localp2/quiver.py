@@ -449,9 +449,14 @@ def _matrices_to_json(matrices: tuple[tuple[str, Mat], ...]) -> dict:
 
 def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Mat:
     rows, cols = matrix_shape(name, dims)
+    if not isinstance(flat, (list, tuple)):
+        raise InputError(f"matrix {name}: expected a list of entries, got {flat!r}")
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
-    entries = [Fraction(x) for x in flat]
+    try:
+        entries = [Fraction(x) for x in flat]
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise InputError(f"matrix {name}: bad entry: {exc}") from exc
     return Mat.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
 
 
@@ -465,13 +470,22 @@ def rep_to_dict(rep: Representation | P2Representation) -> dict:
     return out
 
 
+def _json_int(value, what: str) -> int:
+    # JSON integers only: int() would accept "2" and truncate 1.5, and bool is an int.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def rep_from_dict(data: Mapping) -> Representation | P2Representation:
     try:
-        dims = tuple(int(x) for x in data["dims"])
+        dims = tuple(_json_int(x, "dims entry") for x in data["dims"])
         raw = data["matrices"]
         label = data.get("label")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed representation record: {exc}") from exc
+    if not isinstance(raw, Mapping):
+        raise InputError(f"matrices must map arrow names to entry lists, got {raw!r}")
     is_y = "heart" in data
     order = ARROW_ORDER if is_y else P2_ARROW_ORDER
     mats = {}
@@ -480,7 +494,7 @@ def rep_from_dict(data: Mapping) -> Representation | P2Representation:
             raise InputError(f"unexpected arrow {name!r} in record")
         mats[name] = _matrix_from_json(name, raw[name], dims)
     if is_y:
-        return representation(int(data["heart"]), dims, mats, label)
+        return representation(_json_int(data["heart"], "heart"), dims, mats, label)
     return p2_representation(dims, mats, label)
 
 

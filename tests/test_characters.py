@@ -202,3 +202,31 @@ def test_branch_rendering_and_forms():
     assert "-3*h1^(1) + 3*h2^(1)" in rendered
     assert str(LinearForm.constant(0)) == "0"
     assert str(LinearForm.make({(None, 2): -1}, 4)) == "-h2 + 4"
+
+
+tagged_index = st.tuples(st.sampled_from(["1", "3"]), st.integers(0, 2))
+tagged_chars = st.dictionaries(
+    tagged_index,
+    st.builds(LinearForm.make, st.dictionaries(tagged_index, st.integers(-5, 5), max_size=4),
+              st.integers(-3, 3)),
+    max_size=4).map(DetCharacter.make)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tagged_chars)
+def test_koszul_rewrite_round_trip_branch_tagged(char):
+    # both branches are rewritten, each by its own relation: down(0) inverts up(0)
+    assert koszul_rewrite(koszul_rewrite(char, 0, "up"), 0, "down") == char
+
+
+def test_verifiers_fail_on_corrupted_layout(monkeypatch):
+    from localp2 import characters
+
+    parity, blocks = characters._Y_LAYOUT[1]
+    corrupted = (parity, (((1, 0), 2),) + blocks[1:])  # multiplicity 2 instead of 3
+    monkeypatch.setattr(characters, "_Y_LAYOUT",
+                        characters._Y_LAYOUT[:1] + (corrupted,) + characters._Y_LAYOUT[2:])
+    for verify in (verify_square_root, verify_cocycle):
+        rep = verify(-3, 3)
+        assert rep["status"] == "fail" and rep["diff"]
+        assert rep["witness"] == {"failed_heart": -3}

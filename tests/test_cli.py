@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -197,3 +201,53 @@ def test_malformed_file_is_input_error(tmp_path, capsys):
     assert run(capsys, "ext", str(bad), str(bad))[0] == 2
     missing = tmp_path / "missing.json"
     assert run(capsys, "twist", str(missing), "up")[0] == 2
+
+
+DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
+IDENTITY_NAMES = ("theorem3", "theorem4", "square-root", "cocycle")
+
+
+@pytest.mark.parametrize("argv, golden", [
+    *((("verify", name, "--range", "-256", "256", "--format", "json"),
+       f"verify_{name}_-256_256.json") for name in IDENTITY_NAMES),
+    (("orichar", "5", "--format", "json"), "orichar_5.json"),
+])
+def test_json_output_matches_golden(capsys, argv, golden):
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0 and stdout == (DATA / golden).read_text()
+
+
+def _record(heart=0, dims=(1, 1, 1), a1=None):
+    matrices = {} if a1 is None else {"a1": [a1]}
+    return json.dumps({"heart": heart, "dims": list(dims), "matrices": matrices, "label": None})
+
+
+@pytest.mark.parametrize("argv, record", [
+    (("mk", "pushforward", "x"), None),
+    (("mk", "simple", "x"), None),
+    (("mk", "point", "1:0:0", "--t", "abc"), None),
+    (("mk", "point", "1:0:0", "--t", "1/0"), None),
+    (("ext", "REC", "REC", "--mode", "prime", "4294967296"), _record()),
+    (("corpus", "--mode", "prime", "4294967296"), None),
+    (("ext", "REC", "REC"), _record(heart="1.5")),
+    (("ext", "REC", "REC"), _record(heart=1.5)),
+    (("ext", "REC", "REC"), _record(heart=True)),
+    (("ext", "REC", "REC"), _record(dims=(1.5, 1, 1))),
+    (("ext", "REC", "REC"), _record(a1="1/0")),
+    (("ext", "REC", "REC"), _record(a1="abc")),
+    (("ext", "REC", "REC"), _record().replace('"matrices": {}', '"matrices": ["a1"]')),
+    (("ext", "REC", "REC"), _record().replace('"matrices": {}', '"matrices": {"a1": 5}')),
+], ids=["pushforward-x", "simple-x", "point-t-abc", "point-t-1/0", "ext-composite-modulus",
+        "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
+        "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list"])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
+    if record is not None:
+        path = tmp_path / "rec.json"
+        path.write_text(record)
+        argv = tuple(str(path) if a == "REC" else a for a in argv)
+    proc = subprocess.run([sys.executable, "-m", "localp2.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -139,6 +139,24 @@ def test_prime_scalars_rejects_small_modulus():
         PrimeScalars(97)
 
 
+@pytest.mark.parametrize("modulus", [
+    2**32,                            # even
+    65537 * 65539,                    # product of two primes
+    3825123056546413051,              # strong pseudoprime to every prime base up to 23
+    318665857834031151167461,         # strong pseudoprime to every prime base up to 37
+    3317044064679887385961981,        # at the bound where bases 2..41 stop being a proof
+    2**89 - 1,                        # prime, but above that bound
+])
+def test_prime_scalars_rejects_moduli_not_proved_prime(modulus):
+    with pytest.raises(ScalarModeError):
+        PrimeScalars(modulus)
+
+
+def test_prime_scalars_accepts_primes():
+    for p in (2**31 + 11, 2147483693, 2**61 - 1):
+        assert PrimeScalars(p).p == p
+
+
 def test_stacking_and_shape_errors():
     a = Mat.from_rows([[1, 2]])
     b = Mat.from_rows([[3, 4]])
