@@ -2,12 +2,21 @@
 
 Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
-(``_echelon``) row-reduces them over Q with ``Fraction`` entries or over GF(p)
-with integer residues.  It backs ``rank`` in both modes as well as ``rref``,
-``nullspace``, ``coords_in_colspace`` and ``quotient_projection``.  The
-prime-field mode computes ranks modulo a large prime (> 2**30) and is
-contractually required to agree with the rational mode on the regression
-corpus.
+(``_echelon``) row-reduces them over Q or over GF(p) with integer residues.
+It backs ``rank`` in both modes as well as ``rref``, ``nullspace``,
+``coords_in_colspace`` and ``quotient_projection``.  The prime-field mode
+computes ranks modulo a large prime (> 2**30) and is contractually required
+to agree with the rational mode on the regression corpus.
+
+Exact scalars are integer-first: a value that enters a matrix (``scalar``,
+behind ``Mat.from_rows`` and ``Mat.scale``) is stored as an ``int`` when it
+is integral and as a ``Fraction`` only otherwise, so the 0/±1 matrices of the
+constructors run on plain ``int`` arithmetic through assembly, products and
+elimination.  Sums and products keep ints as ints; one that involves a
+``Fraction`` stays a ``Fraction`` even when integral, which compares, hashes
+and prints exactly as the integer does.  The hazard of ``int`` entries is
+true division: ``1 / 2`` is a float, so every division goes through
+``Fraction`` (``Fraction(1, v)`` for the monic pivot).
 """
 
 from __future__ import annotations
@@ -18,10 +27,21 @@ from typing import Sequence, Union
 
 from .errors import ScalarModeError, ShapeError
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+Scalar = Union[int, Fraction]
+Row = dict[int, Scalar]
 
-Row = dict[int, Fraction]
+
+def scalar(x) -> Scalar:
+    """The exact value of ``x`` as an ``int`` when it is integral, else as a ``Fraction``.
+
+    Anything ``Fraction`` accepts is accepted: ints, Fractions, fraction
+    strings, and floats, which are converted exactly.  A bool becomes 0 or 1,
+    so no matrix entry prints as a bool.
+    """
+    if type(x) is int:
+        return x
+    f = x if type(x) is Fraction else Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 @dataclass(frozen=True)
@@ -75,10 +95,11 @@ RATIONAL = RationalScalars()
 
 @dataclass(frozen=True, eq=False)
 class Mat:
-    """Immutable sparse matrix over Fraction; the zero-row/zero-column cases keep their shape.
+    """Immutable sparse matrix over Q; the zero-row/zero-column cases keep their shape.
 
     ``sparse`` holds one ``{column: value}`` dict per row with no explicit
-    zeros; the dicts are never mutated once a ``Mat`` holds them.
+    zeros; the dicts are never mutated once a ``Mat`` holds them.  Values are
+    ``int`` or ``Fraction``, never ``float`` (see the module docstring).
     """
 
     rows: int
@@ -91,7 +112,7 @@ class Mat:
 
     @staticmethod
     def from_rows(entries: Sequence[Sequence], cols: int | None = None) -> "Mat":
-        rows = [[Fraction(x) for x in row] for row in entries]
+        rows = [[scalar(x) for x in row] for row in entries]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
@@ -105,9 +126,9 @@ class Mat:
         return Mat(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
 
     @property
-    def data(self) -> tuple[tuple[Fraction, ...], ...]:
+    def data(self) -> tuple[tuple[Scalar, ...], ...]:
         """Dense read-only view, row by row."""
-        return tuple(tuple(r.get(j, _F0) for j in range(self.cols)) for r in self.sparse)
+        return tuple(tuple(r.get(j, 0) for j in range(self.cols)) for r in self.sparse)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
@@ -128,14 +149,14 @@ class Mat:
         return not any(self.sparse)
 
     def scale(self, s) -> "Mat":
-        s = Fraction(s)
+        s = scalar(s)
         if not s:
             return Mat.zeros(self.rows, self.cols)
         return Mat(self.rows, self.cols,
                    tuple({j: s * v for j, v in row.items()} for row in self.sparse))
 
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row.get(j, _F0) for row in self.sparse)
+    def column(self, j: int) -> tuple[Scalar, ...]:
+        return tuple(row.get(j, 0) for row in self.sparse)
 
     def __neg__(self) -> "Mat":
         return self.scale(-1)
@@ -211,10 +232,13 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
     for row in m.sparse:
         residues = {}
         for j, x in row.items():
-            if x.denominator % p == 0:
+            if type(x) is int:
+                r = x % p
+            elif x.denominator % p == 0:
                 raise ScalarModeError(
                     f"matrix entry {x} has a denominator divisible by the prime {p}")
-            r = x.numerator * pow(x.denominator, -1, p) % p
+            else:
+                r = x.numerator * pow(x.denominator, -1, p) % p
             if r:
                 residues[j] = r
         if residues:
@@ -223,13 +247,15 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
 
 
 def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
-    """Row-reduce sparse rows over Q (p = 0, Fraction values) or GF(p) (int residues).
+    """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p) (int residues).
 
     Each row is cleared at its leftmost column by the monic pivot row of that
     column until its leftmost column has no pivot yet; it then becomes that
-    column's monic pivot row.  Returns {pivot column: row}, its size is the
-    rank.  With ``reduced`` the pivot rows are back-substituted into the
-    reduced row echelon form, which is unique.  The rows are consumed.
+    column's monic pivot row.  Over Q a ±1 pivot keeps integer rows integral,
+    and any other pivot is inverted as ``Fraction(1, v)``, never as ``1 / v``.
+    Returns {pivot column: row}, its size is the rank.  With ``reduced`` the
+    pivot rows are back-substituted into the reduced row echelon form, which
+    is unique.  The rows are consumed.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -237,8 +263,17 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                inv = pow(row[c], -1, p) if p else 1 / row[c]
-                pivots[c] = {j: v * inv % p if p else v * inv for j, v in row.items()}
+                v = row[c]
+                if p:
+                    inv = pow(v, -1, p)
+                    pivots[c] = {j: x * inv % p for j, x in row.items()}
+                elif v == 1:
+                    pivots[c] = row
+                elif v == -1:
+                    pivots[c] = {j: -x for j, x in row.items()}
+                else:
+                    inv = Fraction(1, v)
+                    pivots[c] = {j: x * inv for j, x in row.items()}
                 break
             _axpy(row, prow, row[c], p)
     if reduced:
@@ -261,7 +296,7 @@ def rank(m: Mat, scalars: Scalars = RATIONAL) -> int:
 
 
 def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form over Fraction, with the pivot column indices."""
+    """Reduced row echelon form over Q, with the pivot column indices."""
     pivots = _rref_pivots(m)
     order = sorted(pivots)
     rows = tuple(pivots[c] for c in order) + ({},) * (m.rows - len(order))
@@ -275,7 +310,7 @@ def nullspace(m: Mat) -> Mat:
     index = {f: i for i, f in enumerate(free)}
     out: list[Row] = [{} for _ in range(m.cols)]
     for f, i in index.items():
-        out[f][i] = _F1
+        out[f][i] = 1
     for c, prow in pivots.items():
         out[c] = {index[j]: -v for j, v in prow.items() if j != c}
     return Mat(m.cols, len(free), tuple(out))
@@ -305,7 +340,7 @@ def quotient_projection(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     pivots = _rref_pivots(m.transpose())
     free = tuple(j for j in range(m.rows) if j not in pivots)
     index = {f: i for i, f in enumerate(free)}
-    out: list[Row] = [{f: _F1} for f in free]
+    out: list[Row] = [{f: 1} for f in free]
     for c, prow in pivots.items():
         for j, v in prow.items():
             if j != c:

@@ -231,20 +231,23 @@ def _coerce_matrices(dims: Sequence[int], matrices: Mapping[str, Mat],
     return tuple(out)
 
 
-def representation(heart: int, dims: Sequence[int], matrices: Mapping[str, Mat] | None = None,
-                   label: str | None = None) -> Representation:
+def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 0 for d in dims):
         raise InputError(f"dims must be three nonnegative integers, got {dims}")
+    return dims
+
+
+def representation(heart: int, dims: Sequence[int], matrices: Mapping[str, Mat] | None = None,
+                   label: str | None = None) -> Representation:
+    dims = _dims(dims)
     return Representation(int(heart), dims, _coerce_matrices(dims, matrices or {}, ARROW_ORDER),
                           label)
 
 
 def p2_representation(dims: Sequence[int], matrices: Mapping[str, Mat] | None = None,
                       label: str | None = None) -> P2Representation:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 3 or any(d < 0 for d in dims):
-        raise InputError(f"dims must be three nonnegative integers, got {dims}")
+    dims = _dims(dims)
     return P2Representation(dims, _coerce_matrices(dims, matrices or {}, P2_ARROW_ORDER), label)
 
 
@@ -454,10 +457,9 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
     try:
-        entries = [Fraction(x) for x in flat]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return Mat.from_rows([flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"matrix {name}: bad entry: {exc}") from exc
-    return Mat.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
 
 
 def rep_to_dict(rep: Representation | P2Representation) -> dict:
@@ -486,6 +488,8 @@ def rep_from_dict(data: Mapping) -> Representation | P2Representation:
         raise InputError(f"malformed representation record: {exc}") from exc
     if not isinstance(raw, Mapping):
         raise InputError(f"matrices must map arrow names to entry lists, got {raw!r}")
+    # The matrix shapes are read off the dims, so they are checked first.
+    dims = _dims(dims)
     is_y = "heart" in data
     order = ARROW_ORDER if is_y else P2_ARROW_ORDER
     mats = {}
@@ -505,6 +509,6 @@ def dumps_rep(rep: Representation | P2Representation) -> str:
 def loads_rep(text: str) -> Representation | P2Representation:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     return rep_from_dict(data)

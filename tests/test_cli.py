@@ -2,19 +2,28 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from localp2 import corpus
-from localp2.cli import main
+from localp2.cli import build_parser, main
+from localp2.errors import InputError
 from localp2.linalg import Mat, PrimeScalars
 from localp2.quiver import (
+    ARROW_ORDER,
     loads_rep,
+    matrix_shape,
     point_module,
     pushforward_module,
     representation,
@@ -238,16 +247,117 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
     (("ext", "REC", "REC"), _record(a1="abc")),
     (("ext", "REC", "REC"), _record().replace('"matrices": {}', '"matrices": ["a1"]')),
     (("ext", "REC", "REC"), _record().replace('"matrices": {}', '"matrices": {"a1": 5}')),
+    (("ext", "REC", "REC"), _record(a1="Infinity").replace('"Infinity"', "Infinity")),
+    (("ext", "REC", "REC"), _record(dims=(1,)).replace("{}", '{"a1": []}')),
+    (("ext", "REC", "REC"), _record().replace("{}", '{"a1": ["1"], "b2": ["1"], "c3": ["1"]}')),
+    (("window", "REC"), _record().replace("{}", '{"a1": ["1"], "b2": ["1"], "c3": ["1"]}')),
+    (("ext", "REC", "REC"), "[" * 100000 + "]" * 100000),
+    (("ext", "REC", "REC"), b'\xff\xfe{"heart": 0}'),
 ], ids=["pushforward-x", "simple-x", "point-t-abc", "point-t-1/0", "ext-composite-modulus",
         "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
-        "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list"])
+        "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list", "entry-infinity",
+        "dims-short-with-matrix", "ext-relations-violated", "window-relations-violated",
+        "nested-too-deep", "not-utf8"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     if record is not None:
         path = tmp_path / "rec.json"
-        path.write_text(record)
+        path.write_bytes(record if isinstance(record, bytes) else record.encode())
         argv = tuple(str(path) if a == "REC" else a for a in argv)
     proc = subprocess.run([sys.executable, "-m", "localp2.cli", *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_successive_main_calls_share_no_state(capsys):
+    # The parser is built once per process; options and defaults of one call
+    # must not reach the next.
+    assert build_parser() is build_parser()
+    assert run(capsys, "euler", "1,0,0", "0,1,0", "--side", "p2") == (0, "0\n", "")
+    assert run(capsys, "euler", "1,0,0", "0,1,0") == (0, "3\n", "")
+    code, stdout, _ = run(capsys, "verify", "theorem3", "--range", "-2", "2", "--format", "json")
+    assert code == 0 and json.loads(stdout)["window"] == [-2, 2]
+    code, stdout, _ = run(capsys, "verify", "cocycle")
+    assert code == 0 and stdout.startswith("cocycle: pass on window [-8, 8]")
+    code, stdout, _ = run(capsys, "mk", "point", "1:0:0", "--t", "1/2", "--heart", "3")
+    assert code == 0 and json.loads(stdout)["heart"] == 3
+    code, stdout, _ = run(capsys, "mk", "point", "1:0:0")
+    assert json.loads(stdout)["label"] == "point (1:0:0) t=0 heart=0"
+    code, stdout, _ = run(capsys, "orichar", "0", "--dims", "3,1,0", "--format", "json")
+    assert json.loads(stdout)["dims"] == [3, 1, 0]
+    code, stdout, _ = run(capsys, "orichar", "0")
+    assert code == 0 and stdout.startswith("D0: -3*h1 + 3*h2")
+
+
+# Random JSON records for the loader and for `ext`.  Dimensions stay small:
+# a record's dims size dense row lists, so a large one is a memory hazard,
+# not a parsing case.
+_junk = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+_entry = (st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/0", "x", "", " 3 ", "1e2"])
+          | st.integers(-3, 3) | st.floats() | _junk)
+_dims = st.lists(st.integers(-1, 3), min_size=3, max_size=3)
+
+
+@st.composite
+def _shaped_record(draw, with_heart: bool):
+    # Matrices of the right sizes, mostly zero, so that some records are modules.
+    dims = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    names = ARROW_ORDER if with_heart else ARROW_ORDER[:6]
+    record = {"dims": dims, "matrices": {}, "label": draw(st.none() | st.text(max_size=4))}
+    if with_heart:
+        record["heart"] = draw(st.just(0) | st.integers(-3, 3))
+    for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=4)):
+        rows, cols = matrix_shape(name, dims)
+        size = rows * cols
+        valid = st.sampled_from(["0", "0", "0", 1, "-1", "1/2"])
+        record["matrices"][name] = draw(st.lists(st.one_of(valid, valid, valid, _entry),
+                                                 min_size=size, max_size=size))
+    return record
+
+
+_loose_record = st.fixed_dictionaries({}, optional={
+    "heart": st.integers(-3, 3) | _junk,
+    "dims": _dims | _junk,
+    "matrices": st.dictionaries(st.sampled_from(ARROW_ORDER + ("z9",)),
+                                st.lists(_entry, max_size=9) | _junk, max_size=4) | _junk,
+    "label": _junk,
+})
+_record_text = (st.one_of(_shaped_record(True), _shaped_record(False), _loose_record,
+                          _junk).map(json.dumps)
+                | st.text(max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_record_text)
+def test_fuzzed_records_load_or_raise_input_error(text):
+    try:
+        rep = loads_rep(text)
+    except InputError:
+        return
+    for _, m in rep.matrices:
+        for v in (v for row in m.sparse for v in row.values()):
+            assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_fuzzed_records_ext_exits_cleanly(data):
+    side = data.draw(st.sampled_from(["y", "p2"]))
+    records = _shaped_record(side == "y").map(json.dumps) | _record_text
+    text_m, text_n = data.draw(records), data.draw(records)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("m.json", "n.json")]
+        for path, text in zip(paths, (text_m, text_n)):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["ext", *paths, "--side", side])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")

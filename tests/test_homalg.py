@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from localp2.errors import HeartMismatchError
 from localp2.homalg import (
+    _terms_Y,
     build_ext_complex_P2,
     build_ext_complex_Y,
     euler_form_P2,
@@ -20,13 +21,14 @@ from localp2.homalg import (
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import RATIONAL, PrimeScalars
+from localp2.linalg import RATIONAL, Mat, PrimeScalars
 from localp2.quiver import (
     direct_sum,
     hom_space,
     p2_restrict,
     point_module,
     pushforward_module,
+    representation,
     simple_module,
     zero_module,
 )
@@ -183,6 +185,43 @@ def test_cy3_mirror_profile_example():
     rep = verify_cy3_duality(s0, s1)
     assert rep["passed"]
     assert rep["ext_mn"] == list(reversed(rep["ext_nm"]))
+
+
+def _block_transpose(blocks, dual_blocks) -> list[int]:
+    """Position of phi^T in the dual term for each position of a term (blocks flattened row-major)."""
+    out, off = [], 0
+    for (_, r, c), (_, dr, dc) in zip(blocks, dual_blocks, strict=True):
+        assert (dr, dc) == (c, r)
+        out.extend(off + j * r + i for i in range(r) for j in range(c))
+        off += r * c
+    return out
+
+
+def _with_fraction_entries(rep):
+    mats = {name: Mat(m.rows, m.cols, tuple({j: Fraction(v) for j, v in row.items()}
+                                            for row in m.sparse))
+            for name, m in rep.matrices}
+    return representation(rep.heart, rep.dims, mats, rep.label)
+
+
+@pytest.mark.parametrize("a, b", [(a, b) for a in range(3) for b in range(3)])
+def test_cy3_differentials_are_block_transposes(a, b):
+    # d_i(n, m) is the transpose of d_{2-i}(m, n) once block k of term j of
+    # (n, m) is matched with block k of term 3-j of (m, n) by phi -> phi^T; the
+    # sign is +1.  The (m, n) side is built from Fraction entries, so the exact
+    # comparison also holds across int and integral-Fraction entries.
+    m, n = pushforward_module(a, 0), pushforward_module(b, 0)
+    fwd = build_ext_complex_Y(n, m).differentials
+    bwd = build_ext_complex_Y(_with_fraction_entries(m), _with_fraction_entries(n)).differentials
+    terms, dual = _terms_Y(n, m), _terms_Y(m, n)
+    perm = [_block_transpose(terms[j], dual[3 - j]) for j in range(4)]
+    for i in range(3):
+        back = {p: k for k, p in enumerate(perm[i])}
+        dt = bwd[2 - i].transpose()
+        mapped = Mat(fwd[i].rows, fwd[i].cols,
+                     tuple({back[r]: v for r, v in dt.sparse[perm[i + 1][row]].items()}
+                           for row in range(fwd[i].rows)))
+        assert mapped == fwd[i], i
 
 
 def test_pushforward_triangle_examples():

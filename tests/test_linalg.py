@@ -188,3 +188,64 @@ def test_blockmap_left_right_composition():
     image = op_right @ Mat.from_rows([[v] for v in flat], cols=1)
     expected = (phi @ right).scale(-1)
     assert [x for row in expected.data for x in row] == [r[0] for r in image.data]
+
+
+def _values(m: Mat) -> list:
+    return [v for row in m.sparse for v in row.values()] + [v for row in m.data for v in row]
+
+
+def _exact(m: Mat) -> bool:
+    return all(type(v) in (int, Fraction) for v in _values(m))
+
+
+def _as_fractions(rows) -> Mat:
+    # Bypasses from_rows, which would store the integral Fractions as ints.
+    m = Mat.from_rows(rows)
+    return Mat(m.rows, m.cols, tuple({j: Fraction(v) for j, v in row.items()} for row in m.sparse))
+
+
+def test_from_rows_and_scale_store_integral_values_as_int():
+    m = Mat.from_rows([[Fraction(4, 2), "3", True], [Fraction(1, 2), "-6/3", 0]])
+    assert [type(v) for v in m.data[0]] == [int, int, int]
+    assert m.data == ((2, 3, 1), (Fraction(1, 2), -2, 0))
+    assert type(m.data[1][0]) is Fraction and type(m.data[1][1]) is int
+    assert [type(v) for v in m.scale(Fraction(6, 3)).data[0]] == [int, int, int]
+    assert _exact(m.scale(Fraction(1, 3))) and _exact(-m)
+
+
+def test_int_and_fraction_entries_compare_and_hash_alike():
+    rows = [[1, 0, -2], [0, 3, 0]]
+    a, b = Mat.from_rows(rows), _as_fractions(rows)
+    assert all(type(v) is int for v in _values(a))
+    assert all(type(v) is Fraction for row in b.sparse for v in row.values())
+    assert a == b and hash(a) == hash(b)
+    assert a != Mat.from_rows([[1, 0, -2], [0, 3, Fraction(1, 2)]])
+
+
+def test_operations_on_int_matrices_produce_exact_scalars():
+    m = Mat.from_rows([[2, 4, 0], [1, 3, -1], [3, 7, -1]])
+    for out in (m @ m.transpose(), m + m, m - m, rref(m)[0], nullspace(m),
+                quotient_projection(m)[0],
+                coords_in_colspace(m, Mat.from_rows([[2], [1], [3]]))):
+        assert _exact(out)
+    assert all(type(v) is int for v in _values(m @ m.transpose()))
+    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)])
+    bm.add_left("out", "in", Mat.from_rows([[1, 2], [0, 1]]), -1)
+    bm.add_right("out", "in", Mat.from_rows([[1, 1], [2, 0]]))
+    assert all(type(v) is int for v in _values(bm.matrix()))
+    # Identity entries of a kernel basis and of a quotient projection are ints.
+    assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))))
+    assert all(type(v) is int for v in _values(quotient_projection(Mat.from_rows([[1], [1]]))[0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrices(st.integers(-3, 3)))
+def test_int_entries_eliminate_like_fraction_entries(rows):
+    # Entries in -3..3 give pivots other than ±1, whose inverses must be
+    # Fractions: ``1 / v`` on an int would be a float.
+    m, f = Mat.from_rows(rows), _as_fractions(rows)
+    assert rank(m) == rank(f) and rank(m, PRIME) == rank(f, PRIME) == rank(m)
+    (r, pivots), (rf, pivots_f) = rref(m), rref(f)
+    assert r == rf and pivots == pivots_f and _exact(r)
+    ns = nullspace(m)
+    assert ns == nullspace(f) and _exact(ns)

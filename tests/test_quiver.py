@@ -262,3 +262,24 @@ def test_json_malformed_inputs_rejected():
         loads_rep('{"dims": [1, 1]}')
     with pytest.raises(ShapeError):
         loads_rep('{"heart": 0, "dims": [1,1,1], "matrices": {"a1": ["1", "2"]}, "label": null}')
+
+
+def _entries(rep):
+    return [v for _, m in rep.matrices for row in m.sparse for v in row.values()]
+
+
+def test_constructors_and_json_store_integral_entries_as_int():
+    reps = [
+        pushforward_module(3, 0),
+        pushforward_module(3, 2),
+        point_module((2, 4, 6), 5, 0),
+        point_module((0, 1, 2), Fraction(1, 2), -1),
+        simple_module(1, 0),
+        direct_sum(pushforward_module(1, 0), point_module((1, 2, 3), Fraction(1, 3), 0)),
+    ]
+    for rep in reps + [p2_restrict(reps[3])]:
+        for again in (rep, loads_rep(dumps_rep(rep))):
+            for v in _entries(again):
+                assert type(v) is (int if v.denominator == 1 else Fraction), (rep.label, v)
+    assert {type(v) for v in _entries(reps[0])} == {int}
+    assert Fraction in {type(v) for v in _entries(reps[3])}

@@ -149,6 +149,14 @@ def test_twist_round_trips():
         assert back.dims == m.dims and hom_space(back, m).dim == 1
 
 
+def test_twists_produce_exact_scalars():
+    for m in (pushforward_module(3, 0), point_module((0, 1, 2), Fraction(1, 2), 0)):
+        up = twist_up(m)
+        for rep in (up, twist_up(up), twist_down(up), twist_down(twist_down(twist_up(up)))):
+            values = [v for _, mat in rep.matrices for row in mat.data for v in row]
+            assert all(type(v) in (int, Fraction) for v in values), rep.label
+
+
 def test_ext_profiles_invariant_under_simultaneous_twist():
     pairs = [
         (point_module((1, 1, 1), 1, 0), pushforward_module(1, 0)),
