@@ -13,18 +13,20 @@ euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
 from .linalg import RATIONAL, BlockMap, Mat, Scalars, rank
 from .quiver import (
-    ARROW_ORDER,
-    P2_ARROW_ORDER,
+    ARROW_SPACE,
+    VERTEX_SPACE,
+    VERTICES,
     P2Representation,
     Representation,
-    VERTICES,
-    arrow,
+    arrow_matrices,
     epsilon,
+    hom_blocks,
     intertwiner_matrix,
 )
 
@@ -47,29 +49,35 @@ def _check_composition(diffs: Sequence[Mat], side: str) -> None:
             raise InternalCheckError(f"{side} complex: d{i + 1} . d{i} != 0")
 
 
-def _vertex_blocks(m, n) -> list[tuple[str, int, int]]:
-    return [(f"v{v}", n.dims[v], m.dims[v]) for v in VERTICES]
+# The alternating triples (i, j, k, sign of the cycle c_k b_j a_i in W), read
+# once from the potential; arrow a_i has index i - 1, b_j j + 2 and c_k k + 5.
+_CYCLES = tuple((i, j, k, e) for i, j, k in product((1, 2, 3), repeat=3)
+                if (e := epsilon(i, j, k)))
 
+# Term spaces beyond those of d0 (quiver.VERTEX_SPACE, quiver.ARROW_SPACE):
+# the dual arrow blocks Hom(M_src, N_tgt) of the 3-fold side, and the three
+# relation blocks Hom(M_2, N_0) of the plane side.
+_DUAL_ARROW_SPACE = tuple((label, c, r) for label, r, c in ARROW_SPACE)
+_P2_RELATION_SPACE = tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))
 
-def _t1_blocks(m, n, names) -> list[tuple[str, int, int]]:
-    out = []
-    for name in names:
-        a = arrow(name)
-        out.append((name, n.dims[a.source], m.dims[a.target]))
-    return out
-
-
-def _t2_blocks_y(m, n) -> list[tuple[str, int, int]]:
-    out = []
-    for name in ARROW_ORDER:
-        a = arrow(name)
-        out.append((name, n.dims[a.target], m.dims[a.source]))
-    return out
+# Differentials as BlockMap terms (out block, in block, arrow, left with N or
+# right with M, sign).  Y d1 is the Leibniz linearization of the nine 2-term
+# relations: the component indexed by an arrow is the derivative of its
+# relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
+# c-derivative relations.
+_Y_D1 = tuple(term for i, j, k, e in _CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
+              for term in ((a, c, b, True, e), (a, b, c, False, e),
+                           (b, a, c, True, e), (b, c, a, False, e),
+                           (c, b, a, True, e), (c, a, b, False, e)))
+_Y_D2 = tuple(term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
+              for term in ((src, x, x, True, 1), (tgt, x, x, False, -1)))
+_P2_D1 = tuple(term for i, j, k, e in _CYCLES
+               for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
 
 
 def _terms_Y(m, n) -> tuple[list[tuple[str, int, int]], ...]:
-    return (_vertex_blocks(m, n), _t1_blocks(m, n, ARROW_ORDER), _t2_blocks_y(m, n),
-            _vertex_blocks(m, n))
+    t0 = hom_blocks(VERTEX_SPACE, m, n)
+    return t0, hom_blocks(ARROW_SPACE, m, n), hom_blocks(_DUAL_ARROW_SPACE, m, n), t0
 
 
 def _term_dims(terms) -> tuple[int, ...]:
@@ -80,65 +88,22 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side."""
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
-    mm, nm = dict(m.matrices), dict(n.matrices)
     terms = _, t1, t2, t3 = _terms_Y(m, n)
-
-    d0 = intertwiner_matrix(m, n, ARROW_ORDER)
-
-    # Degree 1: Leibniz linearization of the nine 2-term relations; the
-    # component indexed by an arrow is the derivative of its relation.
-    b1 = BlockMap(t2, t1)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = epsilon(i, j, k)
-                if not e:
-                    continue
-                b1.add_left(f"a{i}", f"c{k}", nm[f"b{j}"], e)
-                b1.add_right(f"a{i}", f"b{j}", mm[f"c{k}"], e)
-                b1.add_left(f"b{j}", f"a{i}", nm[f"c{k}"], e)
-                b1.add_right(f"b{j}", f"c{k}", mm[f"a{i}"], e)
-                b1.add_left(f"c{k}", f"b{j}", nm[f"a{i}"], e)
-                b1.add_right(f"c{k}", f"a{i}", mm[f"b{j}"], e)
-    d1 = b1.matrix()
-
-    # Degree 2: the signed dual of degree 0.
-    b2 = BlockMap(t3, t2)
-    for name in ARROW_ORDER:
-        a = arrow(name)
-        b2.add_left(f"v{a.source}", name, nm[name], 1)
-        b2.add_right(f"v{a.target}", name, mm[name], -1)
-    d2 = b2.matrix()
-
-    diffs = (d0, d1, d2)
+    nm, mm = arrow_matrices(n), arrow_matrices(m)
+    diffs = (intertwiner_matrix(m, n), BlockMap(t2, t1, _Y_D1, nm, mm).matrix(),
+             BlockMap(t3, t2, _Y_D2, nm, mm).matrix())
     _check_composition(diffs, "Y")
     return ExtComplex("y", _term_dims(terms), diffs)
 
 
 def build_ext_complex_P2(m: P2Representation, n: P2Representation) -> ExtComplex:
     """The 3-term complex computing Ext^0..Ext^2 on the plane side."""
-    mm, nm = dict(m.matrices), dict(n.matrices)
-    t0 = _vertex_blocks(m, n)
-    t1 = _t1_blocks(m, n, P2_ARROW_ORDER)
-    t2 = [(f"r_c{k}", n.dims[0], m.dims[2]) for k in (1, 2, 3)]
-
-    d0 = intertwiner_matrix(m, n, P2_ARROW_ORDER)
-
-    b1 = BlockMap(t2, t1)
-    for i in (1, 2, 3):
-        for j in (1, 2, 3):
-            for k in (1, 2, 3):
-                e = epsilon(i, j, k)
-                if not e:
-                    continue
-                b1.add_left(f"r_c{k}", f"b{j}", nm[f"a{i}"], e)
-                b1.add_right(f"r_c{k}", f"a{i}", mm[f"b{j}"], e)
-    d1 = b1.matrix()
-
-    dims = _term_dims((t0, t1, t2))
-    diffs = (d0, d1)
+    t1 = hom_blocks(ARROW_SPACE[:6], m, n)
+    t2 = hom_blocks(_P2_RELATION_SPACE, m, n)
+    diffs = (intertwiner_matrix(m, n),
+             BlockMap(t2, t1, _P2_D1, arrow_matrices(n), arrow_matrices(m)).matrix())
     _check_composition(diffs, "P2")
-    return ExtComplex("p2", dims, diffs)
+    return ExtComplex("p2", _term_dims((hom_blocks(VERTEX_SPACE, m, n), t1, t2)), diffs)
 
 
 def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import ScalarModeError, ShapeError
+from .errors import InputError, ScalarModeError, ShapeError
 
 Scalar = Union[int, Fraction]
 Row = dict[int, Scalar]
@@ -348,59 +348,95 @@ def quotient_projection(m: Mat) -> tuple[Mat, tuple[int, ...]]:
     return Mat(len(free), m.rows, tuple(out)), free
 
 
+# The largest dimension of a vector space the package allocates: every entry
+# of a record's ``dims`` and both terms of every BlockMap (the Ext terms, the
+# intertwiner systems behind ``hom_space``).  Larger requests are input errors,
+# refused before anything is allocated.
+MAX_DIM = 100_000
+
+Term = tuple[int, int, int, bool, int]  # (out block, in block, matrix index, left, sign)
+
+
+def _layout(blocks: Sequence[tuple[str, int, int]]) -> tuple[list[tuple[int, int, int]], int]:
+    out, off = [], 0
+    for _, r, c in blocks:
+        out.append((off, r, c))
+        off += r * c
+    return out, off
+
+
 class BlockMap:
     """Assembles a sparse linear map between direct sums of Hom-spaces.
 
-    Each block is a matrix space Hom(k^c, k^r) flattened row-major; the
-    contributions are of the form phi -> sign * L @ phi (add_left) or
-    phi -> sign * phi @ R (add_right).
+    Each block is a matrix space Hom(k^c, k^r) flattened row-major.  A term
+    ``(o, i, k, left, sign)`` adds phi -> sign * left[k] @ phi (``left``) or
+    phi -> sign * phi @ right[k] from in-block ``i`` to out-block ``o``.  Each
+    Ext differential and intertwiner system is one static table of terms
+    (``homalg``, ``quiver``), applied at construction by one loop over integer
+    block offsets and the nonzero entries of each matrix (a zero matrix adds
+    nothing).  ``add_left``/``add_right`` add one labelled term through the
+    same loop.  Term dimensions above ``MAX_DIM`` are refused first.
     """
 
     def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
-                 in_blocks: Sequence[tuple[str, int, int]]):
-        self._out = {}
-        off = 0
-        for label, r, c in out_blocks:
-            self._out[label] = (off, r, c)
-            off += r * c
-        self.out_dim = off
-        self._in = {}
-        off = 0
-        for label, r, c in in_blocks:
-            self._in[label] = (off, r, c)
-            off += r * c
-        self.in_dim = off
+                 in_blocks: Sequence[tuple[str, int, int]], terms: Sequence[Term] = (),
+                 left: Sequence[Mat] = (), right: Sequence[Mat] = ()):
+        self._blocks = (out_blocks, in_blocks)
+        self._out, self.out_dim = _layout(out_blocks)
+        self._in, self.in_dim = _layout(in_blocks)
+        if max(self.out_dim, self.in_dim) > MAX_DIM:
+            raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
+                             f"size bound {MAX_DIM}")
         self._rows: list[Row] = [{} for _ in range(self.out_dim)]
+        self._apply(terms, left, right)
+
+    def _apply(self, terms: Sequence[Term], left: Sequence[Mat], right: Sequence[Mat]) -> None:
+        rows, out, inn = self._rows, self._out, self._in
+        for o, i, k, is_left, sign in terms:
+            ooff, orows, ocols = out[o]
+            ioff, irows, icols = inn[i]
+            mat = left[k] if is_left else right[k]
+            if is_left:
+                ok = ocols == icols and mat.rows == orows and mat.cols == irows
+            else:
+                ok = orows == irows and mat.rows == icols and mat.cols == ocols
+            if not ok:
+                raise ShapeError(f"{'left' if is_left else 'right'} term shape mismatch at "
+                                 f"{self._blocks[0][o][0]}<-{self._blocks[1][i][0]}")
+            for r, mrow in enumerate(mat.sparse):
+                if not mrow:
+                    continue
+                if is_left:
+                    # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
+                    base_o = ooff + r * ocols
+                    for c, v in mrow.items():
+                        sv, base_i = sign * v, ioff + c * icols
+                        for x in range(ocols):
+                            row = rows[base_o + x]
+                            row[base_i + x] = row.get(base_i + x, 0) + sv
+                else:
+                    # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
+                    for c, v in mrow.items():
+                        sv = sign * v
+                        for x in range(orows):
+                            row = rows[ooff + x * ocols + c]
+                            j = ioff + x * icols + r
+                            row[j] = row.get(j, 0) + sv
+
+    def _term(self, out_label: str, in_label: str, mat: Mat, is_left: bool, sign: int) -> None:
+        out_labels, in_labels = ([b[0] for b in blocks] for blocks in self._blocks)
+        term = (out_labels.index(out_label), in_labels.index(in_label), 0, is_left, sign)
+        self._apply((term,), (mat,), (mat,))
 
     def add_left(self, out_label: str, in_label: str, left: Mat, sign: int = 1) -> None:
-        ooff, orows, ocols = self._out[out_label]
-        ioff, irows, icols = self._in[in_label]
-        if ocols != icols or left.rows != orows or left.cols != irows:
-            raise ShapeError(f"add_left shape mismatch at {out_label}<-{in_label}")
-        rows = self._rows
-        for r, lrow in enumerate(left.sparse):
-            for ri, v in lrow.items():
-                sv = sign * v
-                base_o = ooff + r * ocols
-                base_i = ioff + ri * icols
-                for c in range(ocols):
-                    row = rows[base_o + c]
-                    row[base_i + c] = row.get(base_i + c, 0) + sv
+        self._term(out_label, in_label, left, True, sign)
 
     def add_right(self, out_label: str, in_label: str, right: Mat, sign: int = 1) -> None:
-        ooff, orows, ocols = self._out[out_label]
-        ioff, irows, icols = self._in[in_label]
-        if orows != irows or right.rows != icols or right.cols != ocols:
-            raise ShapeError(f"add_right shape mismatch at {out_label}<-{in_label}")
-        rows = self._rows
-        for ci, rrow in enumerate(right.sparse):
-            for c, v in rrow.items():
-                sv = sign * v
-                for r in range(orows):
-                    row = rows[ooff + r * ocols + c]
-                    j = ioff + r * icols + ci
-                    row[j] = row.get(j, 0) + sv
+        self._term(out_label, in_label, right, False, sign)
 
     def matrix(self) -> Mat:
+        # Copies, so that terms added later cannot reach the returned matrix;
+        # entries that cancelled to zero are dropped.
         return Mat(self.out_dim, self.in_dim,
-                   tuple({j: x for j, x in row.items() if x} for row in self._rows))
+                   tuple(row.copy() if 0 not in row.values() else
+                         {j: x for j, x in row.items() if x} for row in self._rows))

@@ -14,6 +14,7 @@ the product of its matrices taken in reversed order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -26,7 +27,7 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .linalg import BlockMap, Mat, block_diag, nullspace
+from .linalg import MAX_DIM, BlockMap, Mat, block_diag, nullspace
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -235,6 +236,8 @@ def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 0 for d in dims):
         raise InputError(f"dims must be three nonnegative integers, got {dims}")
+    if any(d > MAX_DIM for d in dims):
+        raise InputError(f"dims entries must not exceed the size bound {MAX_DIM}")
     return dims
 
 
@@ -399,22 +402,31 @@ def p2_restrict(rep: Representation) -> P2Representation:
 # intertwiners
 
 
+# A term space is a tuple of blocks (label, r, c), the block of matrices
+# Hom(M_c, N_r) from slot c of M to slot r of N.  d0, the intertwiner defect
+# phi_src . M_a - N_a . phi_tgt on arrow block a, is a table of BlockMap terms
+# (out block, in block, arrow, left with N or right with M, sign), two per
+# arrow in arrow order, so the plane side takes the first twelve.
+VERTEX_SPACE = tuple((f"v{v}", v, v) for v in VERTICES)
+ARROW_SPACE = tuple((a.name, a.source, a.target) for a in _ARROWS)
+_D0_TERMS = tuple(term for x, a in enumerate(_ARROWS)
+                  for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
+
+
+def hom_blocks(space: Sequence[tuple[str, int, int]], m, n) -> list[tuple[str, int, int]]:
+    return [(label, n.dims[r], m.dims[c]) for label, r, c in space]
+
+
+def arrow_matrices(rep: Representation | P2Representation) -> list[Mat]:
+    return [mat for _, mat in rep.matrices]
+
+
 def intertwiner_matrix(m: Representation | P2Representation,
-                       n: Representation | P2Representation,
-                       arrow_names: Sequence[str]) -> Mat:
-    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the given arrows."""
-    mdims, ndims = m.dims, n.dims
-    out_blocks = []
-    for name in arrow_names:
-        a = arrow(name)
-        out_blocks.append((name, ndims[a.source], mdims[a.target]))
-    in_blocks = [(f"v{v}", ndims[v], mdims[v]) for v in VERTICES]
-    bm = BlockMap(out_blocks, in_blocks)
-    for name in arrow_names:
-        a = arrow(name)
-        bm.add_right(name, f"v{a.source}", m.mat(name), 1)
-        bm.add_left(name, f"v{a.target}", n.mat(name), -1)
-    return bm.matrix()
+                       n: Representation | P2Representation) -> Mat:
+    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n."""
+    k = len(m.matrices)
+    return BlockMap(hom_blocks(ARROW_SPACE[:k], m, n), hom_blocks(VERTEX_SPACE, m, n),
+                    _D0_TERMS[:2 * k], arrow_matrices(n), arrow_matrices(m)).matrix()
 
 
 class HomSpace(NamedTuple):
@@ -426,7 +438,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     """Dimension and basis of the intertwiner space Hom(m, n)."""
     if m.heart != n.heart:
         raise HeartMismatchError(f"hom across hearts {m.heart} != {n.heart}")
-    system = intertwiner_matrix(m, n, ARROW_ORDER)
+    system = intertwiner_matrix(m, n)
     kernel = nullspace(system)
     basis = []
     for col in range(kernel.cols):
@@ -450,6 +462,12 @@ def _matrices_to_json(matrices: tuple[tuple[str, Mat], ...]) -> dict:
     return {name: [str(x) for row in m.data for x in row] for name, m in matrices}
 
 
+# Fraction(str) expands a decimal exponent in full ("1e5000000" takes seconds),
+# so it is bounded as the interpreter bounds the digits of an int string.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Mat:
     rows, cols = matrix_shape(name, dims)
     if not isinstance(flat, (list, tuple)):
@@ -457,6 +475,9 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
     try:
+        for x in flat:
+            if isinstance(x, str) and (e := _EXPONENT.search(x)) and abs(int(e[1])) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
         return Mat.from_rows([flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"matrix {name}: bad entry: {exc}") from exc
@@ -509,6 +530,6 @@ def dumps_rep(rep: Representation | P2Representation) -> str:
 def loads_rep(text: str) -> Representation | P2Representation:
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # also integer literals beyond the digit limit
         raise InputError(f"invalid JSON: {exc}") from exc
     return rep_from_dict(data)

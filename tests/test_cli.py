@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,11 +254,16 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
     (("window", "REC"), _record().replace("{}", '{"a1": ["1"], "b2": ["1"], "c3": ["1"]}')),
     (("ext", "REC", "REC"), "[" * 100000 + "]" * 100000),
     (("ext", "REC", "REC"), b'\xff\xfe{"heart": 0}'),
+    (("ext", "REC", "REC"), _record(dims=(10**30, 0, 0))),
+    (("ext", "REC", "REC"), _record(dims=(400, 0, 0))),
+    (("ext", "REC", "REC"), _record(a1="X").replace('"X"', "1" * 5000)),
+    (("ext", "REC", "REC"), _record(a1="1e5000000")),
 ], ids=["pushforward-x", "simple-x", "point-t-abc", "point-t-1/0", "ext-composite-modulus",
         "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
         "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list", "entry-infinity",
         "dims-short-with-matrix", "ext-relations-violated", "window-relations-violated",
-        "nested-too-deep", "not-utf8"])
+        "nested-too-deep", "not-utf8", "dims-above-bound", "term-dim-above-bound",
+        "int-literal-5000-digits", "entry-exponent-5000000"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     if record is not None:
         path = tmp_path / "rec.json"
@@ -268,6 +274,19 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):
+    # Fraction("1e5000000") alone takes seconds; the entry is refused first.
+    path = tmp_path / "rec.json"
+    path.write_text(_record(a1="1e5000000"))
+    start = time.perf_counter()
+    code, _, stderr = run(capsys, "ext", str(path), str(path))
+    assert code == 2 and "exponent" in stderr
+    assert time.perf_counter() - start < 0.5
+    path.write_text(_record(dims=(1, 1, 0), a1="1e2"))
+    assert run(capsys, "ext", str(path), str(path))[0] == 0
+    assert loads_rep(path.read_text()).mat("a1").data == ((100,),)
 
 
 def test_successive_main_calls_share_no_state(capsys):
@@ -290,9 +309,9 @@ def test_successive_main_calls_share_no_state(capsys):
     assert code == 0 and stdout.startswith("D0: -3*h1 + 3*h2")
 
 
-# Random JSON records for the loader and for `ext`.  Dimensions stay small:
-# a record's dims size dense row lists, so a large one is a memory hazard,
-# not a parsing case.
+# Random JSON records for the loader and for `ext`.  Loose records also draw
+# dims up to 10**40: entries above linalg.MAX_DIM, and terms built from them,
+# are refused before anything is allocated, so they are input cases too.
 _junk = st.recursive(
     st.none() | st.booleans() | st.integers(-5, 5) | st.floats() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
@@ -300,7 +319,7 @@ _junk = st.recursive(
     max_leaves=6)
 _entry = (st.sampled_from(["0", "1", "-1", "2", "1/2", "-3/4", "1/0", "x", "", " 3 ", "1e2"])
           | st.integers(-3, 3) | st.floats() | _junk)
-_dims = st.lists(st.integers(-1, 3), min_size=3, max_size=3)
+_dims = st.lists(st.integers(-1, 3) | st.integers(4, 10**40), min_size=3, max_size=3)
 
 
 @st.composite

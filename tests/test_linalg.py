@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localp2.errors import ScalarModeError, ShapeError
+from localp2.errors import InputError, ScalarModeError, ShapeError
 from localp2.linalg import (
+    MAX_DIM,
     RATIONAL,
     BlockMap,
     Mat,
@@ -202,6 +203,36 @@ def _as_fractions(rows) -> Mat:
     # Bypasses from_rows, which would store the integral Fractions as ints.
     m = Mat.from_rows(rows)
     return Mat(m.rows, m.cols, tuple({j: Fraction(v) for j, v in row.items()} for row in m.sparse))
+
+
+def test_blockmap_refuses_terms_above_the_size_bound():
+    assert BlockMap([("out", MAX_DIM, 1)], [("in", 1, MAX_DIM)]).out_dim == MAX_DIM
+    for out_blocks, in_blocks in (([("out", MAX_DIM + 1, 1)], []),
+                                  ([("out", 1, 1)], [("a", 1, MAX_DIM), ("b", 1, 1)])):
+        with pytest.raises(InputError, match="size bound"):
+            BlockMap(out_blocks, in_blocks)
+
+
+def test_blockmap_term_table_matches_add_left_and_add_right():
+    # Two out blocks, two in blocks; terms in any order, a zero matrix and a
+    # cancelling pair: the table gives the same map as the labelled calls.
+    out_blocks, in_blocks = [("p", 2, 3), ("q", 2, 2)], [("x", 3, 3), ("y", 2, 3)]
+    left = [Mat.from_rows([[1, 0, 2], [0, -1, 1]]), Mat.zeros(2, 2)]
+    right = [Mat.from_rows([[0, 1], [1, 0], [3, 0]]), Mat.from_rows([[1, 0, Fraction(1, 2)],
+                                                                     [2, 1, 0], [0, 0, 1]])]
+    terms = [(0, 0, 0, True, 1), (1, 1, 0, False, -1), (0, 1, 1, True, 2),
+             (0, 1, 1, False, 1), (0, 1, 1, False, -1)]
+    with pytest.raises(ShapeError):
+        BlockMap(out_blocks, in_blocks, [(1, 0, 0, True, 1)], left, right)
+    bm = BlockMap(out_blocks, in_blocks)
+    bm.add_left("p", "x", left[0])
+    bm.add_right("q", "y", right[0], -1)
+    bm.add_left("p", "y", left[1], 2)
+    bm.add_right("p", "y", right[1])
+    bm.add_right("p", "y", right[1], -1)
+    table = BlockMap(out_blocks, in_blocks, terms, left, right).matrix()
+    assert table == bm.matrix() and not table.is_zero()
+    assert all(v for row in table.sparse for v in row.values())
 
 
 def test_from_rows_and_scale_store_integral_values_as_int():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from localp2.errors import HeartMismatchError, HeartRangeError, InputError, ShapeError
-from localp2.linalg import Mat
+from localp2.linalg import MAX_DIM, Mat
 from localp2.quiver import (
     ARROW_ORDER,
     BEILINSON,
@@ -147,6 +147,15 @@ def test_simple_and_zero_modules():
     assert z.dims == (0, 0, 0) and check_relations(z).ok
     with pytest.raises(InputError):
         simple_module(3, 0)
+
+
+def test_dims_and_intertwiner_systems_are_size_bounded():
+    big = representation(0, (MAX_DIM, 0, 0))
+    with pytest.raises(InputError, match="size bound"):
+        representation(0, (0, MAX_DIM + 1, 0))
+    assert hom_space(big, zero_module(0)).dim == 0
+    with pytest.raises(InputError, match="size bound"):
+        hom_space(big, representation(0, (2, 0, 0)))
 
 
 def test_relation_violation_detected():
