@@ -11,8 +11,6 @@ __version__ = "0.1.0"
 
 from .characters import (
     DetCharacter,
-    LinearForm,
-    eval_char,
     geometric_char,
     koszul_rewrite,
     ori_char,
@@ -46,7 +44,6 @@ from .linalg import RATIONAL, Mat, PrimeScalars, RationalScalars, rank
 from .quiver import (
     BEILINSON,
     JACOBI,
-    P2Representation,
     Representation,
     check_relations,
     cyclic_derivative,

@@ -17,9 +17,15 @@ and quotient module and the extension rule D^(2) = D^(1) + D^(3).
 
 A character is stored as one flat sparse integer map on (symbol, variable)
 pairs, with variable None for the constant term; sums, scaling and differences
-are dict operations, and sorted LinearForm entries are built only for display.
-The Koszul rewrite and the extension rule are both linear substitutions of
-symbols and variables, done by the single routine ``_substitute``.
+are dict operations, and exponents are grouped per symbol only to be rendered
+(``format_form``) or evaluated.  The Koszul rewrite and the extension rule are
+both linear substitutions of symbols and variables, done by the single routine
+``_substitute``.
+
+The block layouts of the two complexes re-encode the term spaces that
+``homalg`` assembles (a block Hom(M_c, N_r) has slot_M = c and slot_N = r);
+the tests derive the layouts from those spaces and check that their
+alternating pairings are the closed-form Euler forms.
 """
 
 from __future__ import annotations
@@ -51,86 +57,31 @@ def format_var(v: Var, letter: str = "h") -> str:
     return f"{letter}{k}{tag}"
 
 
-@dataclass(frozen=True)
-class LinearForm:
-    """Integer linear form in dimension variables, plus a constant term."""
-
-    terms: tuple[tuple[Var, int], ...] = ()
-    const: int = 0
-
-    @staticmethod
-    def make(coeffs: Mapping[Var, int], const: int = 0) -> "LinearForm":
-        items = tuple(sorted(((v, c) for v, c in coeffs.items() if c), key=lambda t: _vkey(t[0])))
-        return LinearForm(items, const)
-
-    @staticmethod
-    def variable(key, coeff: int = 1) -> "LinearForm":
-        return LinearForm.make({_as_var(key): coeff})
-
-    @staticmethod
-    def constant(c: int) -> "LinearForm":
-        return LinearForm((), c)
-
-    def is_zero(self) -> bool:
-        return not self.terms and self.const == 0
-
-    def __add__(self, other: "LinearForm") -> "LinearForm":
-        out = dict(self.terms)
-        for v, c in other.terms:
-            out[v] = out.get(v, 0) + c
-        return LinearForm.make(out, self.const + other.const)
-
-    def __neg__(self) -> "LinearForm":
-        return LinearForm(tuple((v, -c) for v, c in self.terms), -self.const)
-
-    def __sub__(self, other: "LinearForm") -> "LinearForm":
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "LinearForm":
-        if scalar == 0:
-            return LinearForm()
-        return LinearForm(tuple((v, scalar * c) for v, c in self.terms), scalar * self.const)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, assignment: Mapping) -> int:
-        values = {_as_var(k): int(x) for k, x in assignment.items()}
-        total = self.const
-        for v, c in self.terms:
-            if v not in values:
-                raise MissingVariableError(f"no value for variable {format_var(v)}")
-            total += c * values[v]
-        return total
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for v, c in self.terms:
-            name = format_var(v)
-            if c == 1:
-                frag = name
-            elif c == -1:
-                frag = f"-{name}"
-            else:
-                frag = f"{c}*{name}"
-            parts.append(frag)
-        if self.const:
-            parts.append(str(self.const))
-        out = parts[0]
-        for frag in parts[1:]:
-            out += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
-        return out
+def format_form(form: Mapping[Var | None, int]) -> str:
+    """Render one exponent ``{variable or None (constant): coefficient}``, constant last."""
+    parts = []
+    for v in sorted((v for v, c in form.items() if c and v is not None), key=_vkey):
+        c, name = form[v], format_var(v)
+        parts.append(name if c == 1 else f"-{name}" if c == -1 else f"{c}*{name}")
+    if form.get(None):
+        parts.append(str(form[None]))
+    if not parts:
+        return "0"
+    out = parts[0]
+    for frag in parts[1:]:
+        out += f" - {frag[1:]}" if frag.startswith("-") else f" + {frag}"
+    return out
 
 
 @dataclass(frozen=True)
 class DetCharacter:
-    """Finite-support map from window symbols D_k to LinearForm exponents.
+    """Finite-support map from window symbols D_k to integer linear-form exponents.
 
     Stored flat: ``coeffs[(symbol, variable)]`` is the coefficient of the
     variable in the symbol's exponent, with variable ``None`` for the constant
     term.  Zero coefficients are dropped once, when a character is built; the
-    dict is never mutated afterwards.  Sorted ``entries`` are derived on demand.
+    dict is never mutated afterwards.  Exponents are grouped per symbol only
+    to render or evaluate them.
     """
 
     coeffs: Mapping[Key, int] = field(default_factory=dict)
@@ -141,30 +92,16 @@ class DetCharacter:
     def __hash__(self) -> int:
         return hash(frozenset(self.coeffs.items()))
 
-    @staticmethod
-    def make(mapping: Mapping[Var, LinearForm]) -> "DetCharacter":
-        flat: dict[Key, int] = {}
-        for s, f in mapping.items():
-            flat.update(((s, v), c) for v, c in f.terms)
-            flat[s, None] = f.const
-        return DetCharacter(flat)
-
-    @property
-    def entries(self) -> tuple[tuple[Var, LinearForm], ...]:
-        return tuple((s, self.form(s)) for s in self.symbols())
-
-    def form(self, key) -> LinearForm:
-        s = _as_var(key)
-        row = {v: c for (t, v), c in self.coeffs.items() if t == s}
-        const = row.pop(None, 0)
-        return LinearForm.make(row, const)
+    def forms(self) -> dict[Var, dict[Var | None, int]]:
+        """Each symbol's exponent ``{variable or None (constant): coeff}``, in symbol order."""
+        out: dict[Var, dict[Var | None, int]] = {}
+        for (s, v), c in self.coeffs.items():
+            out.setdefault(s, {})[v] = c
+        return {s: out[s] for s in sorted(out, key=_vkey)}
 
     def rendered(self) -> dict[str, str]:
         """Display form for reports: ``{"D<k>": "<exponent>"}`` in symbol order."""
-        return {format_var(s, "D"): str(f) for s, f in self.entries}
-
-    def symbols(self) -> tuple[Var, ...]:
-        return tuple(sorted({s for s, _ in self.coeffs}, key=_vkey))
+        return {format_var(s, "D"): format_form(f) for s, f in self.forms().items()}
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -184,14 +121,20 @@ class DetCharacter:
     def scale(self, scalar: int) -> "DetCharacter":
         return DetCharacter({k: scalar * c for k, c in self.coeffs.items()})
 
-    def map_forms(self, fn: Callable[[LinearForm], LinearForm]) -> "DetCharacter":
-        return DetCharacter.make({s: fn(f) for s, f in self.entries})
-
     def branches(self) -> set[Branch]:
         return {x[0] for key in self.coeffs for x in key if x is not None}
 
     def evaluate(self, assignment: Mapping) -> dict[Var, int]:
-        return {s: f.evaluate(assignment) for s, f in self.entries}
+        """Substitute integer dimensions into every exponent, in symbol order."""
+        values: dict = {_as_var(k): int(x) for k, x in assignment.items()}
+        values[None] = 1
+        out = {}
+        for s, form in self.forms().items():
+            missing = [v for v in form if v not in values]
+            if missing:
+                raise MissingVariableError(f"no value for variable {format_var(missing[0])}")
+            out[s] = sum(c * values[v] for v, c in form.items())
+        return out
 
 
 def _substitute(char: DetCharacter, symbol_map: Mapping[Var, Mapping[Var, int]],
@@ -270,11 +213,6 @@ def full_complex_char(heart: int, branch_m: Branch = None, branch_n: Branch = No
     return _complex_char(_Y_LAYOUT, heart, branch_m, branch_n)
 
 
-def h_part_char(heart: int, branch_m: Branch = None, branch_n: Branch = None) -> DetCharacter:
-    """Character of the half complex alone (degrees 2 and 3), not symmetrized."""
-    return _complex_char(_Y_LAYOUT[2:], heart, branch_m, branch_n)
-
-
 def geometric_char(heart: int = 0) -> DetCharacter:
     """Determinant character of the plane-side 3-term self-RHom complex."""
     return _complex_char(_P2_LAYOUT, heart, None, None)
@@ -289,17 +227,15 @@ def expand_extension(char: DetCharacter, whole: str = "2",
     return _substitute(char, split, split)
 
 
-def eval_char(char: DetCharacter, assignment: Mapping) -> dict[Var, int]:
-    """Substitute integer dimensions into every exponent form."""
-    return char.evaluate(assignment)
-
-
 def char_diff(lhs: DetCharacter, rhs: DetCharacter) -> list[dict]:
     """Per-symbol differences, rendered for reports; empty when equal."""
-    fl, fr = lhs.coeffs, rhs.coeffs
-    differ = {k[0] for k in fl.keys() | fr.keys() if fl.get(k, 0) != fr.get(k, 0)}
-    return [{"symbol": format_var(s, "D"), "lhs_form": str(lhs.form(s)),
-             "rhs_form": str(rhs.form(s))} for s in sorted(differ, key=_vkey)]
+    cl, cr = lhs.coeffs, rhs.coeffs
+    differ = {k[0] for k in cl.keys() | cr.keys() if cl.get(k, 0) != cr.get(k, 0)}
+    if not differ:
+        return []
+    fl, fr = lhs.forms(), rhs.forms()
+    return [{"symbol": format_var(s, "D"), "lhs_form": format_form(fl.get(s, {})),
+             "rhs_form": format_form(fr.get(s, {}))} for s in sorted(differ, key=_vkey)]
 
 
 def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: dict) -> dict:

@@ -11,19 +11,19 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__, characters, corpus, homalg, windows
 from .errors import InputError, InternalCheckError, LocalP2Error, MembershipError
-from .linalg import RATIONAL, PrimeScalars, Scalars
+from .linalg import RATIONAL, PrimeScalars, Scalar, Scalars
 from .quiver import (
-    P2Representation,
+    JACOBI,
     Representation,
     check_relations,
     direct_sum,
     dumps_rep,
     loads_rep,
     p2_restrict,
+    parse_scalar,
     point_module,
     pushforward_module,
     simple_module,
@@ -44,13 +44,6 @@ def _meta() -> dict:
     return {"version": __version__, "conventions": CONVENTIONS}
 
 
-def _fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad {what}: {exc}") from exc
-
-
 def _int(text: str, what: str) -> int:
     try:
         return int(text)
@@ -58,11 +51,11 @@ def _int(text: str, what: str) -> int:
         raise InputError(f"bad {what}: {exc}") from exc
 
 
-def _parse_point(text: str) -> tuple[Fraction, Fraction, Fraction]:
+def _parse_point(text: str) -> tuple[Scalar, Scalar, Scalar]:
     parts = text.split(":")
     if len(parts) != 3:
         raise InputError(f"expected x0:x1:x2, got {text!r}")
-    return tuple(_fraction(p, f"coordinate in {text!r}") for p in parts)
+    return tuple(parse_scalar(p, f"coordinate in {text!r}") for p in parts)
 
 
 def _parse_dims(text: str) -> tuple[int, int, int]:
@@ -82,7 +75,7 @@ def _parse_scalars(mode: list[str] | None) -> Scalars:
     raise InputError(f"unknown scalar mode {mode[0]!r}")
 
 
-def _load(path: str) -> Representation | P2Representation:
+def _load(path: str) -> Representation:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rep = loads_rep(fh.read())
@@ -98,7 +91,7 @@ def _load(path: str) -> Representation | P2Representation:
 
 def _load_y(path: str) -> Representation:
     rep = _load(path)
-    if not isinstance(rep, Representation):
+    if rep.presentation is not JACOBI:
         raise InputError(f"{path} holds a plane-side record; a heart is required here")
     return rep
 
@@ -122,7 +115,7 @@ def _print_json(payload: dict) -> None:
 
 def cmd_mk(args) -> int:
     if args.constructor == "point":
-        rep = point_module(_parse_point(args.args[0]), _fraction(args.t, "--t"), args.heart)
+        rep = point_module(_parse_point(args.args[0]), parse_scalar(args.t, "--t"), args.heart)
     elif args.constructor == "pushforward":
         rep = pushforward_module(_int(args.args[0], "degree"), args.heart)
     elif args.constructor == "simple":
@@ -146,8 +139,7 @@ def cmd_ext(args) -> int:
         m, n = _load_y(args.file_m), _load_y(args.file_n)
     else:
         m, n = (_load(p) for p in (args.file_m, args.file_n))
-        m = p2_restrict(m) if isinstance(m, Representation) else m
-        n = p2_restrict(n) if isinstance(n, Representation) else n
+        m, n = (p2_restrict(r) if r.presentation is JACOBI else r for r in (m, n))
     report = homalg.ext_report(m, n, args.side, scalars)
     report.update(_meta())
     if args.format == "json":
@@ -171,7 +163,7 @@ def cmd_orichar(args) -> int:
     if args.dims:
         dims = _parse_dims(args.dims)
         assignment = {args.heart + j: dims[j] for j in range(3)}
-        values = characters.eval_char(char, assignment)
+        values = char.evaluate(assignment)
         payload = {"heart": args.heart, "dims": list(dims),
                    "exponents": {characters.format_var(s, "D"): v for s, v in values.items()}}
     else:

@@ -104,15 +104,14 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     scalars = config.scalars
     cells: list[dict] = []
 
-    for name, rep in objs.items():
-        cells.append(_cell(f"relations:{name}", lambda rep=rep: {
-            "_ok": check_relations(rep).ok,
-            "violated": list(check_relations(rep).violated),
-        }))
+    checks = {name: check_relations(rep) for name, rep in objs.items()}
+    for name, chk in checks.items():
+        cells.append(_cell(f"relations:{name}", lambda chk=chk: {
+            "_ok": chk.ok, "violated": list(chk.violated)}))
 
     # Cells beyond the relation check are only meaningful for valid objects;
     # a corrupted fixture therefore fails exactly its own relation cell.
-    objs = {name: rep for name, rep in objs.items() if check_relations(rep).ok}
+    objs = {name: rep for name, rep in objs.items() if checks[name].ok}
 
     pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
     for a in pair_names:

@@ -22,7 +22,6 @@ from .quiver import (
     ARROW_SPACE,
     VERTEX_SPACE,
     VERTICES,
-    P2Representation,
     Representation,
     arrow_matrices,
     epsilon,
@@ -38,9 +37,6 @@ class ExtComplex:
     side: str
     term_dims: tuple[int, ...]
     differentials: tuple[Mat, ...]
-
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** i * t for i, t in enumerate(self.term_dims))
 
 
 def _check_composition(diffs: Sequence[Mat], side: str) -> None:
@@ -96,7 +92,7 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     return ExtComplex("y", _term_dims(terms), diffs)
 
 
-def build_ext_complex_P2(m: P2Representation, n: P2Representation) -> ExtComplex:
+def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
     """The 3-term complex computing Ext^0..Ext^2 on the plane side."""
     t1 = hom_blocks(ARROW_SPACE[:6], m, n)
     t2 = hom_blocks(_P2_RELATION_SPACE, m, n)
@@ -122,7 +118,7 @@ def ext_dims_Y(m: Representation, n: Representation, scalars: Scalars = RATIONAL
     return ext_dims_of(build_ext_complex_Y(m, n), scalars)
 
 
-def ext_dims_P2(m: P2Representation, n: P2Representation, scalars: Scalars = RATIONAL) -> ExtDims:
+def ext_dims_P2(m: Representation, n: Representation, scalars: Scalars = RATIONAL) -> ExtDims:
     return ext_dims_of(build_ext_complex_P2(m, n), scalars)
 
 

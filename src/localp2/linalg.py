@@ -374,8 +374,7 @@ class BlockMap:
     Ext differential and intertwiner system is one static table of terms
     (``homalg``, ``quiver``), applied at construction by one loop over integer
     block offsets and the nonzero entries of each matrix (a zero matrix adds
-    nothing).  ``add_left``/``add_right`` add one labelled term through the
-    same loop.  Term dimensions above ``MAX_DIM`` are refused first.
+    nothing).  Term dimensions above ``MAX_DIM`` are refused first.
     """
 
     def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
@@ -388,9 +387,6 @@ class BlockMap:
             raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
                              f"size bound {MAX_DIM}")
         self._rows: list[Row] = [{} for _ in range(self.out_dim)]
-        self._apply(terms, left, right)
-
-    def _apply(self, terms: Sequence[Term], left: Sequence[Mat], right: Sequence[Mat]) -> None:
         rows, out, inn = self._rows, self._out, self._in
         for o, i, k, is_left, sign in terms:
             ooff, orows, ocols = out[o]
@@ -423,20 +419,9 @@ class BlockMap:
                             j = ioff + x * icols + r
                             row[j] = row.get(j, 0) + sv
 
-    def _term(self, out_label: str, in_label: str, mat: Mat, is_left: bool, sign: int) -> None:
-        out_labels, in_labels = ([b[0] for b in blocks] for blocks in self._blocks)
-        term = (out_labels.index(out_label), in_labels.index(in_label), 0, is_left, sign)
-        self._apply((term,), (mat,), (mat,))
-
-    def add_left(self, out_label: str, in_label: str, left: Mat, sign: int = 1) -> None:
-        self._term(out_label, in_label, left, True, sign)
-
-    def add_right(self, out_label: str, in_label: str, right: Mat, sign: int = 1) -> None:
-        self._term(out_label, in_label, right, False, sign)
-
     def matrix(self) -> Mat:
-        # Copies, so that terms added later cannot reach the returned matrix;
+        # The rows are complete after __init__, so they are shared, not copied;
         # entries that cancelled to zero are dropped.
         return Mat(self.out_dim, self.in_dim,
-                   tuple(row.copy() if 0 not in row.values() else
+                   tuple(row if 0 not in row.values() else
                          {j: x for j, x in row.items() if x} for row in self._rows))

@@ -1,5 +1,10 @@
 """The two fixed algebra presentations and their finite-dimensional representations.
 
+One class, ``Representation``, holds a module of either presentation: the
+local-plane Jacobi algebra (``JACOBI``, nine arrows, a heart) or the plane
+algebra (``BEILINSON``, the six a and b arrows, no heart).  Its matrices are a
+read-only mapping in the presentation's arrow order with every arrow present.
+
 Vertices 0, 1, 2 of the cyclic quiver label the window slots heart, heart+1,
 heart+2.  Arrow matrices act by precomposition, so an arrow u -> w carries a
 matrix from slot heart+w to slot heart+u; for arrow a_i this is the map
@@ -17,7 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -27,7 +32,7 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .linalg import MAX_DIM, BlockMap, Mat, block_diag, nullspace
+from .linalg import MAX_DIM, BlockMap, Mat, Scalar, block_diag, nullspace, scalar
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -117,9 +122,6 @@ class QuiverPresentation:
     potential: Terms
     relations: tuple[tuple[str, Terms], ...]
 
-    def arrow_names(self) -> tuple[str, ...]:
-        return tuple(a.name for a in self.arrows)
-
 
 def _validate_presentation(pres: QuiverPresentation) -> QuiverPresentation:
     for _, word in pres.potential:
@@ -163,6 +165,8 @@ BEILINSON = _validate_presentation(
 
 assert len(JACOBI.arrows) == 9 and len(JACOBI.relations) == 9
 assert len(BEILINSON.arrows) == 6 and len(BEILINSON.relations) == 3
+# check_relations evaluates every relation as a sum of two-arrow products.
+assert all(len(word) == 2 for p in (JACOBI, BEILINSON) for _, t in p.relations for _, word in t)
 
 
 def matrix_shape(arrow_name: str, dims: Sequence[int]) -> tuple[int, int]:
@@ -178,58 +182,34 @@ class RelationCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class Representation:
-    """A finite-dimensional module for the local-plane algebra in a fixed heart."""
+    """A finite-dimensional module of ``presentation``: ``JACOBI`` in a heart, or
+    ``BEILINSON`` with ``heart`` None.  ``matrices`` maps every arrow of the
+    presentation, in its arrow order, to its matrix and is read-only."""
 
-    heart: int
+    presentation: QuiverPresentation
+    heart: int | None
     dims: tuple[int, int, int]
-    matrices: tuple[tuple[str, Mat], ...]
+    matrices: Mapping[str, Mat]
     label: str | None = None
 
-    def mat(self, name: str) -> Mat:
-        for key, m in self.matrices:
-            if key == name:
-                return m
-        raise InputError(f"no matrix for arrow {name!r}")
 
-    def slots(self) -> tuple[int, int, int]:
-        return (self.heart, self.heart + 1, self.heart + 2)
-
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-
-@dataclass(frozen=True)
-class P2Representation:
-    """A module for the plane algebra: same window spaces, no c arrows."""
-
-    dims: tuple[int, int, int]
-    matrices: tuple[tuple[str, Mat], ...]
-    label: str | None = None
-
-    def mat(self, name: str) -> Mat:
-        for key, m in self.matrices:
-            if key == name:
-                return m
-        raise InputError(f"no matrix for arrow {name!r}")
-
-
-def _coerce_matrices(dims: Sequence[int], matrices: Mapping[str, Mat],
-                     order: Sequence[str]) -> tuple[tuple[str, Mat], ...]:
-    out = []
-    for name in order:
-        shape = matrix_shape(name, dims)
-        m = matrices.get(name)
+def _coerce_matrices(pres: QuiverPresentation, dims: Sequence[int],
+                     matrices: Mapping[str, Mat]) -> Mapping[str, Mat]:
+    out = {}
+    for a in pres.arrows:
+        shape = dims[a.source], dims[a.target]
+        m = matrices.get(a.name)
         if m is None:
             m = Mat.zeros(*shape)
         if (m.rows, m.cols) != shape:
             raise ShapeError(
-                f"matrix {name} has shape {m.rows}x{m.cols}, expected {shape[0]}x{shape[1]}"
+                f"matrix {a.name} has shape {m.rows}x{m.cols}, expected {shape[0]}x{shape[1]}"
             )
-        out.append((name, m))
-    unknown = set(matrices) - set(order)
+        out[a.name] = m
+    unknown = set(matrices) - set(out)
     if unknown:
         raise InputError(f"unexpected arrow names: {sorted(unknown)}")
-    return tuple(out)
+    return MappingProxyType(out)
 
 
 def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
@@ -241,40 +221,38 @@ def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
     return dims
 
 
-def representation(heart: int, dims: Sequence[int], matrices: Mapping[str, Mat] | None = None,
-                   label: str | None = None) -> Representation:
+def representation(heart: int | None, dims: Sequence[int],
+                   matrices: Mapping[str, Mat] | None = None, label: str | None = None,
+                   presentation: QuiverPresentation = JACOBI) -> Representation:
+    """A module of ``presentation``; missing arrows act by zero, and the plane side has no heart."""
     dims = _dims(dims)
-    return Representation(int(heart), dims, _coerce_matrices(dims, matrices or {}, ARROW_ORDER),
-                          label)
+    heart = int(heart) if presentation is JACOBI else None
+    return Representation(presentation, heart, dims,
+                          _coerce_matrices(presentation, dims, matrices or {}), label)
 
 
-def p2_representation(dims: Sequence[int], matrices: Mapping[str, Mat] | None = None,
-                      label: str | None = None) -> P2Representation:
-    dims = _dims(dims)
-    return P2Representation(dims, _coerce_matrices(dims, matrices or {}, P2_ARROW_ORDER), label)
+def check_relations(rep: Representation) -> RelationCheck:
+    """Evaluate every defining relation of the module's presentation exactly.
 
-
-def path_matrix(mats: Mapping[str, Mat], word: Word) -> Mat:
-    # Precomposition is contravariant: the first-traversed arrow is applied first.
-    return reduce(lambda acc, name: acc @ mats[name], reversed(word[:-1]), mats[word[-1]])
-
-
-def _relation_matrix(mats: Mapping[str, Mat], dims: Sequence[int], terms: Terms) -> Mat:
-    src, tgt = word_endpoints(terms[0][1])
-    # The relation is a path src -> tgt, acting slot(tgt) -> slot(src).
-    total = Mat.zeros(dims[src], dims[tgt])
-    for coeff, word in terms:
-        total = total + path_matrix(mats, word).scale(coeff)
-    return total
-
-
-def check_relations(rep: Representation | P2Representation) -> RelationCheck:
-    """Evaluate every defining relation; shape problems raise, violations are reported."""
-    pres = JACOBI if isinstance(rep, Representation) else BEILINSON
-    mats = dict(rep.matrices)
+    A relation is a signed sum of two-arrow paths; the word (u, v) traverses
+    v first and acts by M_v @ M_u.  The products are accumulated entry by entry
+    over the nonzero rows of the factors, and a path with a zero factor
+    contributes nothing and is skipped.
+    """
+    mats = rep.matrices
     violated = []
-    for lab, terms in pres.relations:
-        if not _relation_matrix(mats, rep.dims, terms).is_zero():
+    for lab, terms in rep.presentation.relations:
+        acc: dict[tuple[int, int], Scalar] = {}
+        for coeff, (u, v) in terms:
+            left, right = mats[v].sparse, mats[u].sparse
+            if not (any(left) and any(right)):
+                continue
+            for r, row in enumerate(left):
+                for k, x in row.items():
+                    cx = coeff * x
+                    for j, y in right[k].items():
+                        acc[r, j] = acc.get((r, j), 0) + cx * y
+        if any(acc.values()):
             violated.append(lab)
     return RelationCheck(not violated, tuple(violated))
 
@@ -303,13 +281,13 @@ def point_module(coords: Sequence, t=0, heart: int = 0, label: str | None = None
     pivot = next((x for x in p if x), None)
     if pivot is None:
         raise InputError("(0:0:0) is not a projective point")
-    p = [x / pivot for x in p]
+    p = [_bounded(x / pivot, "normalized point coordinate") for x in p]
     t = Fraction(t)
     mats = {}
     for i in (1, 2, 3):
         mats[f"a{i}"] = Mat.from_rows([[p[i - 1]]])
         mats[f"b{i}"] = Mat.from_rows([[p[i - 1]]])
-        mats[f"c{i}"] = Mat.from_rows([[t * p[i - 1]]])
+        mats[f"c{i}"] = Mat.from_rows([[_bounded(t * p[i - 1], "fiber coordinate times point")]])
     if label is None:
         label = f"point ({p[0]}:{p[1]}:{p[2]}) t={t} heart={heart}"
     return require_valid(representation(heart, (1, 1, 1), mats, label), "point_module")
@@ -333,12 +311,12 @@ def multiplication_matrix(i: int, m: int) -> Mat:
     src = monomial_basis(m)
     dst = monomial_basis(m + 1)
     index = {mono: r for r, mono in enumerate(dst)}
-    rows = [[0] * len(src) for _ in range(len(dst))]
+    rows: list[dict[int, int]] = [{} for _ in dst]
     for c, mono in enumerate(src):
         bumped = list(mono)
         bumped[i - 1] += 1
         rows[index[tuple(bumped)]][c] = 1
-    return Mat.from_rows(rows, cols=len(src))
+    return Mat(len(dst), len(src), tuple(rows))
 
 
 def pushforward_module(d: int, heart: int = 0, label: str | None = None) -> Representation:
@@ -358,7 +336,8 @@ def pushforward_module(d: int, heart: int = 0, label: str | None = None) -> Repr
         raise HeartRangeError(
             f"heart {heart} < 0: below the supported window range 0..{d} for this constructor"
         )
-    dims = (h0(d - heart), h0(d - heart - 1), h0(d - heart - 2))
+    # Checked before any matrix is built: h0 grows quadratically in the degree.
+    dims = _dims((h0(d - heart), h0(d - heart - 1), h0(d - heart - 2)))
     mats = {}
     for i in (1, 2, 3):
         mats[f"a{i}"] = multiplication_matrix(i, d - heart - 1)
@@ -386,16 +365,16 @@ def direct_sum(a: Representation, b: Representation, label: str | None = None) -
     if a.heart != b.heart:
         raise HeartMismatchError(f"direct sum across hearts {a.heart} != {b.heart}")
     dims = tuple(x + y for x, y in zip(a.dims, b.dims))
-    mats = {name: block_diag(a.mat(name), b.mat(name)) for name in ARROW_ORDER}
+    mats = {name: block_diag(m, b.matrices[name]) for name, m in a.matrices.items()}
     if label is None:
         label = f"({a.label}) + ({b.label})"
-    return representation(a.heart, dims, mats, label)
+    return representation(a.heart, dims, mats, label, a.presentation)
 
 
-def p2_restrict(rep: Representation) -> P2Representation:
+def p2_restrict(rep: Representation) -> Representation:
     """Forget the c-action; dims and a, b matrices are kept exactly."""
-    mats = {name: rep.mat(name) for name in P2_ARROW_ORDER}
-    return p2_representation(rep.dims, mats, rep.label)
+    mats = {name: rep.matrices[name] for name in P2_ARROW_ORDER}
+    return representation(None, rep.dims, mats, rep.label, BEILINSON)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +396,13 @@ def hom_blocks(space: Sequence[tuple[str, int, int]], m, n) -> list[tuple[str, i
     return [(label, n.dims[r], m.dims[c]) for label, r, c in space]
 
 
-def arrow_matrices(rep: Representation | P2Representation) -> list[Mat]:
-    return [mat for _, mat in rep.matrices]
+def arrow_matrices(rep: Representation) -> list[Mat]:
+    return list(rep.matrices.values())
 
 
-def intertwiner_matrix(m: Representation | P2Representation,
-                       n: Representation | P2Representation) -> Mat:
+def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n."""
-    k = len(m.matrices)
+    k = len(m.presentation.arrows)
     return BlockMap(hom_blocks(ARROW_SPACE[:k], m, n), hom_blocks(VERTEX_SPACE, m, n),
                     _D0_TERMS[:2 * k], arrow_matrices(n), arrow_matrices(m)).matrix()
 
@@ -458,14 +436,36 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 # JSON interchange
 
 
-def _matrices_to_json(matrices: tuple[tuple[str, Mat], ...]) -> dict:
-    return {name: [str(x) for row in m.data for x in row] for name, m in matrices}
+def _matrices_to_json(matrices: Mapping[str, Mat]) -> dict:
+    return {name: [str(x) for row in m.data for x in row] for name, m in matrices.items()}
 
 
-# Fraction(str) expands a decimal exponent in full ("1e5000000" takes seconds),
-# so it is bounded as the interpreter bounds the digits of an int string.
-_MAX_EXPONENT = 4300
+# Every accepted value must be writable again, and the interpreter prints no
+# int of more than 4300 digits, so no numerator or denominator may reach
+# 10**4300.  Fraction(str) expands a decimal exponent in full ("1e5000000"
+# takes seconds), so the exponent is bounded before the value is parsed.
+_MAX_DIGITS = 4300
+_DIGIT_BOUND = 10 ** _MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _bounded(x: Scalar, what: str) -> Scalar:
+    """``x`` itself when its numerator and denominator have at most 4300 digits."""
+    if abs(x.numerator) >= _DIGIT_BOUND or x.denominator >= _DIGIT_BOUND:
+        raise InputError(f"bad {what}: more than {_MAX_DIGITS} digits")
+    return x
+
+
+def parse_scalar(value, what: str) -> Scalar:
+    """The one entry rule for records and argv: an exact value that can be written back."""
+    try:
+        e = _EXPONENT.search(value) if isinstance(value, str) else None
+        if e and abs(int(e[1])) > _MAX_DIGITS:
+            raise ValueError(f"decimal exponent beyond {_MAX_DIGITS} in magnitude")
+        x = scalar(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+    return _bounded(x, what)
 
 
 def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Mat:
@@ -474,18 +474,14 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
         raise InputError(f"matrix {name}: expected a list of entries, got {flat!r}")
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
-    try:
-        for x in flat:
-            if isinstance(x, str) and (e := _EXPONENT.search(x)) and abs(int(e[1])) > _MAX_EXPONENT:
-                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in magnitude")
-        return Mat.from_rows([flat[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-        raise InputError(f"matrix {name}: bad entry: {exc}") from exc
+    what = f"entry of matrix {name}"
+    entries = [parse_scalar(x, what) for x in flat]
+    return Mat.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
 
 
-def rep_to_dict(rep: Representation | P2Representation) -> dict:
+def rep_to_dict(rep: Representation) -> dict:
     out: dict = {}
-    if isinstance(rep, Representation):
+    if rep.presentation is JACOBI:
         out["heart"] = rep.heart
     out["dims"] = list(rep.dims)
     out["matrices"] = _matrices_to_json(rep.matrices)
@@ -500,7 +496,7 @@ def _json_int(value, what: str) -> int:
     return value
 
 
-def rep_from_dict(data: Mapping) -> Representation | P2Representation:
+def rep_from_dict(data: Mapping) -> Representation:
     try:
         dims = tuple(_json_int(x, "dims entry") for x in data["dims"])
         raw = data["matrices"]
@@ -511,23 +507,22 @@ def rep_from_dict(data: Mapping) -> Representation | P2Representation:
         raise InputError(f"matrices must map arrow names to entry lists, got {raw!r}")
     # The matrix shapes are read off the dims, so they are checked first.
     dims = _dims(dims)
-    is_y = "heart" in data
-    order = ARROW_ORDER if is_y else P2_ARROW_ORDER
+    pres = JACOBI if "heart" in data else BEILINSON
+    order = ARROW_ORDER if pres is JACOBI else P2_ARROW_ORDER
     mats = {}
     for name in raw:
         if name not in order:
             raise InputError(f"unexpected arrow {name!r} in record")
         mats[name] = _matrix_from_json(name, raw[name], dims)
-    if is_y:
-        return representation(_json_int(data["heart"], "heart"), dims, mats, label)
-    return p2_representation(dims, mats, label)
+    heart = _json_int(data["heart"], "heart") if pres is JACOBI else None
+    return representation(heart, dims, mats, label, pres)
 
 
-def dumps_rep(rep: Representation | P2Representation) -> str:
+def dumps_rep(rep: Representation) -> str:
     return json.dumps(rep_to_dict(rep), sort_keys=True, indent=2) + "\n"
 
 
-def loads_rep(text: str) -> Representation | P2Representation:
+def loads_rep(text: str) -> Representation:
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also integer literals beyond the digit limit

@@ -54,7 +54,7 @@ def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
 
     kappa1 . kappa2 = 0 is a consequence of the relations and is asserted.
     """
-    mats = dict(rep.matrices)
+    mats = rep.matrices
     kappa1 = hstack([mats["a1"], mats["a2"], mats["a3"]])
     kappa2 = _curl(mats, "b")
     if not (kappa1 @ kappa2).is_zero():
@@ -64,7 +64,7 @@ def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
 
 def down_maps(rep: Representation) -> tuple[Mat, Mat]:
     """(nu, mu): the column map in the B's and the skew block map in the A's."""
-    mats = dict(rep.matrices)
+    mats = rep.matrices
     nu = vstack([mats["b1"], mats["b2"], mats["b3"]])
     mu = _curl(mats, "a")
     if not (mu @ nu).is_zero():
@@ -125,7 +125,7 @@ def twist_up(rep: Representation) -> Representation:
         raise MembershipError(f"not a heart-{rep.heart + 1} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
-    mats = dict(rep.matrices)
+    mats = rep.matrices
     _, kappa2 = koszul_maps(rep)
     kernel = nullspace(kappa2)
     new_top = kernel.cols
@@ -156,7 +156,7 @@ def twist_down(rep: Representation) -> Representation:
         raise MembershipError(f"not a heart-{rep.heart - 1} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
-    mats = dict(rep.matrices)
+    mats = rep.matrices
     _, mu = down_maps(rep)
     proj, free = quotient_projection(mu)
     new_bottom = proj.rows
@@ -215,12 +215,6 @@ class WindowVector:
             "values": {str(k): v for k, v in self.values},
             "certified": sorted(self.certified),
         }
-
-    @staticmethod
-    def from_dict(data: Mapping) -> "WindowVector":
-        return WindowVector.make(int(data["base"]),
-                                 {int(k): int(v) for k, v in data["values"].items()},
-                                 data.get("certified", ()))
 
     def dumps(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"

@@ -1,7 +1,7 @@
 """Acceptance suite: every criterion exact (zero tolerance), one pass/fail line each.
 
 The identities are categorical, so every comparison below is an equality of
-integers, integer vectors, or LinearForm-valued characters; there are no
+integers, integer vectors, or characters with linear-form exponents; there are no
 numerical tolerances anywhere.
 """
 

@@ -8,15 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localp2 import homalg, quiver
 from localp2.characters import (
+    _P2_LAYOUT,
+    _Y_LAYOUT,
     DetCharacter,
-    LinearForm,
+    _complex_char,
     char_diff,
-    eval_char,
     expand_extension,
+    format_form,
     full_complex_char,
     geometric_char,
-    h_part_char,
     koszul_rewrite,
     ori_char,
     verify_cocycle,
@@ -27,22 +29,27 @@ from localp2.characters import (
 from localp2.errors import InputError, MissingVariableError
 
 
-def h(k, branch=None):
-    return LinearForm.variable((branch, k))
+def char(exponents):
+    """A character from ``{symbol: ({variable: coeff}, const)}``."""
+    flat = {}
+    for s, (form, const) in exponents.items():
+        flat.update(((s, v), c) for v, c in form.items())
+        flat[s, None] = const
+    return DetCharacter(flat)
 
 
 def test_ori_char_heart1_displayed_formula():
-    c = ori_char(1)
-    assert c.form(1) == 3 * (h(3) - h(2))
-    assert c.form(2) == 3 * (h(1) - h(3))
-    assert c.form(3) == 3 * (h(2) - h(1))
-    assert c.form(0).is_zero() and c.form(4).is_zero()
+    forms = ori_char(1).forms()
+    assert forms[None, 1] == {(None, 3): 3, (None, 2): -3}
+    assert forms[None, 2] == {(None, 1): 3, (None, 3): -3}
+    assert forms[None, 3] == {(None, 2): 3, (None, 1): -3}
+    assert (None, 0) not in forms and (None, 4) not in forms
 
 
 def test_ori_char_evaluations():
-    zeros = eval_char(ori_char(0), {0: 1, 1: 1, 2: 1})
+    zeros = ori_char(0).evaluate({0: 1, 1: 1, 2: 1})
     assert set(zeros.values()) == {0}
-    vals = eval_char(ori_char(0), {0: 3, 1: 1, 2: 0})
+    vals = ori_char(0).evaluate({0: 3, 1: 1, 2: 0})
     assert vals == {(None, 0): -3, (None, 1): 9, (None, 2): -6}
 
 
@@ -51,9 +58,10 @@ def test_koszul_rewrite_hand_expansion():
     # heart-0 character must produce the heart-1 character
     rewritten = koszul_rewrite(ori_char(0), 0, "up")
     assert rewritten == ori_char(1)
-    assert rewritten.form(1) == 3 * (h(3) - h(2))
-    assert rewritten.form(2) == 3 * (h(1) - h(3))
-    assert rewritten.form(3) == 3 * (h(2) - h(1))
+    forms = rewritten.forms()
+    assert forms[None, 1] == {(None, 3): 3, (None, 2): -3}
+    assert forms[None, 2] == {(None, 1): 3, (None, 3): -3}
+    assert forms[None, 3] == {(None, 2): 3, (None, 1): -3}
 
 
 def test_koszul_rewrite_zero_and_direction_validation():
@@ -63,30 +71,30 @@ def test_koszul_rewrite_zero_and_direction_validation():
 
 
 window_chars = st.builds(
-    lambda c0, c1, c2, d0, d1, d2: DetCharacter.make({
-        (None, 0): LinearForm.make({(None, 0): c0, (None, 1): c1, (None, 2): c2}),
-        (None, 1): LinearForm.make({(None, 0): d0, (None, 1): d1}),
-        (None, 2): LinearForm.make({(None, 2): d2}, const=c1),
+    lambda c0, c1, c2, d0, d1, d2: char({
+        (None, 0): ({(None, 0): c0, (None, 1): c1, (None, 2): c2}, 0),
+        (None, 1): ({(None, 0): d0, (None, 1): d1}, 0),
+        (None, 2): ({(None, 2): d2}, c1),
     }),
     *(st.integers(-5, 5) for _ in range(6)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(window_chars)
-def test_koszul_rewrite_round_trip(char):
+def test_koszul_rewrite_round_trip(c):
     # characters supported on symbols/variables {0,1,2}: down(0) inverts up(0)
-    assert koszul_rewrite(koszul_rewrite(char, 0, "up"), 0, "down") == char
+    assert koszul_rewrite(koszul_rewrite(c, 0, "up"), 0, "down") == c
 
 
 @settings(max_examples=30, deadline=None)
 @given(window_chars, st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3))
-def test_eval_commutes_with_rewrite_on_recursive_dims(char, a, b, c):
+def test_eval_commutes_with_rewrite_on_recursive_dims(ch, a, b, c):
     # assignment obeying h0 = 3h1 - 3h2 + h3; rewriting then evaluating equals
     # evaluating then redistributing the integer exponents
     assign = {1: a, 2: b, 3: c, 0: 3 * a - 3 * b + c}
-    lhs = eval_char(koszul_rewrite(char, 0, "up"), assign)
+    lhs = koszul_rewrite(ch, 0, "up").evaluate(assign)
 
-    raw = eval_char(char, assign)
+    raw = ch.evaluate(assign)
     redistributed: dict = {}
     for (branch, k), e in raw.items():
         if k == 0:
@@ -112,10 +120,10 @@ def test_theorem3_report():
 
 def test_theorem3_corrupted_character_fails_with_localized_diff():
     # exponent 2 instead of 3 on one slot
-    corrupted = DetCharacter.make({
-        (None, 0): 2 * (h(2) - h(1)),
-        (None, 1): 3 * (h(0) - h(2)),
-        (None, 2): 3 * (h(1) - h(0)),
+    corrupted = char({
+        (None, 0): ({(None, 2): 2, (None, 1): -2}, 0),
+        (None, 1): ({(None, 0): 3, (None, 2): -3}, 0),
+        (None, 2): ({(None, 1): 3, (None, 0): -3}, 0),
     })
     diff = char_diff(koszul_rewrite(corrupted, 0, "up"), ori_char(1))
     assert diff
@@ -130,9 +138,9 @@ def test_theorem4_geometric_equals_window_character():
     # an evaluated instance of the identity
     for dims in ((1, 0, 0), (1, 1, 1), (6, 3, 1)):
         assign = dict(enumerate(dims))
-        assert eval_char(geometric_char(0), assign) == eval_char(ori_char(0), assign)
-    assert eval_char(geometric_char(0), {0: 1, 1: 0, 2: 0})[(None, 0)] == 0
-    assert eval_char(geometric_char(0), {0: 1, 1: 1, 2: 1}) == {
+        assert geometric_char(0).evaluate(assign) == ori_char(0).evaluate(assign)
+    assert geometric_char(0).evaluate({0: 1, 1: 0, 2: 0})[(None, 0)] == 0
+    assert geometric_char(0).evaluate({0: 1, 1: 1, 2: 1}) == {
         (None, 0): 0, (None, 1): 0, (None, 2): 0}
 
 
@@ -140,17 +148,15 @@ def test_square_root_identity():
     rep = verify_square_root(-8, 8)
     assert rep["status"] == "pass"
     assert full_complex_char(0) == ori_char(0).scale(2)
-    vals = eval_char(full_complex_char(0), {0: 3, 1: 1, 2: 0})
+    vals = full_complex_char(0).evaluate({0: 3, 1: 1, 2: 0})
     assert vals[(None, 0)] == -6 == 2 * (-3)
-    zero = eval_char(full_complex_char(0), {0: 0, 1: 0, 2: 0})
+    zero = full_complex_char(0).evaluate({0: 0, 1: 0, 2: 0})
     assert set(zero.values()) == {0}
 
 
 def test_square_root_degree_parts_are_exact_negatives():
     # raw term characters: degree 1 and degree 2 are exact negatives, so the
     # alternating total is twice the degree-2 part; degrees 0 and 3 are trivial
-    from localp2.characters import _complex_char, _Y_LAYOUT
-
     deg0 = _complex_char(_Y_LAYOUT[:1], 0, None, None)
     raw_deg1 = -_complex_char(_Y_LAYOUT[1:2], 0, None, None)  # layout carries parity -1
     raw_deg2 = _complex_char(_Y_LAYOUT[2:3], 0, None, None)
@@ -172,51 +178,50 @@ def test_cocycle_mixed_character_niceties():
     # full mixed character = sum of the two half characters (the duality that
     # makes the square root multiplicative)
     full = full_complex_char(0, "1", "3")
-    assert h_part_char(0, "1", "3") + h_part_char(0, "3", "1") == full
+    half = _complex_char(_Y_LAYOUT[2:], 0, "1", "3")  # degrees 2 and 3 alone
+    assert half + _complex_char(_Y_LAYOUT[2:], 0, "3", "1") == full
     # the half character alone is the wrong right-hand side
     lhs = expand_extension(ori_char(0, "2")) - ori_char(0, "1") - ori_char(0, "3")
-    assert lhs != h_part_char(0, "1", "3")
-    assert char_diff(lhs, h_part_char(0, "1", "3"))
+    assert lhs != half
+    assert char_diff(lhs, half)
 
 
 def test_cocycle_zero_branch_reduction():
     lhs = expand_extension(ori_char(0, "2")) - ori_char(0, "1") - ori_char(0, "3")
     rhs = full_complex_char(0, "1", "3")
-    zero3 = lambda char: char.map_forms(
-        lambda f: LinearForm.make(
-            {v: c for (v, c) in f.terms if v[0] != "3"}, f.const))
-    kill3 = lambda char: DetCharacter.make(
-        {s: f for s, f in zero3(char).entries if s[0] != "3"})
+    # drop branch-3 variables from every exponent, then the branch-3 symbols
+    kill3 = lambda c: DetCharacter({(s, v): x for (s, v), x in c.coeffs.items()
+                                    if s[0] != "3" and (v is None or v[0] != "3")})
     assert kill3(lhs) == kill3(rhs)
     assert kill3(rhs).is_zero()
 
 
-def test_eval_char_missing_variable():
+def test_evaluate_missing_variable():
     with pytest.raises(MissingVariableError):
-        eval_char(ori_char(0), {0: 1, 1: 1})
+        ori_char(0).evaluate({0: 1, 1: 1})
 
 
 def test_branch_rendering_and_forms():
     c = ori_char(0, "1")
-    rendered = {str(f) for _, f in c.entries}
+    rendered = set(c.rendered().values())
     assert "-3*h1^(1) + 3*h2^(1)" in rendered
-    assert str(LinearForm.constant(0)) == "0"
-    assert str(LinearForm.make({(None, 2): -1}, 4)) == "-h2 + 4"
+    assert format_form({}) == "0"
+    assert format_form({(None, 2): -1, None: 4}) == "-h2 + 4"
 
 
 tagged_index = st.tuples(st.sampled_from(["1", "3"]), st.integers(0, 2))
 tagged_chars = st.dictionaries(
     tagged_index,
-    st.builds(LinearForm.make, st.dictionaries(tagged_index, st.integers(-5, 5), max_size=4),
+    st.tuples(st.dictionaries(tagged_index, st.integers(-5, 5), max_size=4),
               st.integers(-3, 3)),
-    max_size=4).map(DetCharacter.make)
+    max_size=4).map(char)
 
 
 @settings(max_examples=60, deadline=None)
 @given(tagged_chars)
-def test_koszul_rewrite_round_trip_branch_tagged(char):
+def test_koszul_rewrite_round_trip_branch_tagged(c):
     # both branches are rewritten, each by its own relation: down(0) inverts up(0)
-    assert koszul_rewrite(koszul_rewrite(char, 0, "up"), 0, "down") == char
+    assert koszul_rewrite(koszul_rewrite(c, 0, "up"), 0, "down") == c
 
 
 def test_verifiers_fail_on_corrupted_layout(monkeypatch):
@@ -230,3 +235,35 @@ def test_verifiers_fail_on_corrupted_layout(monkeypatch):
         rep = verify(-3, 3)
         assert rep["status"] == "fail" and rep["diff"]
         assert rep["witness"] == {"failed_heart": -3}
+
+
+def _layout_from_spaces(*spaces):
+    """(parity, ((slot_M, slot_N), multiplicity) ...) per degree, read off the
+    Ext term spaces: block (label, r, c) is Hom(M_c, N_r)."""
+    out = []
+    for degree, space in enumerate(spaces):
+        counts = {}
+        for _, r, c in space:
+            counts[c, r] = counts.get((c, r), 0) + 1
+        out.append(((-1) ** degree, counts))
+    return out
+
+
+def _pairing(layout, m, n):
+    return sum(parity * mult * m[s] * n[t] for parity, blocks in layout for (s, t), mult in blocks)
+
+
+def test_character_layouts_are_the_ext_term_spaces():
+    # The character tables re-encode the blocks of the complexes whose ranks
+    # the corpus computes; their alternating pairings are the Euler forms.
+    y_spaces = (quiver.VERTEX_SPACE, quiver.ARROW_SPACE, homalg._DUAL_ARROW_SPACE,
+                quiver.VERTEX_SPACE)
+    p2_spaces = (quiver.VERTEX_SPACE, quiver.ARROW_SPACE[:6], homalg._P2_RELATION_SPACE)
+    for layout, spaces in ((_Y_LAYOUT, y_spaces), (_P2_LAYOUT, p2_spaces)):
+        assert [(parity, dict(blocks)) for parity, blocks in layout] == \
+            _layout_from_spaces(*spaces)
+    units = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    for m in units:
+        for n in units:
+            assert _pairing(_Y_LAYOUT, m, n) == homalg.euler_form_Y(m, n), (m, n)
+            assert _pairing(_P2_LAYOUT, m, n) == homalg.euler_form_P2(m, n), (m, n)

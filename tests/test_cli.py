@@ -23,6 +23,7 @@ from localp2.errors import InputError
 from localp2.linalg import Mat, PrimeScalars
 from localp2.quiver import (
     ARROW_ORDER,
+    dumps_rep,
     loads_rep,
     matrix_shape,
     point_module,
@@ -258,12 +259,19 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
     (("ext", "REC", "REC"), _record(dims=(400, 0, 0))),
     (("ext", "REC", "REC"), _record(a1="X").replace('"X"', "1" * 5000)),
     (("ext", "REC", "REC"), _record(a1="1e5000000")),
+    (("mk", "point", "1:0:0", "--t", "1e500000"), None),
+    (("mk", "point", "1:2:0", "--t", "1e4300"), None),
+    (("mk", "point", "1e-4299:1e4299:0"), None),
+    (("mk", "sum", "REC", "REC"), _record(dims=(1, 1, 0), a1="1e4300")),
+    (("mk", "sum", "REC", "REC"), _record(dims=(1, 1, 0), a1="1e-4300")),
 ], ids=["pushforward-x", "simple-x", "point-t-abc", "point-t-1/0", "ext-composite-modulus",
         "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
         "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list", "entry-infinity",
         "dims-short-with-matrix", "ext-relations-violated", "window-relations-violated",
         "nested-too-deep", "not-utf8", "dims-above-bound", "term-dim-above-bound",
-        "int-literal-5000-digits", "entry-exponent-5000000"])
+        "int-literal-5000-digits", "entry-exponent-5000000", "point-t-exponent-500000",
+        "point-t-4301-digits", "point-normalized-8599-digits", "sum-entry-4301-digits",
+        "sum-entry-denominator-4301-digits"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     if record is not None:
         path = tmp_path / "rec.json"
@@ -286,7 +294,23 @@ def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):
     assert time.perf_counter() - start < 0.5
     path.write_text(_record(dims=(1, 1, 0), a1="1e2"))
     assert run(capsys, "ext", str(path), str(path))[0] == 0
-    assert loads_rep(path.read_text()).mat("a1").data == ((100,),)
+    assert loads_rep(path.read_text()).matrices["a1"].data == ((100,),)
+
+
+def test_entries_of_4300_digits_round_trip_bit_exactly(tmp_path, capsys):
+    # 10**4299 has 4300 digits, the most the interpreter prints: it is accepted
+    # and written back exactly; one more digit is refused on reading.
+    path = tmp_path / "rec.json"
+    for entry in ("1e4299", "1e-4299"):
+        path.write_text(_record(dims=(1, 1, 0), a1=entry))
+        code, stdout, _ = run(capsys, "mk", "sum", str(path), str(path))
+        assert code == 0
+        again = loads_rep(stdout)
+        assert again.matrices["a1"].data == ((Fraction(entry), 0), (0, Fraction(entry)))
+        assert loads_rep(path.read_text()).matrices["a1"].data == ((Fraction(entry),),)
+        assert loads_rep(stdout) == again and stdout == dumps_rep(again)
+    code, stdout, _ = run(capsys, "mk", "point", "1:9:0", "--t", "1e4299")
+    assert code == 0 and loads_rep(stdout).matrices["c2"].data == ((9 * 10**4299,),)
 
 
 def test_successive_main_calls_share_no_state(capsys):
@@ -358,7 +382,7 @@ def test_fuzzed_records_load_or_raise_input_error(text):
         rep = loads_rep(text)
     except InputError:
         return
-    for _, m in rep.matrices:
+    for m in rep.matrices.values():
         for v in (v for row in m.sparse for v in row.values()):
             assert type(v) is (int if v.denominator == 1 else Fraction)
 
@@ -380,3 +404,52 @@ def test_fuzzed_records_ext_exits_cleanly(data):
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 0) == (err.getvalue() == "")
+
+
+# Command-line tokens: numbers with decimal exponents up to 10**6 in
+# magnitude (often near the 4300-digit bound), fractions over 0 and junk, for
+# `mk point` and its `--t`.
+_mantissa = st.sampled_from(["1", "-2", "7", "1.5", "0.001", "-0.25", "12_3"])
+_exponent = st.integers(-10**6, 10**6) | st.integers(-4400, -4200) | st.integers(4200, 4400)
+_number = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.tuples(_mantissa, st.sampled_from(["e", "E", "e+"]), _exponent)
+    .map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+    st.tuples(st.integers(-99, 99), st.integers(-3, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+)
+_token = st.one_of(
+    _number, _number, _number,
+    st.sampled_from(["", "x", "1/", "/2", "1e", "e5", "nan", "inf", "0x1", " 3 ", "1:2"]),
+    st.text(max_size=4),
+)
+_small = st.integers(-16, 16)
+_dims_arg = st.lists(_small, min_size=2, max_size=4).map(lambda d: ",".join(map(str, d)))
+_point_argv = st.builds(
+    lambda coords, t, heart: ["mk", "point", ":".join(coords), f"--t={t}", "--heart", str(heart)],
+    st.lists(_number, min_size=3, max_size=3) | st.lists(_token, max_size=4), _token, _small)
+_argv = st.one_of(
+    _point_argv, _point_argv, _point_argv,
+    st.builds(lambda kind, d, heart: ["mk", kind, str(d), "--heart", str(heart)],
+              st.sampled_from(["simple", "pushforward"]), st.integers(-16, 12), _small),
+    st.builds(lambda m, n, side: ["euler", m, n, "--side", side],
+              _dims_arg, _dims_arg, st.sampled_from(["y", "p2"])),
+    st.builds(lambda heart, dims: ["orichar", str(heart)] + (["--dims", dims] if dims else []),
+              _small, st.none() | _dims_arg),
+    st.builds(lambda name, lo, hi: ["verify", name, "--range", str(lo), str(hi)],
+              st.sampled_from(IDENTITY_NAMES), _small, _small),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argv)
+def test_fuzzed_argv_exits_cleanly(argv):
+    # In process, one call per example: argparse errors arrive as SystemExit,
+    # and any other exception escaping main fails the test.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -200,7 +200,7 @@ def _block_transpose(blocks, dual_blocks) -> list[int]:
 def _with_fraction_entries(rep):
     mats = {name: Mat(m.rows, m.cols, tuple({j: Fraction(v) for j, v in row.items()}
                                             for row in m.sparse))
-            for name, m in rep.matrices}
+            for name, m in rep.matrices.items()}
     return representation(rep.heart, rep.dims, mats, rep.label)
 
 

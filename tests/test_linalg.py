@@ -174,18 +174,15 @@ def test_blockmap_left_right_composition():
     # One block each side: phi -> L @ phi @ R, checked entrywise on a sample.
     left = Mat.from_rows([[1, 2], [0, 1]])
     right = Mat.from_rows([[1, 1], [2, 0]])
-    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)])
-    bm.add_left("out", "in", left)
-    op_left = bm.matrix()
+    op_left = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, 1)], [left]).matrix()
     phi = Mat.from_rows([[1, 0], [3, 4]])
     flat = [x for row in phi.data for x in row]
     image = op_left @ Mat.from_rows([[v] for v in flat], cols=1)
     expected = left @ phi
     assert [x for row in expected.data for x in row] == [r[0] for r in image.data]
 
-    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)])
-    bm.add_right("out", "in", right, sign=-1)
-    op_right = bm.matrix()
+    op_right = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, False, -1)],
+                        right=[right]).matrix()
     image = op_right @ Mat.from_rows([[v] for v in flat], cols=1)
     expected = (phi @ right).scale(-1)
     assert [x for row in expected.data for x in row] == [r[0] for r in image.data]
@@ -213,9 +210,9 @@ def test_blockmap_refuses_terms_above_the_size_bound():
             BlockMap(out_blocks, in_blocks)
 
 
-def test_blockmap_term_table_matches_add_left_and_add_right():
+def test_blockmap_term_table_matches_one_term_tables():
     # Two out blocks, two in blocks; terms in any order, a zero matrix and a
-    # cancelling pair: the table gives the same map as the labelled calls.
+    # cancelling pair: the table gives the sum of its one-term tables.
     out_blocks, in_blocks = [("p", 2, 3), ("q", 2, 2)], [("x", 3, 3), ("y", 2, 3)]
     left = [Mat.from_rows([[1, 0, 2], [0, -1, 1]]), Mat.zeros(2, 2)]
     right = [Mat.from_rows([[0, 1], [1, 0], [3, 0]]), Mat.from_rows([[1, 0, Fraction(1, 2)],
@@ -224,14 +221,9 @@ def test_blockmap_term_table_matches_add_left_and_add_right():
              (0, 1, 1, False, 1), (0, 1, 1, False, -1)]
     with pytest.raises(ShapeError):
         BlockMap(out_blocks, in_blocks, [(1, 0, 0, True, 1)], left, right)
-    bm = BlockMap(out_blocks, in_blocks)
-    bm.add_left("p", "x", left[0])
-    bm.add_right("q", "y", right[0], -1)
-    bm.add_left("p", "y", left[1], 2)
-    bm.add_right("p", "y", right[1])
-    bm.add_right("p", "y", right[1], -1)
+    one_term = [BlockMap(out_blocks, in_blocks, [t], left, right).matrix() for t in terms]
     table = BlockMap(out_blocks, in_blocks, terms, left, right).matrix()
-    assert table == bm.matrix() and not table.is_zero()
+    assert table == sum(one_term[1:], one_term[0]) and not table.is_zero()
     assert all(v for row in table.sparse for v in row.values())
 
 
@@ -260,9 +252,8 @@ def test_operations_on_int_matrices_produce_exact_scalars():
                 coords_in_colspace(m, Mat.from_rows([[2], [1], [3]]))):
         assert _exact(out)
     assert all(type(v) is int for v in _values(m @ m.transpose()))
-    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)])
-    bm.add_left("out", "in", Mat.from_rows([[1, 2], [0, 1]]), -1)
-    bm.add_right("out", "in", Mat.from_rows([[1, 1], [2, 0]]))
+    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, -1), (0, 0, 0, False, 1)],
+                  [Mat.from_rows([[1, 2], [0, 1]])], [Mat.from_rows([[1, 1], [2, 0]])])
     assert all(type(v) is int for v in _values(bm.matrix()))
     # Identity entries of a kernel basis and of a quotient projection are ints.
     assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))))

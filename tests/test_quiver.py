@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from localp2.quiver import (
     BEILINSON,
     JACOBI,
     POTENTIAL,
-    P2Representation,
     check_relations,
     cyclic_derivative,
     direct_sum,
@@ -81,13 +81,13 @@ def test_epsilon_table_is_alternating():
 def test_point_module_examples():
     pt = point_module((1, 0, 0), 0, 0)
     assert pt.dims == (1, 1, 1)
-    assert pt.mat("a1").data == ((Fraction(1),),)
-    assert pt.mat("b2").data == ((Fraction(0),),)
-    assert all(pt.mat(f"c{k}").is_zero() for k in (1, 2, 3))
+    assert pt.matrices["a1"].data == ((Fraction(1),),)
+    assert pt.matrices["b2"].data == ((Fraction(0),),)
+    assert all(pt.matrices[f"c{k}"].is_zero() for k in (1, 2, 3))
     assert check_relations(pt).ok
 
     diag = point_module((1, 1, 1), 1, 0)
-    assert all(diag.mat(n).data == ((Fraction(1),),) for n in ARROW_ORDER)
+    assert all(diag.matrices[n].data == ((Fraction(1),),) for n in ARROW_ORDER)
     assert check_relations(diag).ok
 
     with pytest.raises(InputError):
@@ -98,7 +98,7 @@ def test_point_module_chart_normalization():
     a = point_module((2, 4, 6), 5, 0)
     b = point_module((1, 2, 3), 5, 0)
     assert a.dims == b.dims and a.matrices == b.matrices
-    assert a.mat("a1").data == ((Fraction(1),),)
+    assert a.matrices["a1"].data == ((Fraction(1),),)
 
 
 def test_point_module_lies_in_every_heart():
@@ -113,7 +113,7 @@ def test_pushforward_examples():
     assert line.dims == (3, 1, 0)
     # coordinate inclusions of the 1-dim space into the space of linear forms
     for i in (1, 2, 3):
-        col = line.mat(f"a{i}").column(0)
+        col = line.matrices[f"a{i}"].column(0)
         assert col == tuple(Fraction(1 if j == i - 1 else 0) for j in range(3))
     assert pushforward_module(2, 0).dims == (6, 3, 1)
     assert pushforward_module(1, 1).dims == (1, 0, 0)
@@ -158,6 +158,26 @@ def test_dims_and_intertwiner_systems_are_size_bounded():
         hom_space(big, representation(0, (2, 0, 0)))
 
 
+def test_pushforward_dims_are_checked_before_any_matrix_is_built():
+    # Degree 446 is the first whose top slot, h0(446) = 100128, exceeds the
+    # bound; the refusal comes before a single multiplication matrix exists.
+    assert h0(445) <= MAX_DIM < h0(446)
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="size bound"):
+        pushforward_module(446)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_relations_of_zero_matrices_at_the_size_bound_are_checked_quickly():
+    # Every path has a zero factor, so no relation term is evaluated.
+    for text in ('{"heart": 0, "dims": [100000, 100000, 100000], "matrices": {}}',
+                 '{"dims": [100000, 100000, 100000], "matrices": {}}'):
+        rep = loads_rep(text)
+        start = time.perf_counter()
+        assert check_relations(rep) == (True, ())
+        assert time.perf_counter() - start < 0.5
+
+
 def test_relation_violation_detected():
     # Break a nontrivial relation by replacing one multiplication matrix.
     line2 = pushforward_module(2, 0)
@@ -185,7 +205,7 @@ def test_direct_sum():
     p, q = point_module((1, 0, 0), 0, 0), point_module((1, 1, 1), 1, 0)
     ds = direct_sum(p, q)
     assert ds.dims == (2, 2, 2)
-    a1 = ds.mat("a1")
+    a1 = ds.matrices["a1"]
     assert a1.data[0][1] == 0 and a1.data[1][0] == 0
     assert check_relations(ds).ok
     with pytest.raises(HeartMismatchError):
@@ -208,8 +228,8 @@ def test_hom_space_examples():
         for name in ARROW_ORDER:
             from localp2.quiver import arrow
             a = arrow(name)
-            lhs = blocks[a.source] @ s0.mat(name)
-            rhs = line.mat(name) @ blocks[a.target]
+            lhs = blocks[a.source] @ s0.matrices[name]
+            rhs = line.matrices[name] @ blocks[a.target]
             assert lhs == rhs
     with pytest.raises(HeartMismatchError):
         hom_space(simple_module(0, 0), simple_module(0, 1))
@@ -229,10 +249,10 @@ def test_hom_space_identity_and_additivity():
 def test_p2_restrict_keeps_matrices():
     pt = point_module((1, 2, 3), 7, 0)
     res = p2_restrict(pt)
-    assert isinstance(res, P2Representation)
+    assert res.presentation is BEILINSON and res.heart is None
     assert res.dims == pt.dims
     for name in ("a1", "a2", "a3", "b1", "b2", "b3"):
-        assert res.mat(name) == pt.mat(name)
+        assert res.matrices[name] == pt.matrices[name]
     assert check_relations(res).ok
     line = p2_restrict(pushforward_module(1, 0))
     assert line.dims == (3, 1, 0)
@@ -274,7 +294,7 @@ def test_json_malformed_inputs_rejected():
 
 
 def _entries(rep):
-    return [v for _, m in rep.matrices for row in m.sparse for v in row.values()]
+    return [v for m in rep.matrices.values() for row in m.sparse for v in row.values()]
 
 
 def test_constructors_and_json_store_integral_entries_as_int():

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from localp2.characters import eval_char, koszul_rewrite, ori_char
+from localp2.characters import koszul_rewrite, ori_char
 from localp2.errors import InputError, MembershipError
 from localp2.homalg import ext_dims_Y
 from localp2.linalg import rank
@@ -153,7 +154,7 @@ def test_twists_produce_exact_scalars():
     for m in (pushforward_module(3, 0), point_module((0, 1, 2), Fraction(1, 2), 0)):
         up = twist_up(m)
         for rep in (up, twist_up(up), twist_down(up), twist_down(twist_down(twist_up(up)))):
-            values = [v for _, mat in rep.matrices for row in mat.data for v in row]
+            values = [v for mat in rep.matrices.values() for row in mat.data for v in row]
             assert all(type(v) in (int, Fraction) for v in values), rep.label
 
 
@@ -176,8 +177,8 @@ def test_twist_matches_character_rewrite():
     wv = extend_window(window_vector(m), 3)
     assign = {k: v for k, v in wv.values}
     up = twist_up(m)
-    lhs = eval_char(koszul_rewrite(ori_char(0), 0, "up"), assign)
-    rhs = eval_char(ori_char(1), {1: up.dims[0], 2: up.dims[1], 3: up.dims[2]})
+    lhs = koszul_rewrite(ori_char(0), 0, "up").evaluate(assign)
+    rhs = ori_char(1).evaluate({1: up.dims[0], 2: up.dims[1], 3: up.dims[2]})
     assert lhs == rhs
 
 
@@ -218,7 +219,9 @@ def test_extend_window_reproduces_twisted_dims():
 
 def test_window_vector_json_round_trip():
     wv = window_vector(pushforward_module(1, 0))
-    again = WindowVector.from_dict(wv.to_dict())
+    data = json.loads(wv.dumps())
+    again = WindowVector.make(data["base"], {int(k): v for k, v in data["values"].items()},
+                              data["certified"])
     assert again == wv
 
 
