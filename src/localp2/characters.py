@@ -22,18 +22,21 @@ are dict operations, and exponents are grouped per symbol only to be rendered
 both linear substitutions of symbols and variables, done by the single routine
 ``_substitute``.
 
-The block layouts of the two complexes re-encode the term spaces that
-``homalg`` assembles (a block Hom(M_c, N_r) has slot_M = c and slot_N = r);
-the tests derive the layouts from those spaces and check that their
-alternating pairings are the closed-form Euler forms.
+The characters of the two complexes are read off the very term spaces whose
+ranks ``homalg`` computes (``homalg.EXT_TABLES``): each degree's blocks are
+grouped by (slot_M, slot_N) with their multiplicity once, at import.  The
+tests check these layouts against literal tables and their alternating
+pairings against the closed-form Euler forms.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 from .errors import InputError, MissingVariableError
+from .homalg import EXT_TABLES
 
 Branch = str | None
 Var = tuple[Branch, int]
@@ -183,19 +186,22 @@ def koszul_rewrite(char: DetCharacter, k: int, direction: str = "up") -> DetChar
     return _substitute(char, relation, relation)
 
 
-# Block layout of the two complexes: (degree parity, (slot_M, slot_N), multiplicity).
-# A block Hom(M_s, N_t) contributes det(N_t)^{h^M_s} (x) det(M_s)^{-h^N_t}.
-_Y_LAYOUT = (
-    (1, (((0, 0), 1), ((1, 1), 1), ((2, 2), 1))),
-    (-1, (((1, 0), 3), ((2, 1), 3), ((0, 2), 3))),
-    (1, (((0, 1), 3), ((1, 2), 3), ((2, 0), 3))),
-    (-1, (((0, 0), 1), ((1, 1), 1), ((2, 2), 1))),
-)
-_P2_LAYOUT = (
-    (1, (((0, 0), 1), ((1, 1), 1), ((2, 2), 1))),
-    (-1, (((1, 0), 3), ((2, 1), 3))),
-    (1, (((2, 0), 3),)),
-)
+def _layout(spaces) -> tuple:
+    """(degree parity, (((slot_M, slot_N), multiplicity), ...)) per degree of a complex.
+
+    A block (label, r, c) of a term space is Hom(M_c, N_r), so it has
+    slot_M = c and slot_N = r; blocks with the same slots are counted once
+    with their multiplicity.  A block Hom(M_s, N_t) contributes
+    det(N_t)^{h^M_s} (x) det(M_s)^{-h^N_t}.
+    """
+    return tuple(((-1) ** degree, tuple(Counter((c, r) for _, r, c in space).items()))
+                 for degree, space in enumerate(spaces))
+
+
+# The block layouts of the two complexes, read off the Ext term spaces;
+# ``full_complex_char`` and ``geometric_char`` read them at call time.
+_Y_LAYOUT = _layout(EXT_TABLES["y"][0])
+_P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
 
 
 def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:

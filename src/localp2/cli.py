@@ -191,17 +191,15 @@ def cmd_twist(args) -> int:
 
 def cmd_window(args) -> int:
     rep = _load_y(args.file)
-    wv = windows.window_vector(rep)
+    up, down = windows.window_membership(rep, "up"), windows.window_membership(rep, "down")
+    wv = windows.certified_window(rep, up, down)
     if args.extend:
         lo, hi = args.extend
         wv = windows.extend_window(wv, hi)
         wv = windows.extend_window(wv, lo)
     payload = wv.to_dict()
     payload["recursion_violations"] = windows.recursion_violations(wv)
-    payload["membership"] = {
-        "up": windows.window_membership(rep, "up").to_dict(),
-        "down": windows.window_membership(rep, "down").to_dict(),
-    }
+    payload["membership"] = {"up": up.to_dict(), "down": down.to_dict()}
     payload.update(_meta())
     if args.format == "json":
         _print_json(payload)

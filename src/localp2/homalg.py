@@ -13,20 +13,20 @@ euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
 from .linalg import RATIONAL, BlockMap, Mat, Scalars, rank
 from .quiver import (
     ARROW_SPACE,
+    CYCLES,
     VERTEX_SPACE,
     VERTICES,
     Representation,
     arrow_matrices,
-    epsilon,
     hom_blocks,
     intertwiner_matrix,
+    p2_restrict,
 )
 
 ExtDims = tuple[int, ...]
@@ -42,64 +42,67 @@ class ExtComplex:
 def _check_composition(diffs: Sequence[Mat], side: str) -> None:
     for i in range(len(diffs) - 1):
         if not (diffs[i + 1] @ diffs[i]).is_zero():
-            raise InternalCheckError(f"{side} complex: d{i + 1} . d{i} != 0")
+            raise InternalCheckError(f"{side.upper()} complex: d{i + 1} . d{i} != 0")
 
 
-# The alternating triples (i, j, k, sign of the cycle c_k b_j a_i in W), read
-# once from the potential; arrow a_i has index i - 1, b_j j + 2 and c_k k + 5.
-_CYCLES = tuple((i, j, k, e) for i, j, k in product((1, 2, 3), repeat=3)
-                if (e := epsilon(i, j, k)))
-
-# Term spaces beyond those of d0 (quiver.VERTEX_SPACE, quiver.ARROW_SPACE):
-# the dual arrow blocks Hom(M_src, N_tgt) of the 3-fold side, and the three
-# relation blocks Hom(M_2, N_0) of the plane side.
-_DUAL_ARROW_SPACE = tuple((label, c, r) for label, r, c in ARROW_SPACE)
-_P2_RELATION_SPACE = tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))
-
-# Differentials as BlockMap terms (out block, in block, arrow, left with N or
-# right with M, sign).  Y d1 is the Leibniz linearization of the nine 2-term
-# relations: the component indexed by an arrow is the derivative of its
-# relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
+# Differentials after d0 as BlockMap terms (out block, in block, arrow, left
+# with N or right with M, sign), read off the sign table; arrow a_i has index
+# i - 1, b_j j + 2 and c_k k + 5.  Y d1 is the Leibniz linearization of the
+# nine 2-term relations: the component indexed by an arrow is the derivative
+# of its relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
 # c-derivative relations.
-_Y_D1 = tuple(term for i, j, k, e in _CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
+_Y_D1 = tuple(term for i, j, k, e in CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
               for term in ((a, c, b, True, e), (a, b, c, False, e),
                            (b, a, c, True, e), (b, c, a, False, e),
                            (c, b, a, True, e), (c, a, b, False, e)))
 _Y_D2 = tuple(term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
               for term in ((src, x, x, True, 1), (tgt, x, x, False, -1)))
-_P2_D1 = tuple(term for i, j, k, e in _CYCLES
+_P2_D1 = tuple(term for i, j, k, e in CYCLES
                for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
 
+# One table per side: the term spaces in cohomological degree 0, 1, ..., then
+# the tables of the differentials after d0 (d0 is ``quiver.intertwiner_matrix``
+# on the spaces of degrees 0 and 1).  Beyond those of d0, the 3-fold side has
+# the dual arrow blocks Hom(M_src, N_tgt) and its degree-0 space again; the
+# plane side has the three relation blocks Hom(M_2, N_0).  The character
+# layouts of ``characters`` are derived from these spaces.
+EXT_TABLES = {
+    "y": ((VERTEX_SPACE, ARROW_SPACE, tuple((label, c, r) for label, r, c in ARROW_SPACE),
+           VERTEX_SPACE), (_Y_D1, _Y_D2)),
+    "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))),
+           (_P2_D1,)),
+}
 
-def _terms_Y(m, n) -> tuple[list[tuple[str, int, int]], ...]:
-    t0 = hom_blocks(VERTEX_SPACE, m, n)
-    return t0, hom_blocks(ARROW_SPACE, m, n), hom_blocks(_DUAL_ARROW_SPACE, m, n), t0
+
+def _ext_terms(side: str, m, n) -> list[list[tuple[str, int, int]]]:
+    """The blocks (label, dim N_r, dim M_c) of every term of the ``side`` complex."""
+    return [hom_blocks(space, m, n) for space in EXT_TABLES[side][0]]
 
 
 def _term_dims(terms) -> tuple[int, ...]:
     return tuple(sum(r * c for _, r, c in blocks) for blocks in terms)
 
 
+def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
+    terms = _ext_terms(side, m, n)
+    nm, mm = arrow_matrices(n), arrow_matrices(m)
+    diffs = [intertwiner_matrix(m, n)]
+    for d, table in enumerate(EXT_TABLES[side][1], 1):
+        diffs.append(BlockMap(terms[d + 1], terms[d], table, nm, mm).matrix())
+    _check_composition(diffs, side)
+    return ExtComplex(side, _term_dims(terms), tuple(diffs))
+
+
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side."""
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
-    terms = _, t1, t2, t3 = _terms_Y(m, n)
-    nm, mm = arrow_matrices(n), arrow_matrices(m)
-    diffs = (intertwiner_matrix(m, n), BlockMap(t2, t1, _Y_D1, nm, mm).matrix(),
-             BlockMap(t3, t2, _Y_D2, nm, mm).matrix())
-    _check_composition(diffs, "Y")
-    return ExtComplex("y", _term_dims(terms), diffs)
+    return _build_ext_complex("y", m, n)
 
 
 def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
     """The 3-term complex computing Ext^0..Ext^2 on the plane side."""
-    t1 = hom_blocks(ARROW_SPACE[:6], m, n)
-    t2 = hom_blocks(_P2_RELATION_SPACE, m, n)
-    diffs = (intertwiner_matrix(m, n),
-             BlockMap(t2, t1, _P2_D1, arrow_matrices(n), arrow_matrices(m)).matrix())
-    _check_composition(diffs, "P2")
-    return ExtComplex("p2", _term_dims((hom_blocks(VERTEX_SPACE, m, n), t1, t2)), diffs)
+    return _build_ext_complex("p2", m, n)
 
 
 def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
@@ -151,8 +154,6 @@ def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) 
     Checks e^i_Y = e^i_P2 + e^{3-i}_P2 degreewise; a mismatch is reported,
     flagged as potentially caused by nonzero connecting maps.
     """
-    from .quiver import p2_restrict
-
     ey = ext_dims_Y(m, m, scalars)
     mp = p2_restrict(m)
     ep = ext_dims_P2(mp, mp, scalars)
@@ -181,12 +182,9 @@ def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
     if side == "y":
         duality = verify_cy3_duality(m, n, scalars)
         ext, cy3 = duality["ext_mn"], duality["passed"]
-        term_dims = _term_dims(_terms_Y(m, n))
         euler = euler_form_Y(m.dims, n.dims)
     elif side == "p2":
-        cx = build_ext_complex_P2(m, n)
-        ext, cy3 = list(ext_dims_of(cx, scalars)), None
-        term_dims = cx.term_dims
+        ext, cy3 = list(ext_dims_P2(m, n, scalars)), None
         euler = euler_form_P2(m.dims, n.dims)
     else:
         raise InternalCheckError(f"unknown side {side!r}")
@@ -199,7 +197,7 @@ def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
         "side": side,
         "dims_M": list(m.dims),
         "dims_N": list(n.dims),
-        "term_dims": list(term_dims),
+        "term_dims": list(_term_dims(_ext_terms(side, m, n))),
         "ext_dims": ext,
         "euler": euler,
         "cy3_ok": cy3,

@@ -9,14 +9,14 @@ computes ranks modulo a large prime (> 2**30) and is contractually required
 to agree with the rational mode on the regression corpus.
 
 Exact scalars are integer-first: a value that enters a matrix (``scalar``,
-behind ``Mat.from_rows`` and ``Mat.scale``) is stored as an ``int`` when it
-is integral and as a ``Fraction`` only otherwise, so the 0/±1 matrices of the
-constructors run on plain ``int`` arithmetic through assembly, products and
-elimination.  Sums and products keep ints as ints; one that involves a
-``Fraction`` stays a ``Fraction`` even when integral, which compares, hashes
-and prints exactly as the integer does.  The hazard of ``int`` entries is
-true division: ``1 / 2`` is a float, so every division goes through
-``Fraction`` (``Fraction(1, v)`` for the monic pivot).
+behind ``Mat.from_rows``) is stored as an ``int`` when it is integral and as
+a ``Fraction`` only otherwise, so the 0/±1 matrices of the constructors run
+on plain ``int`` arithmetic through assembly, products and elimination.
+Sums and products keep ints as ints; one that involves a ``Fraction`` stays
+a ``Fraction`` even when integral, which compares, hashes and prints exactly
+as the integer does.  The hazard of ``int`` entries is true division:
+``1 / 2`` is a float, so every division goes through ``Fraction``
+(``Fraction(1, v)`` for the monic pivot).
 """
 
 from __future__ import annotations
@@ -148,31 +148,8 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.sparse)
 
-    def scale(self, s) -> "Mat":
-        s = scalar(s)
-        if not s:
-            return Mat.zeros(self.rows, self.cols)
-        return Mat(self.rows, self.cols,
-                   tuple({j: s * v for j, v in row.items()} for row in self.sparse))
-
     def column(self, j: int) -> tuple[Scalar, ...]:
         return tuple(row.get(j, 0) for row in self.sparse)
-
-    def __neg__(self) -> "Mat":
-        return self.scale(-1)
-
-    def __add__(self, other: "Mat") -> "Mat":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError(f"add: {self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-        out = []
-        for ra, rb in zip(self.sparse, other.sparse):
-            row = dict(ra)
-            _axpy(row, rb, -1, 0)
-            out.append(row)
-        return Mat(self.rows, self.cols, tuple(out))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return self + (-other)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:

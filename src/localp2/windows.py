@@ -5,9 +5,11 @@ representation-level Koszul sequence is exact there: the assembled row map
 kappa1 = (A1 A2 A3) must be onto the bottom slot and the signed skew map
 kappa2 in the B's must fill its kernel.  The new top space is ker(kappa2);
 dually, twisting down takes the cokernel of the skew map in the A's as the
-new bottom space.  New arrow matrices are assembled from the sign table of
-the potential; relation validity is asserted as a postcondition on every
-twist (a failure is an internal error, not bad input).
+new bottom space.  The skew maps are read off the sign table of the
+potential (``quiver.CYCLES``), and each twist builds its Koszul maps once for
+both its membership check and the new space.  Relation validity is asserted
+as a postcondition on every twist (a failure is an internal error, not bad
+input).
 """
 
 from __future__ import annotations
@@ -17,36 +19,25 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .linalg import (
-    Mat,
-    coords_in_colspace,
-    hstack,
-    nullspace,
-    quotient_projection,
-    rank,
-    vstack,
-)
-from .quiver import Representation, epsilon, representation, require_valid
+from .linalg import Mat, coords_in_colspace, hstack, nullspace, quotient_projection, rank, vstack
+from .quiver import CYCLES, Representation, representation, require_valid
 
 
-def _curl(mats: Mapping[str, Mat], family: str) -> Mat:
-    """Signed skew 3x3 block matrix: block (i, j) = sum_k eps(i, k, j) * X_k."""
-    blocks = []
-    for i in (1, 2, 3):
-        row = []
-        for j in (1, 2, 3):
-            total = None
-            for k in (1, 2, 3):
-                e = epsilon(i, k, j)
-                if e:
-                    term = mats[f"{family}{k}"].scale(e)
-                    total = term if total is None else total + term
-            if total is None:
-                some = mats[f"{family}1"]
-                total = Mat.zeros(some.rows, some.cols)
-            row.append(total)
-        blocks.append(hstack(row))
-    return vstack(blocks)
+def _skew(rep: Representation, family: str) -> Mat:
+    """Signed skew 3x3 block matrix: block (i, j) = sum_k eps(i, k, j) * X_k.
+
+    Read off the sign table: each off-diagonal block has exactly one term, so
+    the nonzero rows of X_k are copied, signed, into place and nothing cancels.
+    """
+    mats = [rep.matrices[f"{family}{k}"] for k in (1, 2, 3)]
+    rows, cols = mats[0].rows, mats[0].cols
+    out: list[dict] = [{} for _ in range(3 * rows)]
+    for i, k, j, e in CYCLES:
+        roff, coff = (i - 1) * rows, (j - 1) * cols
+        for r, row in enumerate(mats[k - 1].sparse):
+            if row:
+                out[roff + r].update((coff + c, e * v) for c, v in row.items())
+    return Mat(3 * rows, 3 * cols, tuple(out))
 
 
 def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
@@ -56,7 +47,7 @@ def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
     """
     mats = rep.matrices
     kappa1 = hstack([mats["a1"], mats["a2"], mats["a3"]])
-    kappa2 = _curl(mats, "b")
+    kappa2 = _skew(rep, "b")
     if not (kappa1 @ kappa2).is_zero():
         raise InternalCheckError("kappa1 . kappa2 != 0; relations must be broken")
     return kappa1, kappa2
@@ -66,7 +57,7 @@ def down_maps(rep: Representation) -> tuple[Mat, Mat]:
     """(nu, mu): the column map in the B's and the skew block map in the A's."""
     mats = rep.matrices
     nu = vstack([mats["b1"], mats["b2"], mats["b3"]])
-    mu = _curl(mats, "a")
+    mu = _skew(rep, "a")
     if not (mu @ nu).is_zero():
         raise InternalCheckError("mu . nu != 0; relations must be broken")
     return nu, mu
@@ -84,49 +75,56 @@ class MembershipReport:
                 "ranks": dict(self.ranks), "reason": self.reason}
 
 
+def _membership_up(rep: Representation, kappa1: Mat, kappa2: Mat) -> MembershipReport:
+    h0, h1, h2 = rep.dims
+    r1, r2 = rank(kappa1), rank(kappa2)
+    ranks = {
+        "kappa1_rank": r1, "kappa1_target": h0,
+        "kappa2_rank": r2, "kappa2_required": 3 * h1 - h0,
+        "kernel_dim": 3 * h2 - r2,
+    }
+    reasons = []
+    if r1 != h0:
+        reasons.append(f"kappa1 not surjective: rank {r1} < {h0}")
+    if r2 != 3 * h1 - h0:
+        reasons.append(f"im(kappa2) != ker(kappa1): rank {r2} != {3 * h1 - h0}")
+    return MembershipReport("up", not reasons, ranks, "; ".join(reasons) or None)
+
+
+def _membership_down(rep: Representation, nu: Mat, mu: Mat) -> MembershipReport:
+    h0, h1, h2 = rep.dims
+    rn, rm = rank(nu), rank(mu)
+    ranks = {
+        "nu_rank": rn, "nu_required": h2,
+        "mu_rank": rm, "mu_required": 3 * h1 - h2,
+        "cokernel_dim": 3 * h0 - rm,
+    }
+    reasons = []
+    if rn != h2:
+        reasons.append(f"nu not injective: rank {rn} < {h2}")
+    if rm != 3 * h1 - h2:
+        reasons.append(f"im(nu) != ker(mu): rank {rm} != {3 * h1 - h2}")
+    return MembershipReport("down", not reasons, ranks, "; ".join(reasons) or None)
+
+
 def window_membership(rep: Representation, direction: str) -> MembershipReport:
     """Exactness diagnostics for sliding the window one slot up or down."""
-    h0, h1, h2 = rep.dims
     if direction == "up":
-        kappa1, kappa2 = koszul_maps(rep)
-        r1, r2 = rank(kappa1), rank(kappa2)
-        ranks = {
-            "kappa1_rank": r1, "kappa1_target": h0,
-            "kappa2_rank": r2, "kappa2_required": 3 * h1 - h0,
-            "kernel_dim": 3 * h2 - r2,
-        }
-        reasons = []
-        if r1 != h0:
-            reasons.append(f"kappa1 not surjective: rank {r1} < {h0}")
-        if r2 != 3 * h1 - h0:
-            reasons.append(f"im(kappa2) != ker(kappa1): rank {r2} != {3 * h1 - h0}")
-        return MembershipReport("up", not reasons, ranks, "; ".join(reasons) or None)
+        return _membership_up(rep, *koszul_maps(rep))
     if direction == "down":
-        nu, mu = down_maps(rep)
-        rn, rm = rank(nu), rank(mu)
-        ranks = {
-            "nu_rank": rn, "nu_required": h2,
-            "mu_rank": rm, "mu_required": 3 * h1 - h2,
-            "cokernel_dim": 3 * h0 - rm,
-        }
-        reasons = []
-        if rn != h2:
-            reasons.append(f"nu not injective: rank {rn} < {h2}")
-        if rm != 3 * h1 - h2:
-            reasons.append(f"im(nu) != ker(mu): rank {rm} != {3 * h1 - h2}")
-        return MembershipReport("down", not reasons, ranks, "; ".join(reasons) or None)
+        return _membership_down(rep, *down_maps(rep))
     raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
 def twist_up(rep: Representation) -> Representation:
     """Re-present the module in heart n+1; the new top space is ker(kappa2)."""
-    membership = window_membership(rep, "up")
+    kappa1, kappa2 = koszul_maps(rep)
+    membership = _membership_up(rep, kappa1, kappa2)
     if not membership.ok:
         raise MembershipError(f"not a heart-{rep.heart + 1} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
     mats = rep.matrices
-    _, kappa2 = koszul_maps(rep)
     kernel = nullspace(kappa2)
     new_top = kernel.cols
     if h0 != 3 * h1 - 3 * h2 + new_top:
@@ -151,13 +149,13 @@ def twist_up(rep: Representation) -> Representation:
 
 def twist_down(rep: Representation) -> Representation:
     """Re-present the module in heart n-1; the new bottom space is coker(mu)."""
-    membership = window_membership(rep, "down")
+    nu, mu = down_maps(rep)
+    membership = _membership_down(rep, nu, mu)
     if not membership.ok:
         raise MembershipError(f"not a heart-{rep.heart - 1} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
     mats = rep.matrices
-    _, mu = down_maps(rep)
     proj, free = quotient_projection(mu)
     new_bottom = proj.rows
     if new_bottom != 3 * h0 - 3 * h1 + h2:
@@ -220,21 +218,21 @@ class WindowVector:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def window_vector(rep: Representation, certify_adjacent: bool = True) -> WindowVector:
+def window_vector(rep: Representation) -> WindowVector:
     """Window slots of the representation; adjacent slots are added when membership proves them."""
+    return certified_window(rep, window_membership(rep, "up"), window_membership(rep, "down"))
+
+
+def certified_window(rep: Representation, up: MembershipReport,
+                     down: MembershipReport) -> WindowVector:
+    """The three slots of ``rep``, plus the adjacent slot of each passing membership report."""
     n = rep.heart
     values = {n: rep.dims[0], n + 1: rep.dims[1], n + 2: rep.dims[2]}
-    certified = {n, n + 1, n + 2}
-    if certify_adjacent:
-        up = window_membership(rep, "up")
-        if up.ok:
-            values[n + 3] = up.ranks["kernel_dim"]
-            certified.add(n + 3)
-        down = window_membership(rep, "down")
-        if down.ok:
-            values[n - 1] = down.ranks["cokernel_dim"]
-            certified.add(n - 1)
-    return WindowVector.make(n, values, certified)
+    if up.ok:
+        values[n + 3] = up.ranks["kernel_dim"]
+    if down.ok:
+        values[n - 1] = down.ranks["cokernel_dim"]
+    return WindowVector.make(n, values, values.keys())
 
 
 def extend_window(wv: WindowVector, k: int) -> WindowVector:

@@ -297,6 +297,23 @@ def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):
     assert loads_rep(path.read_text()).matrices["a1"].data == ((100,),)
 
 
+def test_window_of_a_zero_record_at_the_size_bound_is_quick(tmp_path, capsys):
+    # Nine zero matrices between 100000-dimensional slots: each Koszul map is
+    # built once per direction from the nonzero rows of the arrow matrices.
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps({"heart": 0, "dims": [100000] * 3, "matrices": {}}))
+    start = time.perf_counter()
+    code, stdout, _ = run(capsys, "window", str(path))
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and stdout == (
+        "base=0 values={'0': 100000, '1': 100000, '2': 100000}\n"
+        "certified=[0, 1, 2] violations=[]\n"
+        "membership up: ok=False ranks={'kappa1_rank': 0, 'kappa1_target': 100000, "
+        "'kappa2_rank': 0, 'kappa2_required': 200000, 'kernel_dim': 300000}\n"
+        "membership down: ok=False ranks={'nu_rank': 0, 'nu_required': 100000, "
+        "'mu_rank': 0, 'mu_required': 200000, 'cokernel_dim': 300000}\n")
+
+
 def test_entries_of_4300_digits_round_trip_bit_exactly(tmp_path, capsys):
     # 10**4299 has 4300 digits, the most the interpreter prints: it is accepted
     # and written back exactly; one more digit is refused on reading.

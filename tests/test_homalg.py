@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from localp2.errors import HeartMismatchError
 from localp2.homalg import (
-    _terms_Y,
+    _ext_terms,
     build_ext_complex_P2,
     build_ext_complex_Y,
     euler_form_P2,
@@ -213,7 +213,7 @@ def test_cy3_differentials_are_block_transposes(a, b):
     m, n = pushforward_module(a, 0), pushforward_module(b, 0)
     fwd = build_ext_complex_Y(n, m).differentials
     bwd = build_ext_complex_Y(_with_fraction_entries(m), _with_fraction_entries(n)).differentials
-    terms, dual = _terms_Y(n, m), _terms_Y(m, n)
+    terms, dual = _ext_terms("y", n, m), _ext_terms("y", m, n)
     perm = [_block_transpose(terms[j], dual[3 - j]) for j in range(4)]
     for i in range(3):
         back = {p: k for k, p in enumerate(perm[i])}

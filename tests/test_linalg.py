@@ -166,8 +166,6 @@ def test_stacking_and_shape_errors():
     assert block_diag(a, b).data[1][2] == 3
     with pytest.raises(ShapeError):
         a @ a
-    with pytest.raises(ShapeError):
-        a + Mat.zeros(2, 2)
 
 
 def test_blockmap_left_right_composition():
@@ -184,8 +182,8 @@ def test_blockmap_left_right_composition():
     op_right = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, False, -1)],
                         right=[right]).matrix()
     image = op_right @ Mat.from_rows([[v] for v in flat], cols=1)
-    expected = (phi @ right).scale(-1)
-    assert [x for row in expected.data for x in row] == [r[0] for r in image.data]
+    expected = phi @ right
+    assert [-x for row in expected.data for x in row] == [r[0] for r in image.data]
 
 
 def _values(m: Mat) -> list:
@@ -221,19 +219,18 @@ def test_blockmap_term_table_matches_one_term_tables():
              (0, 1, 1, False, 1), (0, 1, 1, False, -1)]
     with pytest.raises(ShapeError):
         BlockMap(out_blocks, in_blocks, [(1, 0, 0, True, 1)], left, right)
-    one_term = [BlockMap(out_blocks, in_blocks, [t], left, right).matrix() for t in terms]
+    one_term = [BlockMap(out_blocks, in_blocks, [t], left, right).matrix().data for t in terms]
     table = BlockMap(out_blocks, in_blocks, terms, left, right).matrix()
-    assert table == sum(one_term[1:], one_term[0]) and not table.is_zero()
+    assert table.data == tuple(tuple(map(sum, zip(*rows))) for rows in zip(*one_term))
+    assert not table.is_zero()
     assert all(v for row in table.sparse for v in row.values())
 
 
-def test_from_rows_and_scale_store_integral_values_as_int():
+def test_from_rows_stores_integral_values_as_int():
     m = Mat.from_rows([[Fraction(4, 2), "3", True], [Fraction(1, 2), "-6/3", 0]])
     assert [type(v) for v in m.data[0]] == [int, int, int]
     assert m.data == ((2, 3, 1), (Fraction(1, 2), -2, 0))
     assert type(m.data[1][0]) is Fraction and type(m.data[1][1]) is int
-    assert [type(v) for v in m.scale(Fraction(6, 3)).data[0]] == [int, int, int]
-    assert _exact(m.scale(Fraction(1, 3))) and _exact(-m)
 
 
 def test_int_and_fraction_entries_compare_and_hash_alike():
@@ -247,7 +244,7 @@ def test_int_and_fraction_entries_compare_and_hash_alike():
 
 def test_operations_on_int_matrices_produce_exact_scalars():
     m = Mat.from_rows([[2, 4, 0], [1, 3, -1], [3, 7, -1]])
-    for out in (m @ m.transpose(), m + m, m - m, rref(m)[0], nullspace(m),
+    for out in (m @ m.transpose(), rref(m)[0], nullspace(m),
                 quotient_projection(m)[0],
                 coords_in_colspace(m, Mat.from_rows([[2], [1], [3]]))):
         assert _exact(out)

@@ -8,17 +8,20 @@ from fractions import Fraction
 import pytest
 
 from localp2.characters import koszul_rewrite, ori_char
+from localp2.corpus import standard_corpus
 from localp2.errors import InputError, MembershipError
 from localp2.homalg import ext_dims_Y
-from localp2.linalg import rank
+from localp2.linalg import Mat, rank
 from localp2.quiver import (
     check_relations,
     direct_sum,
+    epsilon,
     h0,
     hom_space,
     point_module,
     pushforward_module,
     simple_module,
+    zero_module,
 )
 from localp2.windows import (
     WindowVector,
@@ -47,6 +50,38 @@ def test_koszul_map_examples():
     line = pushforward_module(1, 0)
     k1, _ = koszul_maps(line)
     assert rank(k1) == 3  # the linear forms span
+
+
+def _dense_koszul_maps(rep):
+    # kappa1 = (A1 A2 A3), nu = (B1; B2; B3), and the skew maps with block
+    # (i, j) = sum_k eps(i, k, j) * X_k, entry by entry from epsilon.
+    x = {name: m.data for name, m in rep.matrices.items()}
+    n0, n1, n2 = rep.dims
+
+    def skew(family, rows, cols):
+        return Mat.from_rows([[sum(epsilon(i, k, j) * x[f"{family}{k}"][r][c] for k in (1, 2, 3))
+                               for j in (1, 2, 3) for c in range(cols)]
+                              for i in (1, 2, 3) for r in range(rows)], cols=3 * cols)
+
+    kappa1 = Mat.from_rows([[v for k in (1, 2, 3) for v in x[f"a{k}"][r]] for r in range(n0)],
+                           cols=3 * n1)
+    nu = Mat.from_rows([row for k in (1, 2, 3) for row in x[f"b{k}"]], cols=n2)
+    return (kappa1, skew("b", n1, n2)), (nu, skew("a", n0, n1))
+
+
+def test_koszul_maps_match_the_sign_table():
+    # A global sign flip of kappa2 or mu keeps every rank and kernel, so the
+    # twist and rank tests cannot see it; this compares every entry.
+    pt_mix = standard_corpus()["pt_mix"]
+    frac = point_module((0, 2, 3), "-7/3", 0)  # a3 = b3 = 3/2
+    reps = [pt_mix, frac, *(pushforward_module(d, 0) for d in range(4)), simple_module(1, 0),
+            direct_sum(frac, pushforward_module(2, 0)), twist_up(pushforward_module(2, 0)),
+            zero_module(0)]
+    for rep in reps:
+        up, down = _dense_koszul_maps(rep)
+        assert koszul_maps(rep) == up, rep.label
+        assert down_maps(rep) == down, rep.label
+    assert any(type(v) is Fraction for row in koszul_maps(frac)[1].sparse for v in row.values())
 
 
 def test_membership_pushforwards():
