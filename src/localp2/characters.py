@@ -20,19 +20,28 @@ pairs, with variable None for the constant term; sums, scaling and differences
 are dict operations, and exponents are grouped per symbol only to be rendered
 (``format_form``) or evaluated.  The Koszul rewrite and the extension rule are
 both linear substitutions of symbols and variables, done by the single routine
-``_substitute``.
+``_substitute``; a key with neither its symbol nor its variable mapped is
+carried over as it is.
 
 The characters of the two complexes are read off the very term spaces whose
 ranks ``homalg`` computes (``homalg.EXT_TABLES``): each degree's blocks are
 grouped by (slot_M, slot_N) with their multiplicity once, at import.  The
 tests check these layouts against literal tables and their alternating
-pairings against the closed-form Euler forms.
+pairings against the closed-form Euler forms.  A complex's character folds
+its layout's degrees into one net table (slot_M, slot_N) -> sum of parity
+times multiplicity, memoized per layout value and looked up at call time.
+
+The verifiers build and compare every heart of their range exactly; what is
+saved is allocation.  Characters made inside this module hand their fresh
+dict over without the public constructor's copy unless it holds a zero, and
+``char_diff`` returns at once when both maps are equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping
 
 from .errors import InputError, MissingVariableError
@@ -113,16 +122,19 @@ class DetCharacter:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0) + c
-        return DetCharacter(out)
+        return _fresh(out)
 
     def __neg__(self) -> "DetCharacter":
         return self.scale(-1)
 
     def __sub__(self, other: "DetCharacter") -> "DetCharacter":
-        return self + other.scale(-1)
+        out = dict(self.coeffs)
+        for k, c in other.coeffs.items():
+            out[k] = out.get(k, 0) - c
+        return _fresh(out)
 
     def scale(self, scalar: int) -> "DetCharacter":
-        return DetCharacter({k: scalar * c for k, c in self.coeffs.items()})
+        return _fresh({k: scalar * c for k, c in self.coeffs.items()})
 
     def branches(self) -> set[Branch]:
         return {x[0] for key in self.coeffs for x in key if x is not None}
@@ -140,6 +152,19 @@ class DetCharacter:
         return out
 
 
+def _fresh(coeffs: dict[Key, int]) -> DetCharacter:
+    """A character that takes over ``coeffs``, a dict just built here and held by no one else.
+
+    The public constructor copies its argument to drop zeros; this one copies
+    only when a zero is present.
+    """
+    if 0 in coeffs.values():
+        coeffs = {k: c for k, c in coeffs.items() if c}
+    char = object.__new__(DetCharacter)
+    object.__setattr__(char, "coeffs", coeffs)
+    return char
+
+
 def _substitute(char: DetCharacter, symbol_map: Mapping[Var, Mapping[Var, int]],
                 variable_map: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
     """Replace every mapped symbol and variable by its integer combination, in one pass.
@@ -149,11 +174,17 @@ def _substitute(char: DetCharacter, symbol_map: Mapping[Var, Mapping[Var, int]],
     do), so the result does not depend on the order of the substitutions.
     """
     out: dict[Key, int] = {}
-    for (s, v), c in char.coeffs.items():
-        for s2, a in symbol_map.get(s, {s: 1}).items():
-            for v2, b in variable_map.get(v, {v: 1}).items():
-                out[s2, v2] = out.get((s2, v2), 0) + a * b * c
-    return DetCharacter(out)
+    for key, c in char.coeffs.items():
+        s, v = key
+        smap, vmap = symbol_map.get(s), variable_map.get(v)
+        if smap is None and vmap is None:
+            out[key] = out.get(key, 0) + c
+            continue
+        for s2, a in smap.items() if smap is not None else ((s, 1),):
+            ac = a * c
+            for v2, b in vmap.items() if vmap is not None else ((v, 1),):
+                out[s2, v2] = out.get((s2, v2), 0) + ac * b
+    return _fresh(out)
 
 
 def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
@@ -162,8 +193,8 @@ def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
     D_n -> 3(h_{n+2} - h_{n+1}), and cyclically for D_{n+1} and D_{n+2}.
     """
     d = [(branch, heart + j) for j in range(3)]
-    return DetCharacter({(d[i], d[(i + shift) % 3]): c
-                         for i in range(3) for shift, c in ((2, 3), (1, -3))})
+    return _fresh({(d[i], d[(i + shift) % 3]): c
+                   for i in range(3) for shift, c in ((2, 3), (1, -3))})
 
 
 # Koszul relation per direction: (offset of the eliminated index, its replacement).
@@ -204,14 +235,23 @@ _Y_LAYOUT = _layout(EXT_TABLES["y"][0])
 _P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
 
 
+@lru_cache(maxsize=32)
+def _net_blocks(layout) -> tuple[tuple[int, int, int], ...]:
+    """(slot_M, slot_N, Σ parity·multiplicity) over the degrees of a layout; zero nets dropped."""
+    net: Counter = Counter()
+    for parity, blocks in layout:
+        for slots, mult in blocks:
+            net[slots] += parity * mult
+    return tuple((s, t, x) for (s, t), x in net.items() if x)
+
+
 def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
     out: dict[Key, int] = {}
-    for parity, blocks in layout:
-        for (s, t), mult in blocks:
-            m, n = (branch_m, heart + s), (branch_n, heart + t)
-            out[n, m] = out.get((n, m), 0) + parity * mult
-            out[m, n] = out.get((m, n), 0) - parity * mult
-    return DetCharacter(out)
+    for s, t, x in _net_blocks(layout):
+        m, n = (branch_m, heart + s), (branch_n, heart + t)
+        out[n, m] = out.get((n, m), 0) + x
+        out[m, n] = out.get((m, n), 0) - x
+    return _fresh(out)
 
 
 def full_complex_char(heart: int, branch_m: Branch = None, branch_n: Branch = None) -> DetCharacter:
@@ -236,6 +276,8 @@ def expand_extension(char: DetCharacter, whole: str = "2",
 def char_diff(lhs: DetCharacter, rhs: DetCharacter) -> list[dict]:
     """Per-symbol differences, rendered for reports; empty when equal."""
     cl, cr = lhs.coeffs, rhs.coeffs
+    if cl == cr:
+        return []
     differ = {k[0] for k in cl.keys() | cr.keys() if cl.get(k, 0) != cr.get(k, 0)}
     if not differ:
         return []
@@ -263,8 +305,9 @@ def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
     if n_max <= n_min:
         raise InputError(f"need n_max > n_min, got [{n_min}, {n_max}]")
     witness = {}
+    rhs = ori_char(n_min)
     for n in range(n_min, n_max):
-        lhs = koszul_rewrite(ori_char(n), n, "up")
+        lhs = koszul_rewrite(rhs, n, "up")
         rhs = ori_char(n + 1)
         diff = char_diff(lhs, rhs)
         if diff:

@@ -20,12 +20,12 @@ from .linalg import RATIONAL, BlockMap, Mat, Scalars, rank
 from .quiver import (
     ARROW_SPACE,
     CYCLES,
+    D0_TERMS,
     VERTEX_SPACE,
     VERTICES,
     Representation,
     arrow_matrices,
     hom_blocks,
-    intertwiner_matrix,
     p2_restrict,
 )
 
@@ -61,16 +61,18 @@ _P2_D1 = tuple(term for i, j, k, e in CYCLES
                for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
 
 # One table per side: the term spaces in cohomological degree 0, 1, ..., then
-# the tables of the differentials after d0 (d0 is ``quiver.intertwiner_matrix``
-# on the spaces of degrees 0 and 1).  Beyond those of d0, the 3-fold side has
-# the dual arrow blocks Hom(M_src, N_tgt) and its degree-0 space again; the
-# plane side has the three relation blocks Hom(M_2, N_0).  The character
-# layouts of ``characters`` are derived from these spaces.
+# the term tables of the differentials d0, d1, ...  d0 is the intertwiner
+# system of ``quiver`` (``D0_TERMS``, which ``hom_space`` reads too); the plane
+# side takes its first twelve terms, those of the a and b arrows.  Beyond the
+# spaces of d0, the 3-fold side has the dual arrow blocks Hom(M_src, N_tgt)
+# and its degree-0 space again; the plane side has the three relation blocks
+# Hom(M_2, N_0).  The character layouts of ``characters`` are derived from
+# these spaces.
 EXT_TABLES = {
     "y": ((VERTEX_SPACE, ARROW_SPACE, tuple((label, c, r) for label, r, c in ARROW_SPACE),
-           VERTEX_SPACE), (_Y_D1, _Y_D2)),
+           VERTEX_SPACE), (D0_TERMS, _Y_D1, _Y_D2)),
     "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))),
-           (_P2_D1,)),
+           (D0_TERMS[:12], _P2_D1)),
 }
 
 
@@ -86,9 +88,8 @@ def _term_dims(terms) -> tuple[int, ...]:
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
     terms = _ext_terms(side, m, n)
     nm, mm = arrow_matrices(n), arrow_matrices(m)
-    diffs = [intertwiner_matrix(m, n)]
-    for d, table in enumerate(EXT_TABLES[side][1], 1):
-        diffs.append(BlockMap(terms[d + 1], terms[d], table, nm, mm).matrix())
+    diffs = [BlockMap(terms[d + 1], terms[d], table, nm, mm).matrix()
+             for d, table in enumerate(EXT_TABLES[side][1])]
     _check_composition(diffs, side)
     return ExtComplex(side, _term_dims(terms), tuple(diffs))
 

@@ -156,6 +156,10 @@ class Mat:
             raise ShapeError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = []
         for row in self.sparse:
+            if not row:
+                # Rows are never mutated, so an empty one is shared, not rebuilt.
+                out.append(row)
+                continue
             acc: Row = {}
             for k, v in row.items():
                 for j, w in other.sparse[k].items():
@@ -168,12 +172,19 @@ def hstack(mats: Sequence[Mat]) -> Mat:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack: row counts differ")
-    out: list[Row] = [{} for _ in range(rows)]
-    off = 0
+    offsets, off = [], 0
     for m in mats:
-        for acc, row in zip(out, m.sparse):
-            acc.update((off + j, v) for j, v in row.items())
+        offsets.append(off)
         off += m.cols
+    out: list[Row] = []
+    for parts in zip(*(m.sparse for m in mats)):
+        if not any(parts):
+            out.append(parts[0])
+            continue
+        acc: Row = {}
+        for o, part in zip(offsets, parts):
+            acc.update((o + j, v) for j, v in part.items())
+        out.append(acc)
     return Mat(rows, off, tuple(out))
 
 
@@ -232,7 +243,8 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
     and any other pivot is inverted as ``Fraction(1, v)``, never as ``1 / v``.
     Returns {pivot column: row}, its size is the rank.  With ``reduced`` the
     pivot rows are back-substituted into the reduced row echelon form, which
-    is unique.  The rows are consumed.
+    is unique: each row only at the pivot columns it holds.  The rows are
+    consumed.
     """
     pivots: dict[int, dict] = {}
     for row in rows:
@@ -254,12 +266,13 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
                 break
             _axpy(row, prow, row[c], p)
     if reduced:
+        # Right to left: the pivot rows right of c are reduced already, so each
+        # is zero at every other pivot column, and clearing one pivot column of
+        # ``prow`` touches no other.
         for c in sorted(pivots, reverse=True):
             prow = pivots[c]
-            for other in pivots.values():
-                f = other.get(c)
-                if f is not None and other is not prow:
-                    _axpy(other, prow, f, p)
+            for j in [j for j in prow if j != c and j in pivots]:
+                _axpy(prow, pivots[j], prow[j], p)
     return pivots
 
 

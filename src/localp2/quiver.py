@@ -390,11 +390,12 @@ def p2_restrict(rep: Representation) -> Representation:
 # Hom(M_c, N_r) from slot c of M to slot r of N.  d0, the intertwiner defect
 # phi_src . M_a - N_a . phi_tgt on arrow block a, is a table of BlockMap terms
 # (out block, in block, arrow, left with N or right with M, sign), two per
-# arrow in arrow order, so the plane side takes the first twelve.
+# arrow in arrow order, so the plane side takes the first twelve.  It is also
+# the d0 of both Ext complexes (``homalg.EXT_TABLES``).
 VERTEX_SPACE = tuple((f"v{v}", v, v) for v in VERTICES)
 ARROW_SPACE = tuple((a.name, a.source, a.target) for a in _ARROWS)
-_D0_TERMS = tuple(term for x, a in enumerate(_ARROWS)
-                  for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
+D0_TERMS = tuple(term for x, a in enumerate(_ARROWS)
+                 for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
 
 
 def hom_blocks(space: Sequence[tuple[str, int, int]], m, n) -> list[tuple[str, int, int]]:
@@ -409,7 +410,7 @@ def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n."""
     k = len(m.presentation.arrows)
     return BlockMap(hom_blocks(ARROW_SPACE[:k], m, n), hom_blocks(VERTEX_SPACE, m, n),
-                    _D0_TERMS[:2 * k], arrow_matrices(n), arrow_matrices(m)).matrix()
+                    D0_TERMS[:2 * k], arrow_matrices(n), arrow_matrices(m)).matrix()
 
 
 class HomSpace(NamedTuple):

@@ -14,6 +14,7 @@ from localp2.characters import (
     _Y_LAYOUT,
     DetCharacter,
     _complex_char,
+    _substitute,
     char_diff,
     expand_extension,
     format_form,
@@ -235,6 +236,88 @@ def test_verifiers_fail_on_corrupted_layout(monkeypatch):
         rep = verify(-3, 3)
         assert rep["status"] == "fail" and rep["diff"]
         assert rep["witness"] == {"failed_heart": -3}
+
+
+def test_theorem4_fails_on_corrupted_plane_layout(monkeypatch):
+    from localp2 import characters
+
+    parity, _ = characters._P2_LAYOUT[2]
+    corrupted = (parity, (((2, 0), 2),))  # multiplicity 2 instead of 3
+    monkeypatch.setattr(characters, "_P2_LAYOUT", characters._P2_LAYOUT[:2] + (corrupted,))
+    rep = verify_theorem4()
+    assert rep["status"] == "fail" and rep["diff"]
+
+
+def test_theorem3_fails_on_corrupted_koszul_relation(monkeypatch):
+    from localp2 import characters
+
+    monkeypatch.setitem(characters._KOSZUL, "up", (0, ((1, 3), (2, -2), (3, 1))))
+    rep = verify_theorem3(-3, 3)
+    assert rep["status"] == "fail" and rep["diff"]
+    assert rep["witness"] == {"failed_pair": [-3, -2]}
+
+
+def test_verifiers_check_every_heart_of_the_range(monkeypatch):
+    # A window character wrong in heart 2 alone must be found inside [-3, 3].
+    from localp2 import characters
+
+    exact = characters.ori_char
+    monkeypatch.setattr(characters, "ori_char",
+                        lambda heart, branch=None: exact(heart, branch).scale(1 + (heart == 2)))
+    rep = verify_theorem3(-3, 3)
+    assert rep["status"] == "fail" and rep["witness"] == {"failed_pair": [1, 2]}
+    for verify in (verify_square_root, verify_cocycle):
+        rep = verify(-3, 3)
+        assert rep["status"] == "fail" and rep["witness"] == {"failed_heart": 2}
+
+
+def _two_pass_substitute(coeffs, symbol_map, variable_map):
+    # Reference: rewrite the symbols, then the variables, with a fresh
+    # ``{key: 1}`` for every unmapped key; zeros dropped at the end.
+    def apply(items, which, mapping):
+        out = {}
+        for key, c in items:
+            for x, a in mapping.get(key[which], {key[which]: 1}).items():
+                new = (x, key[1]) if which == 0 else (key[0], x)
+                out[new] = out.get(new, 0) + a * c
+        return out
+
+    once = apply(coeffs.items(), 0, symbol_map)
+    twice = apply(once.items(), 1, variable_map)
+    return {k: c for k, c in twice.items() if c}
+
+
+flat_vars = st.tuples(st.sampled_from([None, "1"]), st.integers(0, 4))
+# Mapped keys have index 0 or 1, replacements only indices 2..4, so a
+# replacement never mentions a mapped key again.
+sub_maps = st.dictionaries(
+    st.tuples(st.sampled_from([None, "1"]), st.integers(0, 1)),
+    st.dictionaries(st.tuples(st.sampled_from([None, "1"]), st.integers(2, 4)),
+                    st.integers(-3, 3), min_size=1, max_size=3),
+    max_size=3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(flat_vars, st.one_of(st.none(), flat_vars)),
+                       st.integers(-4, 4), max_size=12),
+       sub_maps, sub_maps)
+def test_substitute_matches_two_pass_reference(coeffs, symbol_map, variable_map):
+    out = _substitute(DetCharacter(coeffs), symbol_map, variable_map)
+    assert out.coeffs == _two_pass_substitute(coeffs, symbol_map, variable_map)
+    assert all(out.coeffs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([_Y_LAYOUT, _P2_LAYOUT]), st.integers(-300, 300),
+       st.sampled_from([None, "1", "2", "3"]), st.sampled_from([None, "1", "2", "3"]))
+def test_complex_char_is_the_sum_of_its_degree_slices(layout, heart, branch_m, branch_n):
+    # The degrees are folded into one net table; slicing one degree at a time
+    # must give the same character.
+    total = DetCharacter()
+    for i in range(len(layout)):
+        total = total + _complex_char(layout[i:i + 1], heart, branch_m, branch_n)
+    whole = _complex_char(layout, heart, branch_m, branch_n)
+    assert whole == total and all(whole.coeffs.values())
 
 
 def _pairing(layout, m, n):

@@ -25,6 +25,7 @@ from localp2.linalg import RATIONAL, Mat, PrimeScalars
 from localp2.quiver import (
     direct_sum,
     hom_space,
+    intertwiner_matrix,
     p2_restrict,
     point_module,
     pushforward_module,
@@ -252,3 +253,14 @@ def test_ext_report_record():
     }
     rec = ext_report(p2_restrict(pt), p2_restrict(pt), "p2")
     assert rec["ext_dims"] == [1, 2, 1] and rec["cy3_ok"] is None
+
+
+def test_ext_d0_is_the_intertwiner_system_of_hom_space():
+    # Both complexes take d0 from the term table that ``hom_space`` reads, so
+    # Ext^0 and Hom are computed from one matrix on either side.
+    pt = point_module((1, 2, 3), t=Fraction(1, 2))
+    for m, n in ((pushforward_module(2), pushforward_module(3)), (pt, pushforward_module(1)),
+                 (pt, pt)):
+        assert build_ext_complex_Y(m, n).differentials[0] == intertwiner_matrix(m, n)
+        mp, np_ = p2_restrict(m), p2_restrict(n)
+        assert build_ext_complex_P2(mp, np_).differentials[0] == intertwiner_matrix(mp, np_)

@@ -268,3 +268,72 @@ def test_int_entries_eliminate_like_fraction_entries(rows):
     assert r == rf and pivots == pivots_f and _exact(r)
     ns = nullspace(m)
     assert ns == nullspace(f) and _exact(ns)
+
+
+def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    # Dense textbook reference: the nonzero rows of the reduced row echelon
+    # form over Q and their pivot columns, all pivots cleared above and below.
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(ncols):
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return a[:r], pivots
+
+
+def _dense(rows: list[list], ncols: int) -> Mat:
+    return Mat.from_rows(rows, cols=ncols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_matrices(st.integers(-3, 3)), small_fraction_matrices),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_elimination_matches_dense_gauss_jordan(rows, extra):
+    # rref, nullspace, coords_in_colspace and quotient_projection all read the
+    # sparse back-substitution; each must equal what the dense reference gives.
+    m = Mat.from_rows(rows)
+    nr, nc = m.rows, m.cols
+    ref, piv = _gauss_jordan(rows, nc)
+    assert rref(m) == (_dense(ref + [[0] * nc] * (nr - len(ref)), nc), tuple(piv))
+
+    free = [c for c in range(nc) if c not in piv]
+    kernel = [[0] * len(free) for _ in range(nc)]
+    for i, f in enumerate(free):
+        kernel[f][i] = 1
+        for row, c in zip(ref, piv):
+            kernel[c][i] = -row[f]
+    assert nullspace(m) == _dense(kernel, len(free))
+
+    # Columns of m itself and one more vector, which may leave the span.
+    vectors = [list(row) + [extra[i]] for i, row in enumerate(rows)]
+    aug, aug_piv = _gauss_jordan([row + v for row, v in zip(rows, vectors)], nc + nc + 1)
+    coords = coords_in_colspace(m, _dense(vectors, nc + 1))
+    if any(c >= nc for c in aug_piv):
+        assert coords is None
+    else:
+        solution = [[0] * (nc + 1) for _ in range(nc)]
+        for row, c in zip(aug, aug_piv):
+            solution[c] = row[nc:]
+        assert coords == _dense(solution, nc + 1)
+        assert m @ coords == _dense(vectors, nc + 1)
+
+    cols = [list(col) for col in zip(*rows)]
+    tref, tpiv = _gauss_jordan(cols, nr)
+    qfree = [j for j in range(nr) if j not in tpiv]
+    proj = [[0] * nr for _ in qfree]
+    for i, f in enumerate(qfree):
+        proj[i][f] = 1
+        for row, c in zip(tref, tpiv):
+            proj[i][c] = -row[f]
+    assert quotient_projection(m) == (_dense(proj, nr), tuple(qfree))
+    if qfree:
+        assert (_dense(proj, nr) @ m).is_zero()
