@@ -1,20 +1,14 @@
-"""Exception hierarchy shared across the package.
-
-``exit_code`` mirrors the CLI contract: 1 identity/corpus failure,
-2 input error, 3 internal postcondition violation.
-"""
+"""Exception hierarchy shared across the package."""
 
 from __future__ import annotations
 
 
 class LocalP2Error(Exception):
-    exit_code = 1
+    """Base class of every error the package raises."""
 
 
 class InputError(LocalP2Error):
     """Bad user input: malformed files, out-of-range constructor arguments."""
-
-    exit_code = 2
 
 
 class ShapeError(InputError):
@@ -47,5 +41,3 @@ class ScalarModeError(InputError):
 
 class InternalCheckError(LocalP2Error):
     """A construction postcondition failed; indicates a bug, not bad input."""
-
-    exit_code = 3

@@ -3,8 +3,8 @@
 Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
 (``_echelon``) row-reduces them over Q or over GF(p) with integer residues.
-It backs ``rank`` in both modes as well as ``rref``, ``nullspace``,
-``coords_in_colspace`` and ``quotient_projection``.  The prime-field mode
+It backs ``rank`` in both modes and ``nullspace``, the one solver: kernels
+are all the twists and ``hom_space`` need.  The prime-field mode
 computes ranks modulo a large prime (> 2**30) and is contractually required
 to agree with the rational mode on the regression corpus.
 
@@ -139,10 +139,16 @@ class Mat:
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse)))
 
     def transpose(self) -> "Mat":
-        out: list[Row] = [{} for _ in range(self.cols)]
+        # Only the rows that receive an entry are allocated; the others share
+        # one empty row, as in ``zeros``, and empty rows are skipped unread.
+        empty: Row = {}
+        out = [empty] * self.cols
         for i, row in enumerate(self.sparse):
-            for j, v in row.items():
-                out[j][i] = v
+            if row:
+                for j, v in row.items():
+                    if out[j] is empty:
+                        out[j] = {}
+                    out[j][i] = v
         return Mat(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
@@ -276,66 +282,26 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
     return pivots
 
 
-def _rref_pivots(m: Mat) -> dict[int, dict]:
-    return _echelon(_field_rows(m, 0), 0, True)
-
-
 def rank(m: Mat, scalars: Scalars = RATIONAL) -> int:
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
     return len(_echelon(_field_rows(m, p), p, False))
 
 
-def rref(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form over Q, with the pivot column indices."""
-    pivots = _rref_pivots(m)
-    order = sorted(pivots)
-    rows = tuple(pivots[c] for c in order) + ({},) * (m.rows - len(order))
-    return Mat(m.rows, m.cols, rows), tuple(order)
+def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """Kernel basis as columns, one per free column of ``m`` in increasing order.
 
-
-def nullspace(m: Mat) -> Mat:
-    """Kernel basis as columns, ordered by free-column index (deterministic)."""
-    pivots = _rref_pivots(m)
-    free = [c for c in range(m.cols) if c not in pivots]
+    Returns the basis and the free columns; the basis restricted to the free
+    rows is the identity, so a kernel vector's coordinates are its entries there.
+    """
+    pivots = _echelon(_field_rows(m, 0), 0, True)
+    free = tuple(c for c in range(m.cols) if c not in pivots)
     index = {f: i for i, f in enumerate(free)}
     out: list[Row] = [{} for _ in range(m.cols)]
     for f, i in index.items():
         out[f][i] = 1
     for c, prow in pivots.items():
         out[c] = {index[j]: -v for j, v in prow.items() if j != c}
-    return Mat(m.cols, len(free), tuple(out))
-
-
-def coords_in_colspace(basis: Mat, vectors: Mat) -> Mat | None:
-    """Solve basis @ X = vectors exactly; None when some column is outside the span."""
-    if basis.rows != vectors.rows:
-        raise ShapeError("coords_in_colspace: row counts differ")
-    n = basis.cols
-    pivots = _rref_pivots(hstack([basis, vectors]))
-    if any(c >= n for c in pivots):
-        return None
-    out: list[Row] = [{} for _ in range(n)]
-    for c, prow in pivots.items():
-        out[c] = {j - n: v for j, v in prow.items() if j >= n}
-    return Mat(n, vectors.cols, tuple(out))
-
-
-def quotient_projection(m: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Projection of the target space onto the cokernel of ``m``.
-
-    Basis of the quotient: the standard coordinates that are not pivot
-    coordinates of the column space, in increasing order; those indices are
-    returned so callers can lift quotient basis vectors to representatives.
-    """
-    pivots = _rref_pivots(m.transpose())
-    free = tuple(j for j in range(m.rows) if j not in pivots)
-    index = {f: i for i, f in enumerate(free)}
-    out: list[Row] = [{f: 1} for f in free]
-    for c, prow in pivots.items():
-        for j, v in prow.items():
-            if j != c:
-                out[index[j]][c] = -v
-    return Mat(len(free), m.rows, tuple(out)), free
+    return Mat(m.cols, len(free), tuple(out)), free
 
 
 # The largest dimension of a vector space the package allocates: every entry

@@ -36,7 +36,6 @@ from .linalg import MAX_DIM, BlockMap, Mat, Scalar, block_diag, nullspace, scala
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
-P2_ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 Word = tuple[str, ...]
 Terms = tuple[tuple[int, Word], ...]
@@ -378,7 +377,7 @@ def direct_sum(a: Representation, b: Representation, label: str | None = None) -
 
 def p2_restrict(rep: Representation) -> Representation:
     """Forget the c-action; dims and a, b matrices are kept exactly."""
-    mats = {name: rep.matrices[name] for name in P2_ARROW_ORDER}
+    mats = {a.name: rep.matrices[a.name] for a in BEILINSON.arrows}
     return representation(None, rep.dims, mats, rep.label, BEILINSON)
 
 
@@ -423,7 +422,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
     if m.heart != n.heart:
         raise HeartMismatchError(f"hom across hearts {m.heart} != {n.heart}")
     system = intertwiner_matrix(m, n)
-    kernel = nullspace(system)
+    kernel, _ = nullspace(system)
     basis = []
     for col in range(kernel.cols):
         vec = kernel.column(col)
@@ -514,12 +513,9 @@ def rep_from_dict(data: Mapping) -> Representation:
     # The matrix shapes are read off the dims, so they are checked first.
     dims = _dims(dims)
     pres = JACOBI if "heart" in data else BEILINSON
-    order = ARROW_ORDER if pres is JACOBI else P2_ARROW_ORDER
-    mats = {}
-    for name in raw:
-        if name not in order:
-            raise InputError(f"unexpected arrow {name!r} in record")
-        mats[name] = _matrix_from_json(name, raw[name], dims)
+    # An unknown name is refused by matrix_shape, a c arrow of a plane record
+    # by representation.
+    mats = {name: _matrix_from_json(name, raw[name], dims) for name in raw}
     heart = _json_int(data["heart"], "heart") if pres is JACOBI else None
     return representation(heart, dims, mats, label, pres)
 

@@ -3,11 +3,17 @@
 A module of heart n can be re-presented in heart n+1 exactly when the
 representation-level Koszul sequence is exact there: the assembled row map
 kappa1 = (A1 A2 A3) must be onto the bottom slot and the signed skew map
-kappa2 in the B's must fill its kernel.  The new top space is ker(kappa2);
-dually, twisting down takes the cokernel of the skew map in the A's as the
-new bottom space.  The skew maps are read off the sign table of the
-potential (``quiver.CYCLES``), and each twist builds its Koszul maps once for
-both its membership check and the new space.  Relation validity is asserted
+kappa2 in the B's must fill its kernel.  The new top space is ker(kappa2).
+The skew map is read off the sign table of the potential (``quiver.CYCLES``),
+and each twist builds its Koszul maps once for both its membership check and
+the new space.
+
+The down direction is the up direction seen through the transpose module
+M^v (``_dual``: slots reversed, a_i and b_i swapped, every matrix
+transposed, heart n -> -n-2), which is a module because the sign table is
+antisymmetric.  Its Koszul maps are (nu^T, -mu^T), with nu = (B1; B2; B3) and
+mu the skew map in the A's, so down-membership is the up-test of M^v and the
+down twist is the dual of the up twist of M^v.  Relation validity is asserted
 as a postcondition on every twist (a failure is an internal error, not bad
 input).
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .linalg import Mat, coords_in_colspace, hstack, nullspace, quotient_projection, rank, vstack
+from .linalg import Mat, Row, hstack, nullspace, rank, vstack
 from .quiver import CYCLES, Representation, representation, require_valid
 
 
@@ -28,15 +34,19 @@ def _skew(rep: Representation, family: str) -> Mat:
 
     Read off the sign table: each off-diagonal block has exactly one term, so
     the nonzero rows of X_k are copied, signed, into place and nothing cancels.
+    Only those rows are allocated; the others share one empty row.
     """
     mats = [rep.matrices[f"{family}{k}"] for k in (1, 2, 3)]
     rows, cols = mats[0].rows, mats[0].cols
-    out: list[dict] = [{} for _ in range(3 * rows)]
+    filled = [[(r, row) for r, row in enumerate(m.sparse) if row] for m in mats]
+    empty: Row = {}
+    out = [empty] * (3 * rows)
     for i, k, j, e in CYCLES:
         roff, coff = (i - 1) * rows, (j - 1) * cols
-        for r, row in enumerate(mats[k - 1].sparse):
-            if row:
-                out[roff + r].update((coff + c, e * v) for c, v in row.items())
+        for r, row in filled[k - 1]:
+            if out[roff + r] is empty:
+                out[roff + r] = {}
+            out[roff + r].update((coff + c, e * v) for c, v in row.items())
     return Mat(3 * rows, 3 * cols, tuple(out))
 
 
@@ -53,14 +63,12 @@ def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
     return kappa1, kappa2
 
 
-def down_maps(rep: Representation) -> tuple[Mat, Mat]:
-    """(nu, mu): the column map in the B's and the skew block map in the A's."""
+def _dual(rep: Representation, label: str | None = None) -> Representation:
+    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T."""
     mats = rep.matrices
-    nu = vstack([mats["b1"], mats["b2"], mats["b3"]])
-    mu = _skew(rep, "a")
-    if not (mu @ nu).is_zero():
-        raise InternalCheckError("mu . nu != 0; relations must be broken")
-    return nu, mu
+    swap = {"a": "b", "b": "a", "c": "c"}
+    dual = {name: mats[swap[name[0]] + name[1]].transpose() for name in mats}
+    return representation(-rep.heart - 2, rep.dims[::-1], dual, label)
 
 
 @dataclass(frozen=True)
@@ -75,60 +83,61 @@ class MembershipReport:
                 "ranks": dict(self.ranks), "reason": self.reason}
 
 
-def _membership_up(rep: Representation, kappa1: Mat, kappa2: Mat) -> MembershipReport:
+# The up-test's rank names and failure texts, and the names they take when
+# the test runs on M^v for the down direction: kappa1 of M^v is nu^T, and
+# kappa2 of M^v is -mu^T.
+_NAMES = {
+    "up": ("kappa1_rank", "kappa1_target", "kappa2_rank", "kappa2_required", "kernel_dim",
+           "kappa1 not surjective", "im(kappa2) != ker(kappa1)"),
+    "down": ("nu_rank", "nu_required", "mu_rank", "mu_required", "cokernel_dim",
+             "nu not injective", "im(nu) != ker(mu)"),
+}
+
+
+def _membership(rep: Representation, kappa1: Mat, kappa2: Mat,
+                direction: str) -> MembershipReport:
+    """The up-test of ``rep`` (of M^v for "down"), reported under the names of ``direction``."""
+    r1_name, h0_name, r2_name, req_name, dim_name, fail1, fail2 = _NAMES[direction]
     h0, h1, h2 = rep.dims
     r1, r2 = rank(kappa1), rank(kappa2)
-    ranks = {
-        "kappa1_rank": r1, "kappa1_target": h0,
-        "kappa2_rank": r2, "kappa2_required": 3 * h1 - h0,
-        "kernel_dim": 3 * h2 - r2,
-    }
+    ranks = {r1_name: r1, h0_name: h0, r2_name: r2, req_name: 3 * h1 - h0,
+             dim_name: 3 * h2 - r2}
     reasons = []
     if r1 != h0:
-        reasons.append(f"kappa1 not surjective: rank {r1} < {h0}")
+        reasons.append(f"{fail1}: rank {r1} < {h0}")
     if r2 != 3 * h1 - h0:
-        reasons.append(f"im(kappa2) != ker(kappa1): rank {r2} != {3 * h1 - h0}")
-    return MembershipReport("up", not reasons, ranks, "; ".join(reasons) or None)
-
-
-def _membership_down(rep: Representation, nu: Mat, mu: Mat) -> MembershipReport:
-    h0, h1, h2 = rep.dims
-    rn, rm = rank(nu), rank(mu)
-    ranks = {
-        "nu_rank": rn, "nu_required": h2,
-        "mu_rank": rm, "mu_required": 3 * h1 - h2,
-        "cokernel_dim": 3 * h0 - rm,
-    }
-    reasons = []
-    if rn != h2:
-        reasons.append(f"nu not injective: rank {rn} < {h2}")
-    if rm != 3 * h1 - h2:
-        reasons.append(f"im(nu) != ker(mu): rank {rm} != {3 * h1 - h2}")
-    return MembershipReport("down", not reasons, ranks, "; ".join(reasons) or None)
+        reasons.append(f"{fail2}: rank {r2} != {3 * h1 - h0}")
+    return MembershipReport(direction, not reasons, ranks, "; ".join(reasons) or None)
 
 
 def window_membership(rep: Representation, direction: str) -> MembershipReport:
     """Exactness diagnostics for sliding the window one slot up or down."""
-    if direction == "up":
-        return _membership_up(rep, *koszul_maps(rep))
+    if direction not in _NAMES:
+        raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
     if direction == "down":
-        return _membership_down(rep, *down_maps(rep))
-    raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
+        rep = _dual(rep)
+    return _membership(rep, *koszul_maps(rep), direction)
 
 
-def twist_up(rep: Representation) -> Representation:
-    """Re-present the module in heart n+1; the new top space is ker(kappa2)."""
+def _twist(rep: Representation, direction: str, heart: int,
+           label: str | None) -> Representation:
+    """The module one heart up, whose new top space is ker(kappa2).
+
+    For "down", ``rep`` is M^v; ``heart`` is the heart the caller moves to,
+    named in a refusal.
+    """
     kappa1, kappa2 = koszul_maps(rep)
-    membership = _membership_up(rep, kappa1, kappa2)
+    membership = _membership(rep, kappa1, kappa2, direction)
     if not membership.ok:
-        raise MembershipError(f"not a heart-{rep.heart + 1} module: {membership.reason}",
+        raise MembershipError(f"not a heart-{heart} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
     mats = rep.matrices
-    kernel = nullspace(kappa2)
+    kernel, free = nullspace(kappa2)
     new_top = kernel.cols
     if h0 != 3 * h1 - 3 * h2 + new_top:
-        raise InternalCheckError("twist_up: kernel dimension breaks the window recursion")
+        raise InternalCheckError(f"twist_{direction}: kernel dimension breaks the window "
+                                 "recursion")
 
     new_mats: dict[str, Mat] = {}
     for i in (1, 2, 3):
@@ -136,51 +145,28 @@ def twist_up(rep: Representation) -> Representation:
     for j in (1, 2, 3):
         new_mats[f"b{j}"] = Mat(h2, new_top, kernel.sparse[(j - 1) * h2: j * h2])
     for k in (1, 2, 3):
+        # The kernel basis is the identity at its free rows, so a vector of the
+        # kernel has its coordinates there.
         stacked = vstack([mats[f"c{j}"] @ mats[f"a{k}"] for j in (1, 2, 3)])
-        coords = coords_in_colspace(kernel, stacked)
-        if coords is None:
-            raise InternalCheckError("twist_up: c-composites left the kernel")
+        coords = Mat(new_top, h1, tuple(stacked.sparse[f] for f in free))
+        if kernel @ coords != stacked:
+            raise InternalCheckError(f"twist_{direction}: c-composites left the kernel")
         new_mats[f"c{k}"] = coords
+    return representation(rep.heart + 1, (h1, h2, new_top), new_mats, label)
 
-    out = representation(rep.heart + 1, (h1, h2, new_top), new_mats,
-                         f"twist_up({rep.label})")
+
+def twist_up(rep: Representation) -> Representation:
+    """Re-present the module in heart n+1; the new top space is ker(kappa2)."""
+    out = _twist(rep, "up", rep.heart + 1, f"twist_up({rep.label})")
     return require_valid(out, "twist_up")
 
 
 def twist_down(rep: Representation) -> Representation:
-    """Re-present the module in heart n-1; the new bottom space is coker(mu)."""
-    nu, mu = down_maps(rep)
-    membership = _membership_down(rep, nu, mu)
-    if not membership.ok:
-        raise MembershipError(f"not a heart-{rep.heart - 1} module: {membership.reason}",
-                              membership.to_dict())
-    h0, h1, h2 = rep.dims
-    mats = rep.matrices
-    proj, free = quotient_projection(mu)
-    new_bottom = proj.rows
-    if new_bottom != 3 * h0 - 3 * h1 + h2:
-        raise InternalCheckError("twist_down: cokernel dimension breaks the window recursion")
+    """Re-present the module in heart n-1: the dual of the up twist of M^v.
 
-    new_mats: dict[str, Mat] = {}
-    for i in (1, 2, 3):
-        off = (i - 1) * h0
-        new_mats[f"a{i}"] = Mat(new_bottom, h0, tuple(
-            {j - off: v for j, v in row.items() if off <= j < off + h0} for row in proj.sparse))
-    for j in (1, 2, 3):
-        new_mats[f"b{j}"] = mats[f"a{j}"]
-    for k in (1, 2, 3):
-        # On a representative e_f of a quotient basis vector, c_k acts through
-        # the block of f: (phi in block j) -> B_k C_j phi.
-        big = [mats[f"b{k}"] @ mats[f"c{j}"] for j in (1, 2, 3)]
-        cols = []
-        for f in free:
-            j, pos = divmod(f, h0)
-            cols.append(big[j].column(pos))
-        new_mats[f"c{k}"] = Mat.from_rows([[col[r] for col in cols] for r in range(h1)],
-                                          cols=new_bottom)
-
-    out = representation(rep.heart - 1, (new_bottom, h0, h1), new_mats,
-                         f"twist_down({rep.label})")
+    The new bottom space is coker(mu), the dual of ker(-mu^T).
+    """
+    out = _dual(_twist(_dual(rep), "down", rep.heart - 1, None), f"twist_down({rep.label})")
     return require_valid(out, "twist_down")
 
 

@@ -253,6 +253,9 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
     (("ext", "REC", "REC"), _record(dims=(1,)).replace("{}", '{"a1": []}')),
     (("ext", "REC", "REC"), _record().replace("{}", '{"a1": ["1"], "b2": ["1"], "c3": ["1"]}')),
     (("window", "REC"), _record().replace("{}", '{"a1": ["1"], "b2": ["1"], "c3": ["1"]}')),
+    (("ext", "REC", "REC", "--side", "p2"),
+     json.dumps({"dims": [1, 1, 1], "matrices": {"c1": ["1"]}, "label": None})),
+    (("ext", "REC", "REC"), _record().replace("{}", '{"z9": ["1"]}')),
     (("ext", "REC", "REC"), "[" * 100000 + "]" * 100000),
     (("ext", "REC", "REC"), b'\xff\xfe{"heart": 0}'),
     (("ext", "REC", "REC"), _record(dims=(10**30, 0, 0))),
@@ -268,6 +271,7 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
         "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
         "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list", "entry-infinity",
         "dims-short-with-matrix", "ext-relations-violated", "window-relations-violated",
+        "plane-record-c-arrow", "unknown-arrow",
         "nested-too-deep", "not-utf8", "dims-above-bound", "term-dim-above-bound",
         "int-literal-5000-digits", "entry-exponent-5000000", "point-t-exponent-500000",
         "point-t-4301-digits", "point-normalized-8599-digits", "sum-entry-4301-digits",

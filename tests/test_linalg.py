@@ -1,4 +1,4 @@
-"""Exact linear algebra kernel: ranks, kernels, quotients, block assembly."""
+"""Exact linear algebra kernel: ranks, kernels, block assembly."""
 
 from __future__ import annotations
 
@@ -17,12 +17,9 @@ from localp2.linalg import (
     Mat,
     PrimeScalars,
     block_diag,
-    coords_in_colspace,
     hstack,
     nullspace,
-    quotient_projection,
     rank,
-    rref,
     vstack,
 )
 
@@ -90,9 +87,9 @@ def test_rank_transpose_and_prime_agreement(rows):
 @given(small_matrices)
 def test_nullspace_annihilates_and_has_complementary_rank(rows):
     m = Mat.from_rows(rows)
-    ns = nullspace(m)
+    ns, free = nullspace(m)
     assert ns.rows == m.cols
-    assert ns.cols == m.cols - rank(m)
+    assert ns.cols == len(free) == m.cols - rank(m)
     if ns.cols:
         assert (m @ ns).is_zero()
         assert rank(ns) == ns.cols
@@ -101,31 +98,14 @@ def test_nullspace_annihilates_and_has_complementary_rank(rows):
 def test_rank_of_empty_shapes():
     assert rank(Mat.zeros(0, 5)) == 0
     assert rank(Mat.zeros(5, 0)) == 0
-    assert nullspace(Mat.zeros(0, 3)).cols == 3
+    assert nullspace(Mat.zeros(0, 3)) == (Mat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                                          (0, 1, 2))
 
 
 def test_rank_with_fraction_entries():
     m = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]])
     assert rank(m) == _rank_by_minors(m)
     assert rank(m, PRIME) == rank(m)
-
-
-def test_rref_solves_and_coords_in_colspace():
-    basis = Mat.from_rows([[1, 0], [1, 1], [0, 2]])
-    target = Mat.from_rows([[2], [5], [6]])  # 2*b0 + 3*b1
-    coords = coords_in_colspace(basis, target)
-    assert coords is not None
-    assert (basis @ coords) == target
-    outside = Mat.from_rows([[0], [0], [1]])
-    assert coords_in_colspace(basis, outside) is None
-
-
-def test_quotient_projection_kills_image_and_has_full_rank():
-    m = Mat.from_rows([[1, 0], [0, 1], [1, 1]])
-    proj, free = quotient_projection(m)
-    assert proj.rows == 1 and len(free) == 1
-    assert (proj @ m).is_zero()
-    assert rank(proj) == 1
 
 
 def test_prime_rank_rejects_denominator_divisible_by_p():
@@ -244,17 +224,14 @@ def test_int_and_fraction_entries_compare_and_hash_alike():
 
 def test_operations_on_int_matrices_produce_exact_scalars():
     m = Mat.from_rows([[2, 4, 0], [1, 3, -1], [3, 7, -1]])
-    for out in (m @ m.transpose(), rref(m)[0], nullspace(m),
-                quotient_projection(m)[0],
-                coords_in_colspace(m, Mat.from_rows([[2], [1], [3]]))):
+    for out in (m @ m.transpose(), nullspace(m)[0]):
         assert _exact(out)
     assert all(type(v) is int for v in _values(m @ m.transpose()))
     bm = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, -1), (0, 0, 0, False, 1)],
                   [Mat.from_rows([[1, 2], [0, 1]])], [Mat.from_rows([[1, 1], [2, 0]])])
     assert all(type(v) is int for v in _values(bm.matrix()))
-    # Identity entries of a kernel basis and of a quotient projection are ints.
-    assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))))
-    assert all(type(v) is int for v in _values(quotient_projection(Mat.from_rows([[1], [1]]))[0]))
+    # The identity entries of a kernel basis are ints.
+    assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))[0]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -264,10 +241,8 @@ def test_int_entries_eliminate_like_fraction_entries(rows):
     # Fractions: ``1 / v`` on an int would be a float.
     m, f = Mat.from_rows(rows), _as_fractions(rows)
     assert rank(m) == rank(f) and rank(m, PRIME) == rank(f, PRIME) == rank(m)
-    (r, pivots), (rf, pivots_f) = rref(m), rref(f)
-    assert r == rf and pivots == pivots_f and _exact(r)
-    ns = nullspace(m)
-    assert ns == nullspace(f) and _exact(ns)
+    (ns, free), (ns_f, free_f) = nullspace(m), nullspace(f)
+    assert ns == ns_f and free == free_f and _exact(ns)
 
 
 def _gauss_jordan(rows: list[list], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
@@ -295,45 +270,17 @@ def _dense(rows: list[list], ncols: int) -> Mat:
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(_matrices(st.integers(-3, 3)), small_fraction_matrices),
-       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
-def test_elimination_matches_dense_gauss_jordan(rows, extra):
-    # rref, nullspace, coords_in_colspace and quotient_projection all read the
-    # sparse back-substitution; each must equal what the dense reference gives.
+@given(st.one_of(_matrices(st.integers(-3, 3)), small_fraction_matrices))
+def test_elimination_matches_dense_gauss_jordan(rows):
+    # nullspace reads the sparse back-substitution; its basis and free columns
+    # must equal what the dense reference gives.
     m = Mat.from_rows(rows)
-    nr, nc = m.rows, m.cols
+    nc = m.cols
     ref, piv = _gauss_jordan(rows, nc)
-    assert rref(m) == (_dense(ref + [[0] * nc] * (nr - len(ref)), nc), tuple(piv))
-
     free = [c for c in range(nc) if c not in piv]
     kernel = [[0] * len(free) for _ in range(nc)]
     for i, f in enumerate(free):
         kernel[f][i] = 1
         for row, c in zip(ref, piv):
             kernel[c][i] = -row[f]
-    assert nullspace(m) == _dense(kernel, len(free))
-
-    # Columns of m itself and one more vector, which may leave the span.
-    vectors = [list(row) + [extra[i]] for i, row in enumerate(rows)]
-    aug, aug_piv = _gauss_jordan([row + v for row, v in zip(rows, vectors)], nc + nc + 1)
-    coords = coords_in_colspace(m, _dense(vectors, nc + 1))
-    if any(c >= nc for c in aug_piv):
-        assert coords is None
-    else:
-        solution = [[0] * (nc + 1) for _ in range(nc)]
-        for row, c in zip(aug, aug_piv):
-            solution[c] = row[nc:]
-        assert coords == _dense(solution, nc + 1)
-        assert m @ coords == _dense(vectors, nc + 1)
-
-    cols = [list(col) for col in zip(*rows)]
-    tref, tpiv = _gauss_jordan(cols, nr)
-    qfree = [j for j in range(nr) if j not in tpiv]
-    proj = [[0] * nr for _ in qfree]
-    for i, f in enumerate(qfree):
-        proj[i][f] = 1
-        for row, c in zip(tref, tpiv):
-            proj[i][c] = -row[f]
-    assert quotient_projection(m) == (_dense(proj, nr), tuple(qfree))
-    if qfree:
-        assert (_dense(proj, nr) @ m).is_zero()
+    assert nullspace(m) == (_dense(kernel, len(free)), tuple(free))

@@ -25,7 +25,7 @@ from localp2.quiver import (
 )
 from localp2.windows import (
     WindowVector,
-    down_maps,
+    _dual,
     extend_window,
     koszul_maps,
     recursion_violations,
@@ -69,19 +69,38 @@ def _dense_koszul_maps(rep):
     return (kappa1, skew("b", n1, n2)), (nu, skew("a", n0, n1))
 
 
-def test_koszul_maps_match_the_sign_table():
-    # A global sign flip of kappa2 or mu keeps every rank and kernel, so the
-    # twist and rank tests cannot see it; this compares every entry.
+def _dense_transpose(m, sign=1):
+    return Mat.from_rows([[sign * row[j] for row in m.data] for j in range(m.cols)], cols=m.rows)
+
+
+def _sign_table_reps():
     pt_mix = standard_corpus()["pt_mix"]
     frac = point_module((0, 2, 3), "-7/3", 0)  # a3 = b3 = 3/2
-    reps = [pt_mix, frac, *(pushforward_module(d, 0) for d in range(4)), simple_module(1, 0),
+    return [pt_mix, frac, *(pushforward_module(d, 0) for d in range(4)), simple_module(1, 0),
             direct_sum(frac, pushforward_module(2, 0)), twist_up(pushforward_module(2, 0)),
-            zero_module(0)]
-    for rep in reps:
-        up, down = _dense_koszul_maps(rep)
+            point_module((1, 1, 1), 1, 0), zero_module(0)]
+
+
+def test_koszul_maps_match_the_sign_table():
+    # A global sign flip of kappa2 or mu keeps every rank and kernel, so the
+    # twist and rank tests cannot see it; this compares every entry.  The
+    # down direction reads the Koszul maps of the dual module, (nu^T, -mu^T).
+    for rep in _sign_table_reps():
+        up, (nu, mu) = _dense_koszul_maps(rep)
         assert koszul_maps(rep) == up, rep.label
-        assert down_maps(rep) == down, rep.label
+        kappa1, kappa2 = koszul_maps(_dual(rep))
+        assert (kappa1, kappa2) == (_dense_transpose(nu), _dense_transpose(mu, -1)), rep.label
+        assert (mu @ nu).is_zero() and (kappa1 @ kappa2).is_zero(), rep.label
+    frac = point_module((0, 2, 3), "-7/3", 0)
     assert any(type(v) is Fraction for row in koszul_maps(frac)[1].sparse for v in row.values())
+
+
+def test_dual_is_an_involution():
+    for rep in _sign_table_reps():
+        dual = _dual(rep)
+        assert dual.heart == -rep.heart - 2 and dual.dims == rep.dims[::-1]
+        assert check_relations(dual).ok, rep.label
+        assert _dual(dual, rep.label) == rep, rep.label
 
 
 def test_membership_pushforwards():
@@ -267,9 +286,3 @@ def test_direct_sum_twists():
     up = twist_up(ds)
     assert up.dims == tuple(x + y for x, y in zip(twist_up(a).dims, twist_up(b).dims))
     assert check_relations(up).ok
-
-
-def test_down_maps_compose_to_zero():
-    for rep in (point_module((1, 1, 1), 1, 0), pushforward_module(2, 0)):
-        nu, mu = down_maps(rep)
-        assert (mu @ nu).is_zero()
