@@ -95,6 +95,16 @@ def test_koszul_maps_match_the_sign_table():
     assert any(type(v) is Fraction for row in koszul_maps(frac)[1].sparse for v in row.values())
 
 
+def test_down_maps_compose_to_zero():
+    # The down maps (nu, mu) are read off the dual module's Koszul maps,
+    # (nu^T, -mu^T); their composite mu . nu must vanish.
+    for rep in (point_module((1, 1, 1), 1, 0), pushforward_module(2, 0)):
+        kappa1, kappa2 = koszul_maps(_dual(rep))
+        nu, mu = _dense_transpose(kappa1), _dense_transpose(kappa2, -1)
+        assert (mu @ nu).is_zero(), rep.label
+        assert (kappa1 @ kappa2).is_zero(), rep.label
+
+
 def test_dual_is_an_involution():
     for rep in _sign_table_reps():
         dual = _dual(rep)
