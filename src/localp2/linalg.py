@@ -2,11 +2,14 @@
 
 Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
-(``_echelon``) row-reduces them over Q or over GF(p) with integer residues.
-It backs ``rank`` in both modes and ``nullspace``, the one solver: kernels
-are all the twists and ``hom_space`` need.  The prime-field mode
-computes ranks modulo a large prime (> 2**30) and is contractually required
-to agree with the rational mode on the regression corpus.
+(``_echelon``) row-reduces them over Q or over GF(p).  It backs ``rank`` in
+both modes and ``nullspace``, the one solver: kernels are all the twists and
+``hom_space`` need.  The prime-field mode computes ranks modulo a large
+prime (> 2**30) and is contractually required to agree with the rational
+mode on the regression corpus.  Its values are symmetric residues, ints in
+[-p//2, p//2]: an in-range entry is used as it is, so ±1 stays ±1 (one
+30-bit digit, where p - 1 takes two), and a value is reduced only when it
+leaves the range.
 
 Exact scalars are integer-first: a value that enters a matrix (``scalar``,
 behind ``Mat.from_rows``) is stored as an ``int`` when it is integral and as
@@ -207,11 +210,26 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 
 
 def _axpy(row: dict, prow: dict, f, p: int) -> None:
-    """row -= f * prow in place, modulo p when p is nonzero; zeros are dropped."""
+    """row -= f * prow in place, over GF(p) when p is nonzero; zeros are dropped.
+
+    Over GF(p) every value is a symmetric residue in [-p//2, p//2], so a new
+    value is reduced only when it leaves that range, and 0 is the only
+    residue of a multiple of p.
+    """
+    if p:
+        h = p // 2
+        lo = -h
+        for j, v in prow.items():
+            x = row.get(j, 0) - f * v
+            if x > h or x < lo:
+                x = (x + h) % p - h
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        return
     for j, v in prow.items():
         x = row.get(j, 0) - f * v
-        if p:
-            x %= p
         if x:
             row[j] = x
         else:
@@ -219,20 +237,32 @@ def _axpy(row: dict, prow: dict, f, p: int) -> None:
 
 
 def _field_rows(m: Mat, p: int) -> list[dict]:
-    """Mutable copies of the nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q."""
+    """Mutable copies of the nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q.
+
+    Over GF(p) the values are symmetric residues in [-p//2, p//2]: an int
+    already in that range is kept as it is, so 0/±1 entries are never reduced.
+    """
     if not p:
         return [dict(row) for row in m.sparse if row]
+    h = p // 2
+    lo = -h
     out = []
     for row in m.sparse:
+        if not row:
+            continue
         residues = {}
         for j, x in row.items():
             if type(x) is int:
-                r = x % p
+                if lo <= x <= h:
+                    # A stored entry is nonzero, and so is its in-range residue.
+                    residues[j] = x
+                    continue
+                r = (x + h) % p - h
             elif x.denominator % p == 0:
                 raise ScalarModeError(
                     f"matrix entry {x} has a denominator divisible by the prime {p}")
             else:
-                r = x.numerator * pow(x.denominator, -1, p) % p
+                r = (x.numerator * pow(x.denominator, -1, p) + h) % p - h
             if r:
                 residues[j] = r
         if residues:
@@ -241,31 +271,36 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
 
 
 def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
-    """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p) (int residues).
+    """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p)
+    (symmetric residues in [-p//2, p//2], as ``_field_rows`` makes them).
 
     Each row is cleared at its leftmost column by the monic pivot row of that
     column until its leftmost column has no pivot yet; it then becomes that
-    column's monic pivot row.  Over Q a ±1 pivot keeps integer rows integral,
-    and any other pivot is inverted as ``Fraction(1, v)``, never as ``1 / v``.
+    column's monic pivot row.  In both fields a pivot of 1 is used as it
+    stands and one of -1 is negated, which keeps integer rows integral over Q
+    and residues in range over GF(p).  Any other pivot is inverted, over Q as
+    ``Fraction(1, v)``, never as ``1 / v``, and over GF(p) as
+    ``pow(v, -1, p)``, each product reduced back into range.
     Returns {pivot column: row}, its size is the rank.  With ``reduced`` the
     pivot rows are back-substituted into the reduced row echelon form, which
     is unique: each row only at the pivot columns it holds.  The rows are
     consumed.
     """
     pivots: dict[int, dict] = {}
+    h = p // 2
     for row in rows:
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 v = row[c]
-                if p:
-                    inv = pow(v, -1, p)
-                    pivots[c] = {j: x * inv % p for j, x in row.items()}
-                elif v == 1:
+                if v == 1:
                     pivots[c] = row
                 elif v == -1:
                     pivots[c] = {j: -x for j, x in row.items()}
+                elif p:
+                    inv = pow(v, -1, p)
+                    pivots[c] = {j: (x * inv + h) % p - h for j, x in row.items()}
                 else:
                     inv = Fraction(1, v)
                     pivots[c] = {j: x * inv for j, x in row.items()}

@@ -63,11 +63,18 @@ def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
     return kappa1, kappa2
 
 
-def _dual(rep: Representation, label: str | None = None) -> Representation:
-    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T."""
+def _dual(rep: Representation, label: str | None = None,
+          families: str = "abc") -> Representation:
+    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T.
+
+    Only the arrows of ``families`` are transposed and the others act by
+    zero: with "ab" the result carries just the Koszul maps of M^v, which is
+    all a membership test reads.
+    """
     mats = rep.matrices
     swap = {"a": "b", "b": "a", "c": "c"}
-    dual = {name: mats[swap[name[0]] + name[1]].transpose() for name in mats}
+    dual = {name: mats[swap[name[0]] + name[1]].transpose()
+            for name in mats if name[0] in families}
     return representation(-rep.heart - 2, rep.dims[::-1], dual, label)
 
 
@@ -115,7 +122,7 @@ def window_membership(rep: Representation, direction: str) -> MembershipReport:
     if direction not in _NAMES:
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
     if direction == "down":
-        rep = _dual(rep)
+        rep = _dual(rep, families="ab")
     return _membership(rep, *koszul_maps(rep), direction)
 
 

@@ -15,13 +15,14 @@ from localp2.homalg import (
     build_ext_complex_Y,
     euler_form_P2,
     euler_form_Y,
+    ext_dims_of,
     ext_dims_P2,
     ext_dims_Y,
     ext_report,
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import RATIONAL, Mat, PrimeScalars
+from localp2.linalg import RATIONAL, Mat, PrimeScalars, rank
 from localp2.quiver import (
     direct_sum,
     hom_space,
@@ -81,6 +82,19 @@ def test_ext_pushforward_ladder_matches_oracle(scalars):
     for a, m in enumerate(mods):
         for b, n in enumerate(mods):
             assert ext_dims_Y(m, n, scalars) == ext_pushforward(a, b), (a, b)
+
+
+def test_prime_ladder_past_o4_matches_oracle_and_rational_ranks():
+    # The 24 pairs with 5 <= max(a, b) <= 6: larger complexes than any other
+    # prime-mode check, each differential ranked in both modes.
+    mods = [pushforward_module(a, 0) for a in range(7)]
+    pairs = [(a, b) for a in range(7) for b in range(7) if max(a, b) >= 5]
+    assert len(pairs) == 24
+    for a, b in pairs:
+        cx = build_ext_complex_Y(mods[a], mods[b])
+        assert ext_dims_of(cx, PRIME) == ext_pushforward(a, b), (a, b)
+        assert [rank(d, PRIME) for d in cx.differentials] == \
+            [rank(d, RATIONAL) for d in cx.differentials], (a, b)
 
 
 def test_ext_oracles_simples():

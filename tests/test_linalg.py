@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localp2.errors import InputError, ScalarModeError, ShapeError
@@ -16,6 +16,8 @@ from localp2.linalg import (
     BlockMap,
     Mat,
     PrimeScalars,
+    _echelon,
+    _field_rows,
     block_diag,
     hstack,
     nullspace,
@@ -113,6 +115,67 @@ def test_prime_rank_rejects_denominator_divisible_by_p():
     assert rank(m) == 2
     with pytest.raises(ScalarModeError):
         rank(m, PRIME)
+
+
+# Entries at the edges of the symmetric residue range [-h, h] of PRIME, and
+# beyond it, with Fractions whose denominators are invertible mod p.
+_P, _H = PRIME.p, PRIME.p // 2
+_EDGE_INTS = [0, 1, -1, 2, -2, _H, -_H, _H + 1, -(_H + 1), _P - 1, _P, -_P, 2 * _P + 3, _P ** 2]
+edge_matrices = _matrices(st.one_of(
+    st.sampled_from(_EDGE_INTS),
+    st.builds(Fraction, st.sampled_from(_EDGE_INTS), st.sampled_from([2, 3, 7, _P + 1]))))
+
+
+def _rank_mod_p(rows: list[list], p: int) -> int:
+    # Dense textbook reference over GF(p), residues in [0, p).
+    a = [[Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in row]
+         for row in rows]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        inv = pow(a[r][c], -1, p)
+        a[r] = [x * inv % p for x in a[r]]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_matrices)
+@example([[1, _H], [2, -1]])
+@example([[_H + 1, 2], [2, 1]])
+def test_prime_rank_matches_dense_mod_p_elimination(rows):
+    assert rank(Mat.from_rows(rows), PRIME) == _rank_mod_p(rows, _P)
+
+
+def test_prime_rank_can_fall_below_rational_rank():
+    cases = [
+        ([[_P]], 1, 0),
+        ([[1, 1], [1, 1 + _P]], 2, 1),
+        # Every entry is in range, and row 2 minus twice row 1 is
+        # (0, -1 - 2h) = (0, -p): zero only once _axpy reduces it.
+        ([[1, _H], [2, -1]], 2, 1),
+    ]
+    for rows, over_q, mod_p in cases:
+        m = Mat.from_rows(rows)
+        assert (rank(m), rank(m, PRIME)) == (over_q, mod_p), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_matrices)
+@example([[1, _H], [2, -1]])
+def test_prime_residues_are_nonzero_and_symmetric(rows):
+    m = Mat.from_rows(rows)
+    field_rows = _field_rows(m, _P)
+    values = [x for row in field_rows for x in row.values()]
+    pivots = _echelon(field_rows, _P, False)
+    values += [x for row in pivots.values() for x in row.values()]
+    assert all(type(x) is int and x and -_H <= x <= _H for x in values)
 
 
 def test_prime_scalars_rejects_small_modulus():

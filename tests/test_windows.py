@@ -26,6 +26,7 @@ from localp2.quiver import (
 from localp2.windows import (
     WindowVector,
     _dual,
+    _membership,
     extend_window,
     koszul_maps,
     recursion_violations,
@@ -111,6 +112,17 @@ def test_dual_is_an_involution():
         assert dual.heart == -rep.heart - 2 and dual.dims == rep.dims[::-1]
         assert check_relations(dual).ok, rep.label
         assert _dual(dual, rep.label) == rep, rep.label
+
+
+def test_down_membership_reads_only_the_koszul_arrows():
+    # Down-membership transposes only the a and b arrows; its report must be
+    # the up-test of the whole dual module, c arrows included.
+    reps = _sign_table_reps() + [simple_module(v, 0) for v in (0, 2)] + \
+        [pushforward_module(3, n) for n in range(4)]
+    for rep in reps:
+        full = _dual(rep)
+        assert window_membership(rep, "down") == _membership(full, *koszul_maps(full), "down"), \
+            rep.label
 
 
 def test_membership_pushforwards():
