@@ -65,13 +65,28 @@ def _cell(name: str, fn) -> dict:
         return {"name": name, "status": "fail", "detail": {"error": str(exc)}}
 
 
-def _check_pair(m: Representation, n: Representation, scalars: Scalars) -> dict:
-    cy3 = homalg.verify_cy3_duality(m, n, scalars)
+def _check_pair(m: Representation, n: Representation, fwd, bwd) -> dict:
+    """The CY3/Euler cell of (m, n) from the dims ext(m, n) and ext(n, m)."""
+    cy3 = homalg.cy3_record(fwd, bwd)
     ext = cy3["ext_mn"]
     euler = homalg.euler_form_Y(m.dims, n.dims)
     alt = sum((-1) ** i * e for i, e in enumerate(ext))
     ok = alt == euler and cy3["passed"]
     return {"_ok": ok, "ext": ext, "euler": euler, "cy3": cy3["passed"]}
+
+
+def _ext_or_error(m: Representation, n: Representation, scalars: Scalars):
+    try:
+        return homalg.ext_dims_Y(m, n, scalars)
+    except LocalP2Error as exc:
+        return exc
+
+
+def _ext_dims(result):
+    """Ext dims kept by ``_ext_or_error``; the error it kept is raised in the cell that reads it."""
+    if isinstance(result, LocalP2Error):
+        raise result
+    return result
 
 
 def _twist_roundtrip(m: Representation) -> dict:
@@ -113,11 +128,15 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     # a corrupted fixture therefore fails exactly its own relation cell.
     objs = {name: rep for name, rep in objs.items() if checks[name].ok}
 
+    # Each core ordered pair is computed once: cell (a, b) reads ext(a, b)
+    # and ext(b, a), and mode agreement reads them again.
     pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
+    ext = {(a, b): _ext_or_error(objs[a], objs[b], scalars)
+           for a in pair_names for b in pair_names}
     for a in pair_names:
         for b in pair_names:
-            cells.append(_cell(f"ext:{a}|{b}",
-                               lambda a=a, b=b: _check_pair(objs[a], objs[b], scalars)))
+            cells.append(_cell(f"ext:{a}|{b}", lambda a=a, b=b: _check_pair(
+                objs[a], objs[b], _ext_dims(ext[a, b]), _ext_dims(ext[b, a]))))
 
     pool = [n for n in SUM_POOL_NAMES if n in objs]
     rng = random.Random(config.seed)
@@ -126,8 +145,8 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
         nc, nd = rng.choice(pool), rng.choice(pool)
         m = direct_sum(objs[na], objs[nb])
         n = direct_sum(objs[nc], objs[nd])
-        cells.append(_cell(f"cy3-sum:{i}:{na}+{nb}|{nc}+{nd}",
-                           lambda m=m, n=n: _check_pair(m, n, scalars)))
+        cells.append(_cell(f"cy3-sum:{i}:{na}+{nb}|{nc}+{nd}", lambda m=m, n=n: _check_pair(
+            m, n, homalg.ext_dims_Y(m, n, scalars), homalg.ext_dims_Y(n, m, scalars))))
 
     lo, hi = config.window
     for identity, fn in characters.IDENTITIES.items():
@@ -165,7 +184,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
             for a in pair_names:
                 for b in pair_names:
                     rat = homalg.ext_dims_Y(objs[a], objs[b], RATIONAL)
-                    mod = homalg.ext_dims_Y(objs[a], objs[b], scalars)
+                    mod = _ext_dims(ext[a, b])
                     if rat != mod:
                         mismatches.append({"pair": [a, b], "rational": list(rat),
                                            "prime": list(mod)})

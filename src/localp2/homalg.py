@@ -16,11 +16,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
-from .linalg import RATIONAL, BlockMap, Mat, Scalars, rank
+from .linalg import RATIONAL, BlockMap, Mat, Scalars, TermTable, rank
 from .quiver import (
     ARROW_SPACE,
+    BEILINSON,
     CYCLES,
-    D0_TERMS,
+    D0_TABLES,
+    JACOBI,
     VERTEX_SPACE,
     VERTICES,
     Representation,
@@ -50,15 +52,17 @@ def _check_composition(diffs: Sequence[Mat], side: str) -> None:
 # i - 1, b_j j + 2 and c_k k + 5.  Y d1 is the Leibniz linearization of the
 # nine 2-term relations: the component indexed by an arrow is the derivative
 # of its relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
-# c-derivative relations.
-_Y_D1 = tuple(term for i, j, k, e in CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
-              for term in ((a, c, b, True, e), (a, b, c, False, e),
-                           (b, a, c, True, e), (b, c, a, False, e),
-                           (c, b, a, True, e), (c, a, b, False, e)))
-_Y_D2 = tuple(term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
-              for term in ((src, x, x, True, 1), (tgt, x, x, False, -1)))
-_P2_D1 = tuple(term for i, j, k, e in CYCLES
-               for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
+# c-derivative relations.  Each is a validated write-once ``TermTable``: the
+# cycles (i, j, k) are the permutations of (1, 2, 3), so any two of their
+# indices fix the third and no (out, in) block pair repeats.
+_Y_D1 = TermTable(term for i, j, k, e in CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
+                  for term in ((a, c, b, True, e), (a, b, c, False, e),
+                               (b, a, c, True, e), (b, c, a, False, e),
+                               (c, b, a, True, e), (c, a, b, False, e)))
+_Y_D2 = TermTable(term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
+                  for term in ((src, x, x, True, 1), (tgt, x, x, False, -1)))
+_P2_D1 = TermTable(term for i, j, k, e in CYCLES
+                   for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
 
 # One table per side: the term spaces in cohomological degree 0, 1, ..., then
 # the term tables of the differentials d0, d1, ...  d0 is the intertwiner
@@ -70,9 +74,9 @@ _P2_D1 = tuple(term for i, j, k, e in CYCLES
 # these spaces.
 EXT_TABLES = {
     "y": ((VERTEX_SPACE, ARROW_SPACE, tuple((label, c, r) for label, r, c in ARROW_SPACE),
-           VERTEX_SPACE), (D0_TERMS, _Y_D1, _Y_D2)),
+           VERTEX_SPACE), (D0_TABLES[JACOBI], _Y_D1, _Y_D2)),
     "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))),
-           (D0_TERMS[:12], _P2_D1)),
+           (D0_TABLES[BEILINSON], _P2_D1)),
 }
 
 
@@ -88,7 +92,10 @@ def _term_dims(terms) -> tuple[int, ...]:
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
     terms = _ext_terms(side, m, n)
     nm, mm = arrow_matrices(n), arrow_matrices(m)
-    diffs = [BlockMap(terms[d + 1], terms[d], table, nm, mm).matrix()
+    # Every differential entry is ± an arrow entry of m or n (write-once tables).
+    bm, bn = m.entry_bound, n.entry_bound
+    bound = None if bm is None or bn is None else max(bm, bn)
+    diffs = [BlockMap(terms[d + 1], terms[d], table, nm, mm, bound).matrix()
              for d, table in enumerate(EXT_TABLES[side][1])]
     _check_composition(diffs, side)
     return ExtComplex(side, _term_dims(terms), tuple(diffs))
@@ -140,13 +147,16 @@ def euler_form_P2(m: Sequence[int], n: Sequence[int]) -> int:
             + 3 * m[2] * n[0])
 
 
+def cy3_record(fwd: ExtDims, bwd: ExtDims) -> dict:
+    """Compare ext^i(m, n) = ``fwd[i]`` with ext^{3-i}(n, m) = ``bwd[3 - i]`` for i = 0..3."""
+    ok = all(fwd[i] == bwd[3 - i] for i in range(4))
+    return {"passed": ok, "ext_mn": list(fwd), "ext_nm": list(bwd)}
+
+
 def verify_cy3_duality(m: Representation, n: Representation,
                        scalars: Scalars = RATIONAL) -> dict:
     """Check ext^i(m, n) = ext^{3-i}(n, m) for i = 0..3."""
-    fwd = ext_dims_Y(m, n, scalars)
-    bwd = ext_dims_Y(n, m, scalars)
-    ok = all(fwd[i] == bwd[3 - i] for i in range(4))
-    return {"passed": ok, "ext_mn": list(fwd), "ext_nm": list(bwd)}
+    return cy3_record(ext_dims_Y(m, n, scalars), ext_dims_Y(n, m, scalars))
 
 
 def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) -> dict:

@@ -9,7 +9,14 @@ prime (> 2**30) and is contractually required to agree with the rational
 mode on the regression corpus.  Its values are symmetric residues, ints in
 [-p//2, p//2]: an in-range entry is used as it is, so ±1 stays ±1 (one
 30-bit digit, where p - 1 takes two), and a value is reduced only when it
-leaves the range.
+leaves the range.  A matrix whose ``entry_bound`` is known and at most p//2
+holds only such entries, so its rows are copied as over Q, unread.
+
+``BlockMap`` assembles the Ext differentials and intertwiner systems from
+write-once term tables (``TermTable``): no two terms share an (out block, in
+block) pair and every sign is ±1, so each entry of the map is written once
+and is ± one nonzero arrow entry.  Nothing is accumulated or filtered, and
+the largest |arrow entry| bounds every entry of the map.
 
 Exact scalars are integer-first: a value that enters a matrix (``scalar``,
 behind ``Mat.from_rows``) is stored as an ``int`` when it is integral and as
@@ -103,11 +110,15 @@ class Mat:
     ``sparse`` holds one ``{column: value}`` dict per row with no explicit
     zeros; the dicts are never mutated once a ``Mat`` holds them.  Values are
     ``int`` or ``Fraction``, never ``float`` (see the module docstring).
+    ``entry_bound``, when not None, is an int at least every |value|, and
+    every value is an int; only ``BlockMap.matrix`` records one.  It takes no
+    part in equality.
     """
 
     rows: int
     cols: int
     sparse: tuple[Row, ...]
+    entry_bound: int | None = None
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -241,10 +252,13 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
 
     Over GF(p) the values are symmetric residues in [-p//2, p//2]: an int
     already in that range is kept as it is, so 0/±1 entries are never reduced.
+    When ``m.entry_bound`` shows that every entry is such an int, the rows are
+    copied as over Q.
     """
-    if not p:
-        return [dict(row) for row in m.sparse if row]
     h = p // 2
+    if not p or (m.entry_bound is not None and m.entry_bound <= h):
+        # Over Q, or every entry is a nonzero int in range: its own residue.
+        return [dict(row) for row in m.sparse if row]
     lo = -h
     out = []
     for row in m.sparse:
@@ -348,6 +362,27 @@ MAX_DIM = 100_000
 Term = tuple[int, int, int, bool, int]  # (out block, in block, matrix index, left, sign)
 
 
+class TermTable(tuple):
+    """A write-once ``BlockMap`` term table: no (out block, in block) pair
+    repeats and every sign is 1 or -1, so each entry of the map is written by
+    one term, once, as ± one matrix entry.  Refused with ``ShapeError``
+    otherwise.  Static tables are validated once, where they are defined.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, terms):
+        table = super().__new__(cls, terms)
+        pairs = set()
+        for o, i, _, _, sign in table:
+            if type(sign) is not int or sign not in (1, -1):
+                raise ShapeError(f"term sign {sign!r} at block pair ({o}, {i}) is not ±1")
+            if (o, i) in pairs:
+                raise ShapeError(f"block pair ({o}, {i}) repeats in a term table")
+            pairs.add((o, i))
+        return table
+
+
 def _layout(blocks: Sequence[tuple[str, int, int]]) -> tuple[list[tuple[int, int, int]], int]:
     out, off = [], 0
     for _, r, c in blocks:
@@ -360,23 +395,32 @@ class BlockMap:
     """Assembles a sparse linear map between direct sums of Hom-spaces.
 
     Each block is a matrix space Hom(k^c, k^r) flattened row-major.  A term
-    ``(o, i, k, left, sign)`` adds phi -> sign * left[k] @ phi (``left``) or
+    ``(o, i, k, left, sign)`` maps phi -> sign * left[k] @ phi (``left``) or
     phi -> sign * phi @ right[k] from in-block ``i`` to out-block ``o``.  Each
-    Ext differential and intertwiner system is one static table of terms
-    (``homalg``, ``quiver``), applied at construction by one loop over integer
-    block offsets and the nonzero entries of each matrix (a zero matrix adds
-    nothing).  Term dimensions above ``MAX_DIM`` are refused first.
+    Ext differential and intertwiner system is one static ``TermTable``
+    (``homalg``, ``quiver``); a plain sequence of terms is validated as one
+    here.  The table is applied at construction by one loop over integer block
+    offsets and the nonzero entries of each matrix (a zero matrix adds
+    nothing); since no block pair repeats, each entry is stored once as
+    ``sign * v``, never summed, and is nonzero.  Term dimensions above
+    ``MAX_DIM`` are refused first.  ``entry_bound``, when given, is an int at
+    least every |entry| of ``left`` and ``right``, all ints, and ``matrix``
+    records it on the map.
     """
 
     def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
                  in_blocks: Sequence[tuple[str, int, int]], terms: Sequence[Term] = (),
-                 left: Sequence[Mat] = (), right: Sequence[Mat] = ()):
+                 left: Sequence[Mat] = (), right: Sequence[Mat] = (),
+                 entry_bound: int | None = None):
+        if type(terms) is not TermTable:
+            terms = TermTable(terms)
         self._blocks = (out_blocks, in_blocks)
         self._out, self.out_dim = _layout(out_blocks)
         self._in, self.in_dim = _layout(in_blocks)
         if max(self.out_dim, self.in_dim) > MAX_DIM:
             raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
                              f"size bound {MAX_DIM}")
+        self._entry_bound = entry_bound
         self._rows: list[Row] = [{} for _ in range(self.out_dim)]
         rows, out, inn = self._rows, self._out, self._in
         for o, i, k, is_left, sign in terms:
@@ -399,20 +443,15 @@ class BlockMap:
                     for c, v in mrow.items():
                         sv, base_i = sign * v, ioff + c * icols
                         for x in range(ocols):
-                            row = rows[base_o + x]
-                            row[base_i + x] = row.get(base_i + x, 0) + sv
+                            rows[base_o + x][base_i + x] = sv
                 else:
                     # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
                     for c, v in mrow.items():
-                        sv = sign * v
+                        sv, base_o, base_i = sign * v, ooff + c, ioff + r
                         for x in range(orows):
-                            row = rows[ooff + x * ocols + c]
-                            j = ioff + x * icols + r
-                            row[j] = row.get(j, 0) + sv
+                            rows[base_o + x * ocols][base_i + x * icols] = sv
 
     def matrix(self) -> Mat:
-        # The rows are complete after __init__, so they are shared, not copied;
-        # entries that cancelled to zero are dropped.
-        return Mat(self.out_dim, self.in_dim,
-                   tuple(row if 0 not in row.values() else
-                         {j: x for j, x in row.items() if x} for row in self._rows))
+        # The rows are complete after __init__ and hold no zero, so they are
+        # shared, not copied.
+        return Mat(self.out_dim, self.in_dim, tuple(self._rows), self._entry_bound)

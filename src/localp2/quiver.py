@@ -22,6 +22,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -32,7 +33,7 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .linalg import MAX_DIM, BlockMap, Mat, Scalar, block_diag, nullspace, scalar
+from .linalg import MAX_DIM, BlockMap, Mat, Scalar, TermTable, block_diag, nullspace, scalar
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -195,6 +196,16 @@ class Representation:
     dims: tuple[int, int, int]
     matrices: Mapping[str, Mat]
     label: str | None = None
+
+    @cached_property
+    def entry_bound(self) -> int | None:
+        """The largest |entry| of the arrow matrices (0 if none), or None when
+        an entry is not an int.  Every Ext differential entry is ± an arrow
+        entry of its two modules, so the larger of their bounds bounds it."""
+        values = [x for m in self.matrices.values() for row in m.sparse for x in row.values()]
+        if any(type(x) is not int for x in values):
+            return None
+        return max(map(abs, values), default=0)
 
 
 def _coerce_matrices(pres: QuiverPresentation, dims: Sequence[int],
@@ -390,11 +401,14 @@ def p2_restrict(rep: Representation) -> Representation:
 # phi_src . M_a - N_a . phi_tgt on arrow block a, is a table of BlockMap terms
 # (out block, in block, arrow, left with N or right with M, sign), two per
 # arrow in arrow order, so the plane side takes the first twelve.  It is also
-# the d0 of both Ext complexes (``homalg.EXT_TABLES``).
+# the d0 of both Ext complexes (``homalg.EXT_TABLES``).  Both are validated
+# write-once tables: an arrow's source and target differ, so no (out, in)
+# block pair repeats.
 VERTEX_SPACE = tuple((f"v{v}", v, v) for v in VERTICES)
 ARROW_SPACE = tuple((a.name, a.source, a.target) for a in _ARROWS)
-D0_TERMS = tuple(term for x, a in enumerate(_ARROWS)
-                 for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
+D0_TERMS = TermTable(term for x, a in enumerate(_ARROWS)
+                     for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
+D0_TABLES = {JACOBI: D0_TERMS, BEILINSON: TermTable(D0_TERMS[:2 * len(BEILINSON.arrows)])}
 
 
 def hom_blocks(space: Sequence[tuple[str, int, int]], m, n) -> list[tuple[str, int, int]]:
@@ -409,7 +423,7 @@ def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n."""
     k = len(m.presentation.arrows)
     return BlockMap(hom_blocks(ARROW_SPACE[:k], m, n), hom_blocks(VERTEX_SPACE, m, n),
-                    D0_TERMS[:2 * k], arrow_matrices(n), arrow_matrices(m)).matrix()
+                    D0_TABLES[m.presentation], arrow_matrices(n), arrow_matrices(m)).matrix()
 
 
 class HomSpace(NamedTuple):

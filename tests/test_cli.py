@@ -17,9 +17,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from localp2 import corpus
+from localp2 import corpus, homalg
 from localp2.cli import build_parser, main
-from localp2.errors import InputError
+from localp2.errors import InputError, LocalP2Error
 from localp2.linalg import Mat, PrimeScalars
 from localp2.quiver import (
     ARROW_ORDER,
@@ -204,6 +204,41 @@ def test_corpus_corrupted_fixture_fails_exactly_one_cell():
     failing = [c["name"] for c in rep["cells"] if c["status"] != "pass"]
     assert failing == ["relations:bad"]
     assert rep["passed"] is False
+
+
+def test_corpus_ext_error_fails_only_the_cells_that_read_it():
+    # pt_diag with an entry 1/p: every prime-mode Ext of it raises, and each
+    # core pair is computed once, so the error must reach exactly the cells
+    # that read that pair: ext cells (a, b) and (b, a), and mode agreement.
+    prime = PrimeScalars(2147483659)
+    objs = corpus.standard_corpus()
+    objs["pt_diag"] = point_module((1, Fraction(1, prime.p), 1), 1, 0, label="pt_diag")
+    rational = corpus.run_corpus(corpus.RunConfig(sum_samples=8), objects=objs)
+    assert rational["passed"]
+    rep = corpus.run_corpus(corpus.RunConfig(scalars=prime, sum_samples=8), objects=objs)
+    cells = {c["name"]: c for c in rep["cells"]}
+    assert len(cells) == len(rational["cells"]) + 1
+
+    def first_error(*pairs):
+        for a, b in pairs:
+            try:
+                homalg.ext_dims_Y(objs[a], objs[b], prime)
+            except LocalP2Error as exc:
+                return str(exc)
+        return None
+
+    names = corpus.CORE_PAIR_NAMES
+    for a in names:
+        for b in names:
+            cell, error = cells[f"ext:{a}|{b}"], first_error((a, b), (b, a))
+            assert (cell["status"] == "fail") is ("pt_diag" in (a, b)) is (error is not None)
+            assert cell["detail"].get("error") == error
+    assert cells["mode-agreement"]["detail"] == {
+        "error": first_error(*((a, b) for a in names for b in names))}
+    for name, cell in cells.items():
+        assert (cell["status"] == "pass") is not (
+            "pt_diag" in name and not name.startswith(("relations:", "window:", "twist-round"))
+            or name == "mode-agreement"), name
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from localp2.errors import HeartMismatchError
 from localp2.homalg import (
+    EXT_TABLES,
     _ext_terms,
     build_ext_complex_P2,
     build_ext_complex_Y,
@@ -22,8 +24,9 @@ from localp2.homalg import (
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import RATIONAL, Mat, PrimeScalars, rank
+from localp2.linalg import RATIONAL, Mat, PrimeScalars, TermTable, _field_rows, rank
 from localp2.quiver import (
+    D0_TABLES,
     direct_sum,
     hom_space,
     intertwiner_matrix,
@@ -35,6 +38,8 @@ from localp2.quiver import (
     zero_module,
 )
 from oracles import ext_point_self_P2, ext_point_self_Y, ext_pushforward
+from test_golden_complexes import golden_objects
+from test_linalg import _EDGE_INTS
 
 PRIME = PrimeScalars(2147483659)
 
@@ -278,3 +283,89 @@ def test_ext_d0_is_the_intertwiner_system_of_hom_space():
         assert build_ext_complex_Y(m, n).differentials[0] == intertwiner_matrix(m, n)
         mp, np_ = p2_restrict(m), p2_restrict(n)
         assert build_ext_complex_P2(mp, np_).differentials[0] == intertwiner_matrix(mp, np_)
+
+
+# Write-once assembly: every term table names each (out block, in block) pair
+# once with sign ±1, so each differential entry is ± one nonzero arrow entry
+# of the two modules, and the larger of their entry bounds bounds it.
+
+def test_shipped_term_tables_are_write_once():
+    tables = [t for _, diffs in EXT_TABLES.values() for t in diffs] + list(D0_TABLES.values())
+    assert [len(t) for t in EXT_TABLES["y"][1]] == [18, 36, 18]
+    assert [len(t) for t in EXT_TABLES["p2"][1]] == [12, 12]
+    for table in tables:
+        assert type(table) is TermTable and TermTable(tuple(table)) == table
+        assert len({(o, i) for o, i, *_ in table}) == len(table)
+        assert {sign for *_, sign in table} <= {1, -1}
+
+
+def _arrow_values(*reps) -> list:
+    return [v for rep in reps for m in rep.matrices.values() for row in m.sparse
+            for v in row.values()]
+
+
+def _assert_write_once(m, n):
+    for build, mm, nn in ((build_ext_complex_Y, m, n),
+                          (build_ext_complex_P2, p2_restrict(m), p2_restrict(n))):
+        arrows = _arrow_values(mm, nn)
+        magnitudes = {abs(v) for v in arrows}
+        exact_ints = all(type(v) is int for v in arrows)
+        for d in build(mm, nn).differentials:
+            values = [v for row in d.sparse for v in row.values()]
+            assert all(v and abs(v) in magnitudes for v in values)
+            if exact_ints:
+                assert d.entry_bound == max(map(abs, arrows), default=0)
+                assert all(abs(v) <= d.entry_bound for v in values)
+            else:
+                assert d.entry_bound is None
+
+
+def test_differentials_are_signed_arrow_entries_on_golden_objects_and_sums():
+    objs = golden_objects()
+    pt_mix = objs["pt_mix"]
+    for m in objs.values():
+        for n in objs.values():
+            _assert_write_once(m, n)
+        _assert_write_once(direct_sum(pt_mix, m), m)
+        _assert_write_once(m, direct_sum(m, pt_mix))
+
+
+_edge_scalars = st.one_of(st.sampled_from(_EDGE_INTS),
+                          st.builds(Fraction, st.sampled_from(_EDGE_INTS), st.sampled_from([2, 3])))
+_edge_points = st.builds(lambda x, y, t: point_module((1, x, y), t), _edge_scalars, _edge_scalars,
+                         _edge_scalars)
+_edge_modules = st.one_of(
+    _edge_points,
+    st.builds(direct_sum, _edge_points,
+              st.one_of(_edge_points, st.sampled_from([pushforward_module(1), simple_module(2)]))))
+
+
+def _bound_cleared(cx):
+    return replace(cx, differentials=tuple(Mat(d.rows, d.cols, d.sparse)
+                                           for d in cx.differentials))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_edge_modules, _edge_modules)
+def test_edge_entries_keep_write_once_and_prime_dims_with_or_without_bound(m, n):
+    # Entries h, h + 1, p and -p sit at and beyond the symmetric residue range:
+    # a recorded bound lets in-range rows be copied unread, and the dims must
+    # be those of the per-entry residue walk that a cleared bound takes.
+    _assert_write_once(m, n)
+    for cx in (build_ext_complex_Y(m, n), build_ext_complex_P2(p2_restrict(m), p2_restrict(n))):
+        assert ext_dims_of(cx, PRIME) == ext_dims_of(_bound_cleared(cx), PRIME)
+
+
+def test_entry_equal_to_p_takes_the_residue_walk():
+    p, h = PRIME.p, PRIME.p // 2
+    in_range, at_p = point_module((1, h, -h), 1), point_module((1, p, 0), 1)
+    assert in_range.entry_bound == h and at_p.entry_bound == p
+    for m, walks in ((in_range, False), (at_p, True)):
+        d0 = build_ext_complex_Y(m, m).differentials[0]
+        rows = _field_rows(d0, p)
+        assert (rows != [dict(r) for r in d0.sparse if r]) is walks
+        assert all(type(x) is int and x and -h <= x <= h for row in rows for x in row.values())
+    # Mod p the point (1 : p : 0) is (1 : 0 : 0).
+    pt = point_module((1, 0, 0), 1)
+    assert ext_dims_Y(at_p, at_p, PRIME) == ext_dims_Y(pt, pt) == (1, 3, 3, 1)
+    assert ext_dims_Y(at_p, pt, PRIME) == (1, 3, 3, 1) != ext_dims_Y(at_p, pt)

@@ -16,6 +16,7 @@ from localp2.linalg import (
     BlockMap,
     Mat,
     PrimeScalars,
+    TermTable,
     _echelon,
     _field_rows,
     block_diag,
@@ -252,14 +253,14 @@ def test_blockmap_refuses_terms_above_the_size_bound():
 
 
 def test_blockmap_term_table_matches_one_term_tables():
-    # Two out blocks, two in blocks; terms in any order, a zero matrix and a
-    # cancelling pair: the table gives the sum of its one-term tables.
+    # Two out blocks, two in blocks; terms in any order on distinct block
+    # pairs, one matrix with a Fraction entry: the table gives the sum of its
+    # one-term tables.  A zero matrix adds nothing.
     out_blocks, in_blocks = [("p", 2, 3), ("q", 2, 2)], [("x", 3, 3), ("y", 2, 3)]
     left = [Mat.from_rows([[1, 0, 2], [0, -1, 1]]), Mat.zeros(2, 2)]
     right = [Mat.from_rows([[0, 1], [1, 0], [3, 0]]), Mat.from_rows([[1, 0, Fraction(1, 2)],
                                                                      [2, 1, 0], [0, 0, 1]])]
-    terms = [(0, 0, 0, True, 1), (1, 1, 0, False, -1), (0, 1, 1, True, 2),
-             (0, 1, 1, False, 1), (0, 1, 1, False, -1)]
+    terms = [(0, 1, 1, False, 1), (0, 0, 0, True, 1), (1, 1, 0, False, -1)]
     with pytest.raises(ShapeError):
         BlockMap(out_blocks, in_blocks, [(1, 0, 0, True, 1)], left, right)
     one_term = [BlockMap(out_blocks, in_blocks, [t], left, right).matrix().data for t in terms]
@@ -267,6 +268,18 @@ def test_blockmap_term_table_matches_one_term_tables():
     assert table.data == tuple(tuple(map(sum, zip(*rows))) for rows in zip(*one_term))
     assert not table.is_zero()
     assert all(v for row in table.sparse for v in row.values())
+    assert Fraction(1, 2) in table.sparse[2].values()
+    assert BlockMap(out_blocks, in_blocks, [(0, 1, 1, True, 1)], left, right).matrix().is_zero()
+    # A table is write-once: a repeated block pair (here a cancelling one, and
+    # a left and a right term on one pair) and a sign other than ±1 are refused.
+    for bad in ([(0, 1, 1, False, 1), (0, 1, 1, False, -1)],
+                [(0, 1, 1, True, 1), (0, 1, 1, False, 1)],
+                [(0, 1, 1, True, 2)],
+                [(0, 0, 0, True, True)]):
+        with pytest.raises(ShapeError):
+            BlockMap(out_blocks, in_blocks, bad, left, right)
+        with pytest.raises(ShapeError):
+            TermTable(bad)
 
 
 def test_from_rows_stores_integral_values_as_int():
@@ -290,9 +303,15 @@ def test_operations_on_int_matrices_produce_exact_scalars():
     for out in (m @ m.transpose(), nullspace(m)[0]):
         assert _exact(out)
     assert all(type(v) is int for v in _values(m @ m.transpose()))
-    bm = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, -1), (0, 0, 0, False, 1)],
-                  [Mat.from_rows([[1, 2], [0, 1]])], [Mat.from_rows([[1, 1], [2, 0]])])
+    # (phi, psi) -> -L phi + psi R: a left and a right term on two distinct
+    # in blocks, since one block pair takes one term.
+    mats = [Mat.from_rows([[1, 2], [0, 1]])], [Mat.from_rows([[1, 1], [2, 0]])]
+    bm = BlockMap([("out", 2, 2)], [("phi", 2, 2), ("psi", 2, 2)],
+                  [(0, 0, 0, True, -1), (0, 1, 0, False, 1)], *mats)
     assert all(type(v) is int for v in _values(bm.matrix()))
+    with pytest.raises(ShapeError):
+        BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, -1), (0, 0, 0, False, 1)],
+                 *mats)
     # The identity entries of a kernel basis are ints.
     assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))[0]))
 
