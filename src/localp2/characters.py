@@ -19,9 +19,9 @@ A character is stored as one flat sparse integer map on (symbol, variable)
 pairs, with variable None for the constant term; sums, scaling and differences
 are dict operations, and exponents are grouped per symbol only to be rendered
 (``format_form``) or evaluated.  The Koszul rewrite and the extension rule are
-both linear substitutions of symbols and variables, done by the single routine
-``_substitute``; a key with neither its symbol nor its variable mapped is
-carried over as it is.
+both linear substitutions of symbols and variables by one map, done by the
+single routine ``_substitute``; a key with neither its symbol nor its variable
+mapped is carried over as it is.
 
 The characters of the two complexes are read off the very term spaces whose
 ranks ``homalg`` computes (``homalg.EXT_TABLES``): each degree's blocks are
@@ -165,18 +165,18 @@ def _fresh(coeffs: dict[Key, int]) -> DetCharacter:
     return char
 
 
-def _substitute(char: DetCharacter, symbol_map: Mapping[Var, Mapping[Var, int]],
-                variable_map: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
+def _substitute(char: DetCharacter, mapping: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
     """Replace every mapped symbol and variable by its integer combination, in one pass.
 
-    Unmapped symbols and variables, and the constant term, stay as they are.
-    A replacement must not mention a mapped key again (the rewrites here never
-    do), so the result does not depend on the order of the substitutions.
+    One map serves symbols and variables alike.  Unmapped symbols and
+    variables, and the constant term, stay as they are.  A replacement must
+    not mention a mapped key again (the rewrites here never do), so the
+    result does not depend on the order of the substitutions.
     """
     out: dict[Key, int] = {}
     for key, c in char.coeffs.items():
         s, v = key
-        smap, vmap = symbol_map.get(s), variable_map.get(v)
+        smap, vmap = mapping.get(s), mapping.get(v)
         if smap is None and vmap is None:
             out[key] = out.get(key, 0) + c
             continue
@@ -214,7 +214,7 @@ def koszul_rewrite(char: DetCharacter, k: int, direction: str = "up") -> DetChar
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
     offset, combo = _KOSZUL[direction]
     relation = {(b, k + offset): {(b, k + j): c for j, c in combo} for b in char.branches()}
-    return _substitute(char, relation, relation)
+    return _substitute(char, relation)
 
 
 def _layout(spaces) -> tuple:
@@ -270,7 +270,7 @@ def expand_extension(char: DetCharacter, whole: str = "2",
     a, b = parts
     split = {x: {(a, x[1]): 1, (b, x[1]): 1}
              for key in char.coeffs for x in key if x is not None and x[0] == whole}
-    return _substitute(char, split, split)
+    return _substitute(char, split)
 
 
 def char_diff(lhs: DetCharacter, rhs: DetCharacter) -> list[dict]:

@@ -17,6 +17,7 @@ from .quiver import (
     check_relations,
     direct_sum,
     hom_space,
+    p2_restrict,
     point_module,
     pushforward_module,
     simple_module,
@@ -75,20 +76,6 @@ def _check_pair(m: Representation, n: Representation, fwd, bwd) -> dict:
     return {"_ok": ok, "ext": ext, "euler": euler, "cy3": cy3["passed"]}
 
 
-def _ext_or_error(m: Representation, n: Representation, scalars: Scalars):
-    try:
-        return homalg.ext_dims_Y(m, n, scalars)
-    except LocalP2Error as exc:
-        return exc
-
-
-def _ext_dims(result):
-    """Ext dims kept by ``_ext_or_error``; the error it kept is raised in the cell that reads it."""
-    if isinstance(result, LocalP2Error):
-        raise result
-    return result
-
-
 def _twist_roundtrip(m: Representation) -> dict:
     up = windows.twist_up(m)
     back = windows.twist_down(up)
@@ -98,8 +85,8 @@ def _twist_roundtrip(m: Representation) -> dict:
             "hom_dims": list(homs)}
 
 
-def _twist_ext_invariance(m: Representation, n: Representation, scalars: Scalars) -> dict:
-    before = homalg.ext_dims_Y(m, n, scalars)
+def _twist_ext_invariance(m: Representation, n: Representation, before: homalg.ExtDims,
+                          scalars: Scalars) -> dict:
     after = homalg.ext_dims_Y(windows.twist_up(m), windows.twist_up(n), scalars)
     return {"_ok": before == after, "before": list(before), "after": list(after)}
 
@@ -128,25 +115,39 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     # a corrupted fixture therefore fails exactly its own relation cell.
     objs = {name: rep for name, rep in objs.items() if checks[name].ok}
 
-    # Each core ordered pair is computed once: cell (a, b) reads ext(a, b)
-    # and ext(b, a), and mode agreement reads them again.
+    # Per-run memos keyed by object names: ``module`` takes a name, or a pair
+    # of names whose direct sum it builds once; ``ext`` computes each ordered
+    # pair once, when a cell first reads it.  An error is not kept: every cell
+    # that reads a failing pair raises it again.
+    modules: dict = dict(objs)
+    exts: dict = {}
+
+    def module(key) -> Representation:
+        if key not in modules:
+            modules[key] = direct_sum(objs[key[0]], objs[key[1]])
+        return modules[key]
+
+    def ext(x, y) -> homalg.ExtDims:
+        if (x, y) not in exts:
+            exts[x, y] = homalg.ext_dims_Y(module(x), module(y), scalars)
+        return exts[x, y]
+
+    def pair_cell(name: str, x, y) -> None:
+        # Both modules are built outside ``_cell``: an error there is not a cell's.
+        m, n = module(x), module(y)
+        cells.append(_cell(name, lambda: _check_pair(m, n, ext(x, y), ext(y, x))))
+
     pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
-    ext = {(a, b): _ext_or_error(objs[a], objs[b], scalars)
-           for a in pair_names for b in pair_names}
     for a in pair_names:
         for b in pair_names:
-            cells.append(_cell(f"ext:{a}|{b}", lambda a=a, b=b: _check_pair(
-                objs[a], objs[b], _ext_dims(ext[a, b]), _ext_dims(ext[b, a]))))
+            pair_cell(f"ext:{a}|{b}", a, b)
 
     pool = [n for n in SUM_POOL_NAMES if n in objs]
     rng = random.Random(config.seed)
     for i in range(config.sum_samples):
         na, nb = rng.choice(pool), rng.choice(pool)
         nc, nd = rng.choice(pool), rng.choice(pool)
-        m = direct_sum(objs[na], objs[nb])
-        n = direct_sum(objs[nc], objs[nd])
-        cells.append(_cell(f"cy3-sum:{i}:{na}+{nb}|{nc}+{nd}", lambda m=m, n=n: _check_pair(
-            m, n, homalg.ext_dims_Y(m, n, scalars), homalg.ext_dims_Y(n, m, scalars))))
+        pair_cell(f"cy3-sum:{i}:{na}+{nb}|{nc}+{nd}", (na, nb), (nc, nd))
 
     lo, hi = config.window
     for identity, fn in characters.IDENTITIES.items():
@@ -168,12 +169,16 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     for a, b in (("pt_diag", "line1"), ("line1", "line2"), ("pt_e0", "pt_diag")):
         if a in objs and b in objs:
             cells.append(_cell(f"twist-ext-invariance:{a}|{b}",
-                               lambda a=a, b=b: _twist_ext_invariance(objs[a], objs[b], scalars)))
+                               lambda a=a, b=b: _twist_ext_invariance(
+                                   objs[a], objs[b], ext(a, b), scalars)))
+
+    def triangle(name: str) -> dict:
+        ey, mp = ext(name, name), p2_restrict(objs[name])
+        rep = homalg.triangle_record(ey, homalg.ext_dims_P2(mp, mp, scalars))
+        return {"_ok": rep["passed"], "ext_y": rep["ext_y"], "ext_p2": rep["ext_p2"]}
 
     for name in (n for n in TRIANGLE_NAMES if n in objs):
-        cells.append(_cell(f"triangle:{name}", lambda name=name: (
-            lambda rep: {"_ok": rep["passed"], "ext_y": rep["ext_y"], "ext_p2": rep["ext_p2"]}
-        )(homalg.verify_pushforward_triangle(objs[name], scalars))))
+        cells.append(_cell(f"triangle:{name}", lambda name=name: triangle(name)))
 
     for name, rep in objs.items():
         cells.append(_cell(f"window:{name}", lambda rep=rep: _window_cell(rep)))
@@ -184,7 +189,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
             for a in pair_names:
                 for b in pair_names:
                     rat = homalg.ext_dims_Y(objs[a], objs[b], RATIONAL)
-                    mod = _ext_dims(ext[a, b])
+                    mod = ext(a, b)
                     if rat != mod:
                         mismatches.append({"pair": [a, b], "rational": list(rat),
                                            "prime": list(mod)})

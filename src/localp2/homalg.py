@@ -159,26 +159,20 @@ def verify_cy3_duality(m: Representation, n: Representation,
     return cy3_record(ext_dims_Y(m, n, scalars), ext_dims_Y(n, m, scalars))
 
 
-def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) -> dict:
-    """Compare self-Ext on the 3-fold with the two plane contributions.
+def triangle_record(ey: ExtDims, ep: ExtDims) -> dict:
+    """Compare self-Ext on the 3-fold, ``ey``, with the two plane contributions of ``ep``.
 
-    Checks e^i_Y = e^i_P2 + e^{3-i}_P2 degreewise; a mismatch is reported,
-    flagged as potentially caused by nonzero connecting maps.
+    Checks e^i_Y = e^i_P2 + e^{3-i}_P2 degreewise, where ``ep`` is the plane
+    self-Ext of the restriction; a mismatch is reported, flagged as
+    potentially caused by nonzero connecting maps.
     """
-    ey = ext_dims_Y(m, m, scalars)
-    mp = p2_restrict(m)
-    ep = ext_dims_P2(mp, mp, scalars)
-
     def p2(i: int) -> int:
         return ep[i] if 0 <= i <= 2 else 0
 
-    per_degree = []
-    ok = True
-    for i in range(4):
-        lhs = ey[i]
-        rhs = p2(i) + p2(3 - i)
-        per_degree.append({"degree": i, "y": lhs, "p2_sum": rhs, "equal": lhs == rhs})
-        ok = ok and lhs == rhs
+    rhs = [p2(i) + p2(3 - i) for i in range(4)]
+    per_degree = [{"degree": i, "y": ey[i], "p2_sum": rhs[i], "equal": ey[i] == rhs[i]}
+                  for i in range(4)]
+    ok = all(d["equal"] for d in per_degree)
     return {
         "passed": ok,
         "ext_y": list(ey),
@@ -186,6 +180,13 @@ def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) 
         "per_degree": per_degree,
         "note": None if ok else "mismatch may come from nonzero connecting maps",
     }
+
+
+def verify_pushforward_triangle(m: Representation, scalars: Scalars = RATIONAL) -> dict:
+    """``triangle_record`` of the self-Ext of m and of its plane restriction."""
+    ey = ext_dims_Y(m, m, scalars)
+    mp = p2_restrict(m)
+    return triangle_record(ey, ext_dims_P2(mp, mp, scalars))
 
 
 def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:

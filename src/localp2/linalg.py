@@ -174,6 +174,8 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.is_zero() or other.is_zero():
+            return Mat.zeros(self.rows, other.cols)
         out = []
         for row in self.sparse:
             if not row:

@@ -151,10 +151,12 @@ def _twist(rep: Representation, direction: str, heart: int,
         new_mats[f"a{i}"] = mats[f"b{i}"]
     for j in (1, 2, 3):
         new_mats[f"b{j}"] = Mat(h2, new_top, kernel.sparse[(j - 1) * h2: j * h2])
+    # The c-composites c_j a_k for j = 1, 2, 3 are one product with the stacked c's.
+    c_stack = vstack([mats[f"c{j}"] for j in (1, 2, 3)])
     for k in (1, 2, 3):
         # The kernel basis is the identity at its free rows, so a vector of the
         # kernel has its coordinates there.
-        stacked = vstack([mats[f"c{j}"] @ mats[f"a{k}"] for j in (1, 2, 3)])
+        stacked = c_stack @ mats[f"a{k}"]
         coords = Mat(new_top, h1, tuple(stacked.sparse[f] for f in free))
         if kernel @ coords != stacked:
             raise InternalCheckError(f"twist_{direction}: c-composites left the kernel")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -239,6 +241,40 @@ def test_corpus_ext_error_fails_only_the_cells_that_read_it():
         assert (cell["status"] == "pass") is not (
             "pt_diag" in name and not name.startswith(("relations:", "window:", "twist-round"))
             or name == "mode-agreement"), name
+
+
+@pytest.mark.parametrize("scalars", [corpus.RATIONAL, PrimeScalars(2147483659)])
+def test_corpus_builds_each_module_and_each_ext_once(monkeypatch, scalars):
+    # A module is told apart by its label and content; mode agreement's
+    # rational Exts are a different build from the prime ones.
+    builds: Counter = Counter()
+    sums: Counter = Counter()
+    ext_dims_Y, direct_sum = homalg.ext_dims_Y, corpus.direct_sum
+
+    def counted_ext(m, n, s=corpus.RATIONAL):
+        builds[tuple((r.label, r.heart, r.dims, tuple(r.matrices.items())) for r in (m, n)),
+               s.name] += 1
+        return ext_dims_Y(m, n, s)
+
+    def counted_sum(a, b, label=None):
+        sums[id(a), id(b)] += 1
+        return direct_sum(a, b, label)
+
+    monkeypatch.setattr(homalg, "ext_dims_Y", counted_ext)
+    monkeypatch.setattr(corpus, "direct_sum", counted_sum)
+    assert corpus.run_corpus(corpus.RunConfig(scalars=scalars))["passed"]
+    assert [k for k, count in builds.items() if count > 1] == []
+    assert set(sums.values()) == {1}
+
+
+def test_corpus_leaves_no_garbage_cycle():
+    gc.collect()
+    gc.disable()
+    try:
+        assert corpus.run_corpus(corpus.RunConfig())["passed"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_malformed_file_is_input_error(tmp_path, capsys):

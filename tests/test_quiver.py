@@ -6,6 +6,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localp2.errors import HeartMismatchError, HeartRangeError, InputError, ShapeError
 from localp2.linalg import MAX_DIM, Mat
@@ -192,6 +194,55 @@ def test_relation_violation_detected():
     mats = dict(pt.matrices)
     mats["a1"] = Mat.from_rows([[3]])
     assert not check_relations(representation(0, pt.dims, mats)).ok
+
+
+def _violated_reference(rep):
+    # Each relation of the presentation is the cyclic derivative of the
+    # potential by one arrow; evaluate it entry by entry on dense rows.
+    names = ARROW_ORDER if rep.presentation is JACOBI else ("c1", "c2", "c3")
+    violated = []
+    for name in names:
+        acc = {}
+        for coeff, (u, v) in cyclic_derivative(POTENTIAL, name):
+            left, right = rep.matrices[v].data, rep.matrices[u].data
+            for r, row in enumerate(left):
+                for j in range(rep.matrices[u].cols):
+                    acc[r, j] = acc.get((r, j), 0) + coeff * sum(
+                        x * right[k][j] for k, x in enumerate(row))
+        if any(acc.values()):
+            violated.append(f"rel_{name}")
+    return tuple(violated)
+
+
+_small_modules = st.one_of(
+    st.builds(lambda p, t: point_module(p, t, 0),
+              st.tuples(*[st.integers(-2, 2)] * 3).filter(any),
+              st.fractions(-2, 2, max_denominator=3)),
+    st.builds(pushforward_module, st.integers(0, 2)),
+    st.builds(simple_module, st.sampled_from((0, 1, 2))))
+
+
+@st.composite
+def _maybe_perturbed(draw):
+    rep = draw(st.one_of(_small_modules, st.builds(direct_sum, _small_modules, _small_modules)))
+    if draw(st.booleans()):
+        rep = p2_restrict(rep)
+    mats = dict(rep.matrices)
+    nonempty = [a for a, m in mats.items() if m.rows and m.cols]
+    if nonempty and draw(st.booleans()):
+        a = draw(st.sampled_from(nonempty))
+        r, c = draw(st.integers(0, mats[a].rows - 1)), draw(st.integers(0, mats[a].cols - 1))
+        data = [list(row) for row in mats[a].data]
+        data[r][c] += draw(st.sampled_from((-2, -1, 1, Fraction(1, 2))))
+        mats[a] = Mat.from_rows(data)
+    return representation(rep.heart, rep.dims, mats, presentation=rep.presentation)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_maybe_perturbed())
+def test_check_relations_matches_entrywise_cyclic_derivatives(rep):
+    violated = _violated_reference(rep)
+    assert check_relations(rep) == (not violated, violated)
 
 
 def test_shape_errors_are_distinct_from_relation_failures():
