@@ -9,16 +9,8 @@ moving a module between adjacent hearts.  All arithmetic is exact.
 
 __version__ = "0.1.0"
 
-from .characters import (
-    DetCharacter,
-    geometric_char,
-    koszul_rewrite,
-    ori_char,
-    verify_cocycle,
-    verify_square_root,
-    verify_theorem3,
-    verify_theorem4,
-)
+from importlib import import_module as _import_module
+
 from .errors import (
     HeartMismatchError,
     HeartRangeError,
@@ -58,13 +50,44 @@ from .quiver import (
     simple_module,
     zero_module,
 )
-from .windows import (
-    WindowVector,
-    extend_window,
-    koszul_maps,
-    recursion_violations,
-    twist_down,
-    twist_up,
-    window_membership,
-    window_vector,
-)
+
+# ``characters`` and ``windows`` are loaded on first use: a caller that only
+# builds modules and Ext complexes does not pay for importing them.  Their
+# names resolve through the module ``__getattr__`` below (PEP 562), which
+# keeps each value in the package namespace once it has been looked up.
+_LAZY_MODULES = {
+    "characters": (
+        "DetCharacter",
+        "geometric_char",
+        "koszul_rewrite",
+        "ori_char",
+        "verify_cocycle",
+        "verify_square_root",
+        "verify_theorem3",
+        "verify_theorem4",
+    ),
+    "windows": (
+        "WindowVector",
+        "extend_window",
+        "koszul_maps",
+        "recursion_violations",
+        "twist_down",
+        "twist_up",
+        "window_membership",
+        "window_vector",
+    ),
+}
+_LAZY = {name: module for module, names in _LAZY_MODULES.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY_MODULES:
+        return _import_module(f"{__name__}.{name}")
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY_MODULES, *_LAZY})

@@ -296,6 +296,12 @@ def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: d
     }
 
 
+def _require_hearts(n_min: int, n_max: int) -> None:
+    """Refuse a reversed range, which holds no heart and would pass unchecked."""
+    if n_max < n_min:
+        raise InputError(f"need n_max >= n_min, got [{n_min}, {n_max}]")
+
+
 def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
     """Koszul-rewriting the window character of heart n yields the heart n+1 character.
 
@@ -327,6 +333,7 @@ def verify_theorem4() -> dict:
 
 def verify_square_root(n_min: int = -8, n_max: int = 8) -> dict:
     """The full 4-term character is twice the window character, in every heart checked."""
+    _require_hearts(n_min, n_max)
     for n in range(n_min, n_max + 1):
         lhs = full_complex_char(n)
         rhs = ori_char(n).scale(2)
@@ -341,6 +348,7 @@ def verify_cocycle(n_min: int = -8, n_max: int = 8) -> dict:
     """Multiplicativity on extensions: the branch-2 character minus the branch
     characters equals the mixed character of the full complex between the
     sub- and quotient branches (a symbolic bilinear identity)."""
+    _require_hearts(n_min, n_max)
     for n in range(n_min, n_max + 1):
         lhs = (expand_extension(ori_char(n, "2"))
                - ori_char(n, "1") - ori_char(n, "3"))

@@ -3,6 +3,13 @@
 Exit codes: 0 pass, 1 identity/corpus failure, 2 input error,
 3 internal postcondition violation.  All output is deterministic given the
 flags; rationals are printed as fraction strings, never as floats.
+
+Importing this module loads only what every command shares (``errors``,
+``linalg``, ``quiver``, ``homalg``).  A command module is imported by the
+first command that runs it: ``windows`` by ``twist`` and ``window``,
+``corpus`` by ``corpus``, and ``characters`` by ``orichar``, ``verify`` and
+``build_parser``, which reads the ``verify`` choices off
+``characters.IDENTITIES``.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import functools
 import json
 import sys
 
-from . import __version__, characters, corpus, homalg, windows
+from . import __version__, homalg
 from .errors import InputError, InternalCheckError, LocalP2Error, MembershipError
 from .linalg import RATIONAL, PrimeScalars, Scalar, Scalars
 from .quiver import (
@@ -159,6 +166,8 @@ def cmd_euler(args) -> int:
 
 
 def cmd_orichar(args) -> int:
+    from . import characters
+
     char = characters.ori_char(args.heart)
     if args.dims:
         dims = _parse_dims(args.dims)
@@ -178,6 +187,8 @@ def cmd_orichar(args) -> int:
 
 
 def cmd_twist(args) -> int:
+    from . import windows
+
     rep = _load_y(args.file)
     try:
         out = windows.twist_up(rep) if args.direction == "up" else windows.twist_down(rep)
@@ -190,6 +201,8 @@ def cmd_twist(args) -> int:
 
 
 def cmd_window(args) -> int:
+    from . import windows
+
     rep = _load_y(args.file)
     up, down = windows.window_membership(rep, "up"), windows.window_membership(rep, "down")
     wv = windows.certified_window(rep, up, down)
@@ -213,6 +226,8 @@ def cmd_window(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import characters
+
     report = characters.IDENTITIES[args.identity](*args.range)
     report.update(_meta())
     if args.format == "json":
@@ -227,6 +242,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    from . import corpus
+
     config = corpus.RunConfig(scalars=_parse_scalars(args.mode), seed=args.seed,
                               window=tuple(args.range))
     report = corpus.run_corpus(config)
@@ -247,6 +264,8 @@ def cmd_corpus(args) -> int:
 # that only the cyclic garbage collector frees.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    from . import characters
+
     parser = argparse.ArgumentParser(
         prog="localp2",
         description="Exact homological algebra for the local projective plane quiver.",

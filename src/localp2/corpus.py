@@ -76,8 +76,7 @@ def _check_pair(m: Representation, n: Representation, fwd, bwd) -> dict:
     return {"_ok": ok, "ext": ext, "euler": euler, "cy3": cy3["passed"]}
 
 
-def _twist_roundtrip(m: Representation) -> dict:
-    up = windows.twist_up(m)
+def _twist_roundtrip(m: Representation, up: Representation) -> dict:
     back = windows.twist_down(up)
     homs = (hom_space(back, m).dim, hom_space(m, back).dim)
     ok = back.dims == m.dims and homs == (1, 1)
@@ -85,9 +84,9 @@ def _twist_roundtrip(m: Representation) -> dict:
             "hom_dims": list(homs)}
 
 
-def _twist_ext_invariance(m: Representation, n: Representation, before: homalg.ExtDims,
+def _twist_ext_invariance(before: homalg.ExtDims, up_m: Representation, up_n: Representation,
                           scalars: Scalars) -> dict:
-    after = homalg.ext_dims_Y(windows.twist_up(m), windows.twist_up(n), scalars)
+    after = homalg.ext_dims_Y(up_m, up_n, scalars)
     return {"_ok": before == after, "before": list(before), "after": list(after)}
 
 
@@ -117,10 +116,12 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
 
     # Per-run memos keyed by object names: ``module`` takes a name, or a pair
     # of names whose direct sum it builds once; ``ext`` computes each ordered
-    # pair once, when a cell first reads it.  An error is not kept: every cell
-    # that reads a failing pair raises it again.
+    # pair once, and ``twisted`` each up-twist once, when a cell first reads
+    # it.  An error is not kept: every cell that reads a failing pair or a
+    # refused twist raises it again.
     modules: dict = dict(objs)
     exts: dict = {}
+    twists: dict = {}
 
     def module(key) -> Representation:
         if key not in modules:
@@ -131,6 +132,11 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
         if (x, y) not in exts:
             exts[x, y] = homalg.ext_dims_Y(module(x), module(y), scalars)
         return exts[x, y]
+
+    def twisted(name: str) -> Representation:
+        if name not in twists:
+            twists[name] = windows.twist_up(objs[name])
+        return twists[name]
 
     def pair_cell(name: str, x, y) -> None:
         # Both modules are built outside ``_cell``: an error there is not a cell's.
@@ -156,11 +162,11 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
 
     for name in (n for n in ROUNDTRIP_NAMES if n in objs):
         cells.append(_cell(f"twist-roundtrip:{name}",
-                           lambda name=name: _twist_roundtrip(objs[name])))
+                           lambda name=name: _twist_roundtrip(objs[name], twisted(name))))
     if "s0" in objs:
         def refused() -> dict:
             try:
-                windows.twist_up(objs["s0"])
+                twisted("s0")
             except MembershipError as exc:
                 return {"_ok": True, "reason": str(exc)}
             return {"_ok": False, "reason": "up-twist of s0 unexpectedly allowed"}
@@ -170,7 +176,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
         if a in objs and b in objs:
             cells.append(_cell(f"twist-ext-invariance:{a}|{b}",
                                lambda a=a, b=b: _twist_ext_invariance(
-                                   objs[a], objs[b], ext(a, b), scalars)))
+                                   ext(a, b), twisted(a), twisted(b), scalars)))
 
     def triangle(name: str) -> dict:
         ey, mp = ext(name, name), p2_restrict(objs[name])

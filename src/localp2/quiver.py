@@ -454,6 +454,9 @@ def _matrices_to_json(matrices: Mapping[str, Mat]) -> dict:
 _MAX_DIGITS = 4300
 _DIGIT_BOUND = 10 ** _MAX_DIGITS
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+# The entries the constructors write ("0", "1", "-1") are ASCII integers,
+# which int() reads exactly as Fraction(str) would, at a tenth of the cost.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _bounded(x: Scalar, what: str) -> Scalar:
@@ -466,10 +469,13 @@ def _bounded(x: Scalar, what: str) -> Scalar:
 def parse_scalar(value, what: str) -> Scalar:
     """The one entry rule for records and argv: an exact value that can be written back."""
     try:
-        e = _EXPONENT.search(value) if isinstance(value, str) else None
-        if e and abs(int(e[1])) > _MAX_DIGITS:
-            raise ValueError(f"decimal exponent beyond {_MAX_DIGITS} in magnitude")
-        x = scalar(value)
+        if isinstance(value, str) and _INTEGER.fullmatch(value):
+            x = int(value)
+        else:
+            e = _EXPONENT.search(value) if isinstance(value, str) else None
+            if e and abs(int(e[1])) > _MAX_DIGITS:
+                raise ValueError(f"decimal exponent beyond {_MAX_DIGITS} in magnitude")
+            x = scalar(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InputError(f"bad {what}: {exc}") from exc
     return _bounded(x, what)
@@ -482,8 +488,15 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
     what = f"entry of matrix {name}"
-    entries = [parse_scalar(x, what) for x in flat]
-    return Mat.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols=cols)
+    sparse = []
+    for i in range(rows):
+        row = {}
+        for j, text in enumerate(flat[i * cols:(i + 1) * cols]):
+            x = parse_scalar(text, what)
+            if x:
+                row[j] = x
+        sparse.append(row)
+    return Mat(rows, cols, tuple(sparse))
 
 
 def rep_to_dict(rep: Representation) -> dict:

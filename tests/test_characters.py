@@ -271,6 +271,14 @@ def test_verifiers_check_every_heart_of_the_range(monkeypatch):
         assert rep["status"] == "fail" and rep["witness"] == {"failed_heart": 2}
 
 
+@pytest.mark.parametrize("verify", [verify_square_root, verify_cocycle])
+def test_per_heart_verifiers_refuse_a_reversed_range(verify):
+    # [5, 2] holds no heart: a pass would check nothing.
+    with pytest.raises(InputError, match=r"need n_max >= n_min, got \[5, 2\]"):
+        verify(5, 2)
+    assert verify(5, 5)["status"] == "pass"
+
+
 def _two_pass_substitute(coeffs, symbol_map, variable_map):
     # Reference: rewrite the symbols, then the variables, with a fresh
     # ``{key: 1}`` for every unmapped key; zeros dropped at the end.

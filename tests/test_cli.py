@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from localp2 import corpus, homalg
+from localp2 import corpus, homalg, windows
 from localp2.cli import build_parser, main
 from localp2.errors import InputError, LocalP2Error
 from localp2.linalg import Mat, PrimeScalars
@@ -173,6 +173,15 @@ def test_verify_commands_pass(capsys):
     assert payload["version"]
 
 
+@pytest.mark.parametrize("identity", ["square-root", "cocycle"])
+def test_verify_refuses_a_reversed_range(capsys, identity):
+    code, stdout, stderr = run(capsys, "verify", identity, "--range", "5", "2")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: need n_max >= n_min, got [5, 2]\n"
+    code, stdout, _ = run(capsys, "verify", identity, "--range", "5", "5")
+    assert code == 0 and stdout.startswith(f"{identity}: pass on window [5, 5]")
+
+
 def test_corpus_cli_smoke(capsys):
     code, stdout, _ = run(capsys, "corpus", "--format", "json", "--seed", "7")
     payload = json.loads(stdout)
@@ -267,6 +276,24 @@ def test_corpus_builds_each_module_and_each_ext_once(monkeypatch, scalars):
     assert set(sums.values()) == {1}
 
 
+def test_corpus_twists_each_module_once(monkeypatch):
+    # Seed 0 twists up 7 modules: the five round-trip objects, line2 and the
+    # refused s0, whose error is raised in its cell, not stored.
+    twisted: Counter = Counter()
+    twist_up = windows.twist_up
+
+    def counted_twist(m):
+        twisted[m.label] += 1
+        return twist_up(m)
+
+    monkeypatch.setattr(windows, "twist_up", counted_twist)
+    report = corpus.run_corpus(corpus.RunConfig(seed=0))
+    assert report["passed"]
+    assert sum(twisted.values()) == 7 and set(twisted.values()) == {1}
+    refused = next(c for c in report["cells"] if c["name"] == "twist-refused:s0")
+    assert refused["status"] == "pass" and refused["detail"]["reason"]
+
+
 def test_corpus_leaves_no_garbage_cycle():
     gc.collect()
     gc.disable()
@@ -357,6 +384,47 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+# Every name the package re-exported when it imported all of its modules.
+PACKAGE_NAMES = (
+    "DetCharacter", "geometric_char", "koszul_rewrite", "ori_char", "verify_cocycle",
+    "verify_square_root", "verify_theorem3", "verify_theorem4",
+    "HeartMismatchError", "HeartRangeError", "InputError", "InternalCheckError",
+    "LocalP2Error", "MembershipError", "ShapeError",
+    "ExtComplex", "build_ext_complex_P2", "build_ext_complex_Y", "euler_form_P2",
+    "euler_form_Y", "ext_dims_P2", "ext_dims_Y", "ext_report", "verify_cy3_duality",
+    "verify_pushforward_triangle",
+    "RATIONAL", "Mat", "PrimeScalars", "RationalScalars", "rank",
+    "BEILINSON", "JACOBI", "Representation", "check_relations", "cyclic_derivative",
+    "direct_sum", "dumps_rep", "epsilon", "hom_space", "loads_rep", "p2_restrict",
+    "point_module", "pushforward_module", "simple_module", "zero_module",
+    "WindowVector", "extend_window", "koszul_maps", "recursion_violations", "twist_down",
+    "twist_up", "window_membership", "window_vector",
+    "characters", "windows",
+)
+
+
+@pytest.mark.parametrize("lookup", [
+    "from localp2 import {name}",
+    "getattr(localp2, {name!r})",
+])
+def test_import_loads_no_command_module_and_keeps_every_name(lookup):
+    # A fresh interpreter: this one has imported every module already.
+    lookups = "\n".join(lookup.format(name=name) for name in PACKAGE_NAMES)
+    script = f"""
+import sys
+import localp2, localp2.cli
+loaded = [m for m in ("localp2.corpus", "localp2.windows", "localp2.characters")
+          if m in sys.modules]
+assert not loaded, loaded
+missing = set({PACKAGE_NAMES!r}) - set(dir(localp2))
+assert not missing, missing
+{lookups}
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import re
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localp2.corpus import standard_corpus
 from localp2.errors import HeartMismatchError, HeartRangeError, InputError, ShapeError
-from localp2.linalg import MAX_DIM, Mat
+from localp2.linalg import MAX_DIM, Mat, scalar
 from localp2.quiver import (
     ARROW_ORDER,
     BEILINSON,
@@ -26,6 +28,7 @@ from localp2.quiver import (
     loads_rep,
     monomial_basis,
     p2_restrict,
+    parse_scalar,
     point_module,
     pushforward_module,
     rep_from_dict,
@@ -363,3 +366,50 @@ def test_constructors_and_json_store_integral_entries_as_int():
                 assert type(v) is (int if v.denominator == 1 else Fraction), (rep.label, v)
     assert {type(v) for v in _entries(reps[0])} == {int}
     assert Fraction in {type(v) for v in _entries(reps[3])}
+
+
+def _fraction_parse_scalar(value, what):
+    # Reference: every value through Fraction, under the same exponent and
+    # digit bounds as parse_scalar.
+    try:
+        e = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+        if e and abs(int(e[1])) > 4300:
+            raise ValueError("decimal exponent beyond 4300 in magnitude")
+        x = scalar(value)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise InputError(f"bad {what}: {exc}") from exc
+    if abs(x.numerator) >= 10 ** 4300 or x.denominator >= 10 ** 4300:
+        raise InputError(f"bad {what}: more than 4300 digits")
+    return x
+
+
+def _outcome(parse, text):
+    try:
+        x = parse(text, "entry")
+    except InputError as exc:
+        return "error", str(exc)
+    return type(x), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.sampled_from([*"0123456789-+_ /.e", "\u0661", "\u0662", "\u00b2"]),
+               max_size=12))
+@example("-0")
+@example("007")
+@example("\u0661\u0662")
+@example("\u00b2")
+@example("9" * 4300)
+@example("-" + "9" * 4300)
+@example("1" + "0" * 4300)
+@example("-" + "1" * 4301)
+def test_parse_scalar_matches_the_fraction_reference(text):
+    assert _outcome(parse_scalar, text) == _outcome(_fraction_parse_scalar, text)
+
+
+def test_json_round_trip_keeps_every_matrix():
+    reps = [*standard_corpus().values(), *(pushforward_module(d, 0) for d in range(5))]
+    for rep in reps:
+        again = loads_rep(dumps_rep(rep))
+        assert again.matrices.keys() == rep.matrices.keys()
+        for name, mat in rep.matrices.items():
+            assert again.matrices[name] == mat, (rep.label, name)
