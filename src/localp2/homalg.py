@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
-from .linalg import RATIONAL, BlockMap, Mat, Scalars, TermTable, rank
+from .linalg import RATIONAL, BlockMap, Mat, Scalars, TermTable, product_is_zero, rank
 from .quiver import (
     ARROW_SPACE,
     BEILINSON,
@@ -42,8 +42,13 @@ class ExtComplex:
 
 
 def _check_composition(diffs: Sequence[Mat], side: str) -> None:
+    """Check d_{i+1} . d_i = 0 for each pair of consecutive differentials.
+
+    Each product is tested by ``product_is_zero``, which never builds it; the
+    first nonzero one raises ``InternalCheckError`` naming the pair.
+    """
     for i in range(len(diffs) - 1):
-        if not (diffs[i + 1] @ diffs[i]).is_zero():
+        if not product_is_zero(diffs[i + 1], diffs[i]):
             raise InternalCheckError(f"{side.upper()} complex: d{i + 1} . d{i} != 0")
 
 

@@ -10,7 +10,13 @@ mode on the regression corpus.  Its values are symmetric residues, ints in
 [-p//2, p//2]: an in-range entry is used as it is, so ±1 stays ±1 (one
 30-bit digit, where p - 1 takes two), and a value is reduced only when it
 leaves the range.  A matrix whose ``entry_bound`` is known and at most p//2
-holds only such entries, so its rows are copied as over Q, unread.
+holds only such entries, so its rows are used as over Q, unread.
+
+The kernels allocate only what they read.  Elimination starts from the
+matrix's own rows (after a conversion into residues, when one is needed) and
+copies a row just before it first writes it, so an input ``Mat`` is never
+mutated.  ``product_is_zero`` answers whether ``a @ b`` vanishes without
+building the product: that is the ``d.d = 0`` check of every Ext complex.
 
 ``BlockMap`` assembles the Ext differentials and intertwiner systems from
 write-once term tables (``TermTable``): no two terms share an (out block, in
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import InputError, ScalarModeError, ShapeError
@@ -112,7 +119,8 @@ class Mat:
     ``int`` or ``Fraction``, never ``float`` (see the module docstring).
     ``entry_bound``, when not None, is an int at least every |value|, and
     every value is an int; only ``BlockMap.matrix`` records one.  It takes no
-    part in equality.
+    part in equality.  ``entries`` lists the nonzero entries, built on first
+    read and kept with the matrix.
     """
 
     rows: int
@@ -138,6 +146,11 @@ class Mat:
                 raise ShapeError("empty matrix literal needs an explicit column count")
             ncols = cols
         return Mat(len(rows), ncols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
+
+    @cached_property
+    def entries(self) -> tuple[tuple[int, int, Scalar], ...]:
+        """The nonzero entries as ``(row, column, value)``, row by row."""
+        return tuple((r, c, v) for r, row in enumerate(self.sparse) for c, v in row.items())
 
     @property
     def data(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -188,6 +201,27 @@ class Mat:
                     acc[j] = acc.get(j, 0) + v * w
             out.append({j: x for j, x in acc.items() if x})
         return Mat(self.rows, other.cols, tuple(out))
+
+
+def product_is_zero(a: Mat, b: Mat) -> bool:
+    """Whether ``a @ b`` is zero, without building it.
+
+    The product's entries are summed into one flat dict keyed
+    ``row * b.cols + column``; no row dict, filtered row or ``Mat`` is made.
+    Raises ``ShapeError`` as ``a @ b`` does.
+    """
+    if a.cols != b.rows:
+        raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    acc: dict[int, Scalar] = {}
+    get, brows, n = acc.get, b.sparse, b.cols
+    for i, row in enumerate(a.sparse):
+        if row:
+            base = i * n
+            for k, v in row.items():
+                for j, w in brows[k].items():
+                    key = base + j
+                    acc[key] = get(key, 0) + v * w
+    return not any(acc.values())
 
 
 def hstack(mats: Sequence[Mat]) -> Mat:
@@ -250,17 +284,19 @@ def _axpy(row: dict, prow: dict, f, p: int) -> None:
 
 
 def _field_rows(m: Mat, p: int) -> list[dict]:
-    """Mutable copies of the nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q.
+    """The nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q.
 
-    Over GF(p) the values are symmetric residues in [-p//2, p//2]: an int
-    already in that range is kept as it is, so 0/±1 entries are never reduced.
-    When ``m.entry_bound`` shows that every entry is such an int, the rows are
-    copied as over Q.
+    Over Q these are the matrix's own row dicts, not copies: ``_echelon``
+    copies a row before it writes it.  Over GF(p) the values are symmetric
+    residues in [-p//2, p//2]: an int already in that range is kept as it is,
+    so 0/±1 entries are never reduced.  When ``m.entry_bound`` shows that
+    every entry is such an int, the own rows are handed over as over Q;
+    otherwise each row is converted into a new dict.
     """
     h = p // 2
     if not p or (m.entry_bound is not None and m.entry_bound <= h):
         # Over Q, or every entry is a nonzero int in range: its own residue.
-        return [dict(row) for row in m.sparse if row]
+        return [row for row in m.sparse if row]
     lo = -h
     out = []
     for row in m.sparse:
@@ -299,19 +335,23 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
     ``pow(v, -1, p)``, each product reduced back into range.
     Returns {pivot column: row}, its size is the rank.  With ``reduced`` the
     pivot rows are back-substituted into the reduced row echelon form, which
-    is unique: each row only at the pivot columns it holds.  The rows are
-    consumed.
+    is unique: each row only at the pivot columns it holds.  No input row is
+    written: a row is copied just before it is first reduced, and a monic row
+    that becomes a pivot unreduced is stored as it is, or as a copy with
+    ``reduced``, whose back-substitution writes pivot rows.  So the input rows
+    may be a ``Mat``'s own, and a returned pivot row may be one of them.
     """
     pivots: dict[int, dict] = {}
     h = p // 2
     for row in rows:
+        owned = False
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 v = row[c]
                 if v == 1:
-                    pivots[c] = row
+                    pivots[c] = dict(row) if reduced and not owned else row
                 elif v == -1:
                     pivots[c] = {j: -x for j, x in row.items()}
                 elif p:
@@ -321,6 +361,8 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
                     inv = Fraction(1, v)
                     pivots[c] = {j: x * inv for j, x in row.items()}
                 break
+            if not owned:
+                row, owned = dict(row), True
             _axpy(row, prow, row[c], p)
     if reduced:
         # Right to left: the pivot rows right of c are reduced already, so each
@@ -402,9 +444,10 @@ class BlockMap:
     Ext differential and intertwiner system is one static ``TermTable``
     (``homalg``, ``quiver``); a plain sequence of terms is validated as one
     here.  The table is applied at construction by one loop over integer block
-    offsets and the nonzero entries of each matrix (a zero matrix adds
-    nothing); since no block pair repeats, each entry is stored once as
-    ``sign * v``, never summed, and is nonzero.  Term dimensions above
+    offsets and the nonzero entries of each matrix (``Mat.entries``, built
+    once per matrix and read again by every map over the same module; a zero
+    matrix adds nothing); since no block pair repeats, each entry is stored
+    once as ``sign * v``, never summed, and is nonzero.  Term dimensions above
     ``MAX_DIM`` are refused first.  ``entry_bound``, when given, is an int at
     least every |entry| of ``left`` and ``right``, all ints, and ``matrix``
     records it on the map.
@@ -436,22 +479,18 @@ class BlockMap:
             if not ok:
                 raise ShapeError(f"{'left' if is_left else 'right'} term shape mismatch at "
                                  f"{self._blocks[0][o][0]}<-{self._blocks[1][i][0]}")
-            for r, mrow in enumerate(mat.sparse):
-                if not mrow:
-                    continue
-                if is_left:
-                    # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
-                    base_o = ooff + r * ocols
-                    for c, v in mrow.items():
-                        sv, base_i = sign * v, ioff + c * icols
-                        for x in range(ocols):
-                            rows[base_o + x][base_i + x] = sv
-                else:
-                    # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
-                    for c, v in mrow.items():
-                        sv, base_o, base_i = sign * v, ooff + c, ioff + r
-                        for x in range(orows):
-                            rows[base_o + x * ocols][base_i + x * icols] = sv
+            if is_left:
+                # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
+                for r, c, v in mat.entries:
+                    sv, base_o, base_i = sign * v, ooff + r * ocols, ioff + c * icols
+                    for x in range(ocols):
+                        rows[base_o + x][base_i + x] = sv
+            else:
+                # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
+                for r, c, v in mat.entries:
+                    sv, base_o, base_i = sign * v, ooff + c, ioff + r
+                    for x in range(orows):
+                        rows[base_o + x * ocols][base_i + x * icols] = sv
 
     def matrix(self) -> Mat:
         # The rows are complete after __init__ and hold no zero, so they are

@@ -19,8 +19,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from localp2 import corpus, homalg, windows
-from localp2.cli import build_parser, main
+from localp2 import characters, corpus, homalg, windows
+from localp2.cli import VERIFY_IDENTITIES, build_parser, main
 from localp2.errors import InputError, LocalP2Error
 from localp2.linalg import Mat, PrimeScalars
 from localp2.quiver import (
@@ -405,6 +405,11 @@ PACKAGE_NAMES = (
 )
 
 
+def _fresh_interpreter(script: str, **env) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=60)
+
+
 @pytest.mark.parametrize("lookup", [
     "from localp2 import {name}",
     "getattr(localp2, {name!r})",
@@ -422,9 +427,37 @@ missing = set({PACKAGE_NAMES!r}) - set(dir(localp2))
 assert not missing, missing
 {lookups}
 """
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+    proc = _fresh_interpreter(script)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_verify_choices_are_the_identities():
+    assert VERIFY_IDENTITIES == tuple(characters.IDENTITIES)
+
+
+def test_commands_outside_characters_do_not_load_it():
+    proc = _fresh_interpreter("""
+import sys
+from localp2.cli import main
+assert main(["euler", "1,0,0", "3,1,0"]) == 0
+assert "localp2.characters" not in sys.modules
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
+
+
+def test_verify_refuses_an_unknown_identity():
+    proc = _fresh_interpreter("""
+import sys
+from localp2.cli import main
+sys.exit(main(["verify", "bogus"]))
+""", COLUMNS="80")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "usage: localp2 verify [-h] [--range RANGE RANGE] [--format {text,json}]\n"
+        "                      {theorem3,theorem4,square-root,cocycle}\n"
+        "localp2 verify: error: argument identity: invalid choice: 'bogus' (choose from "
+        "'theorem3', 'theorem4', 'square-root', 'cocycle')\n")
 
 
 def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localp2.errors import HeartMismatchError
+from localp2.errors import HeartMismatchError, InternalCheckError
 from localp2.homalg import (
     EXT_TABLES,
+    _check_composition,
     _ext_terms,
     build_ext_complex_P2,
     build_ext_complex_Y,
@@ -27,6 +28,7 @@ from localp2.homalg import (
 from localp2.linalg import RATIONAL, Mat, PrimeScalars, TermTable, _field_rows, rank
 from localp2.quiver import (
     D0_TABLES,
+    check_relations,
     direct_sum,
     hom_space,
     intertwiner_matrix,
@@ -369,3 +371,30 @@ def test_entry_equal_to_p_takes_the_residue_walk():
     pt = point_module((1, 0, 0), 1)
     assert ext_dims_Y(at_p, at_p, PRIME) == ext_dims_Y(pt, pt) == (1, 3, 3, 1)
     assert ext_dims_Y(at_p, pt, PRIME) == (1, 3, 3, 1) != ext_dims_Y(at_p, pt)
+
+
+def test_composition_check_refuses_a_module_that_violates_its_relations():
+    # a1 of the point (0 : 1 : 2) is 0; as 2, a1 b2 = 2 != a2 b1 = 0.
+    pt = point_module((0, 1, 2), Fraction(1, 2))
+    bad = representation(pt.heart, pt.dims, {**pt.matrices, "a1": Mat.from_rows([[2]])})
+    assert not check_relations(bad).ok
+    for m, n in ((bad, pt), (pt, bad)):
+        with pytest.raises(InternalCheckError, match=r"^Y complex: d1 \. d0 != 0$"):
+            build_ext_complex_Y(m, n)
+        with pytest.raises(InternalCheckError, match=r"^P2 complex: d1 \. d0 != 0$"):
+            build_ext_complex_P2(p2_restrict(m), p2_restrict(n))
+
+
+def test_composition_check_names_the_pair_whose_product_is_nonzero():
+    o2 = pushforward_module(2)
+    diffs = build_ext_complex_Y(o2, o2).differentials
+    _check_composition(diffs, "y")
+    d0, d1, d2 = diffs
+    # Negate an entry in the last row of d2 at a column where d1 has a row:
+    # d2 . d1 then has nonzero sums in that last row only.
+    r = d2.rows - 1
+    c = next(c for c in d2.sparse[r] if d1.sparse[c])
+    rows = list(d2.sparse)
+    rows[r] = {**rows[r], c: -rows[r][c]}
+    with pytest.raises(InternalCheckError, match=r"^Y complex: d2 \. d1 != 0$"):
+        _check_composition((d0, d1, Mat(d2.rows, d2.cols, tuple(rows))), "y")

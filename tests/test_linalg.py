@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -22,6 +24,7 @@ from localp2.linalg import (
     block_diag,
     hstack,
     nullspace,
+    product_is_zero,
     rank,
     vstack,
 )
@@ -366,3 +369,72 @@ def test_elimination_matches_dense_gauss_jordan(rows):
         for row, c in zip(ref, piv):
             kernel[c][i] = -row[f]
     assert nullspace(m) == (_dense(kernel, len(free)), tuple(free))
+
+
+# Factors a (r x k) and b (k x c) with 0..3 rows, inner dimension and
+# columns; most entries are 0, so empty rows and cancelling sums are common.
+_product_entries = st.one_of(st.just(0), st.just(0), st.integers(-2, 2),
+                             st.fractions(-2, 2, max_denominator=3))
+_factors = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).flatmap(
+    lambda s: st.tuples(
+        st.lists(st.lists(_product_entries, min_size=s[1], max_size=s[1]),
+                 min_size=s[0], max_size=s[0]).map(lambda rows: Mat.from_rows(rows, cols=s[1])),
+        st.lists(st.lists(_product_entries, min_size=s[2], max_size=s[2]),
+                 min_size=s[1], max_size=s[1]).map(lambda rows: Mat.from_rows(rows, cols=s[2]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_factors)
+# Sums that cancel to exactly 0, over the ints and over Q.
+@example((Mat.from_rows([[1, 1]]), Mat.from_rows([[1], [-1]])))
+@example((Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)]]),
+          Mat.from_rows([[Fraction(2, 3)], [-1]])))
+# Zero rows, zero inner dimension, zero columns.
+@example((Mat.zeros(0, 2), Mat.from_rows([[1, 0, 2], [0, 1, 0]])))
+@example((Mat.zeros(2, 0), Mat.zeros(0, 3)))
+@example((Mat.from_rows([[1], [2]]), Mat.zeros(1, 0)))
+# The one nonzero sum sits in the last row.
+@example((Mat.from_rows([[1, 1], [0, 0], [0, 1]]), Mat.from_rows([[1], [-1]])))
+@example((Mat.from_rows([[1, 1], [Fraction(1, 2), 1]]), Mat.from_rows([[1, 0], [-1, 0]])))
+def test_product_is_zero_matches_the_product(factors):
+    a, b = factors
+    assert product_is_zero(a, b) is (a @ b).is_zero()
+
+
+def test_product_is_zero_refuses_a_shape_mismatch_as_matmul_does():
+    for a, b in ((Mat.zeros(2, 3), Mat.zeros(2, 2)),
+                 (Mat.from_rows([[1, 2]]), Mat.from_rows([[1, 2]])),
+                 (Mat.zeros(0, 1), Mat.zeros(0, 4))):
+        with pytest.raises(ShapeError) as via_matmul:
+            a @ b
+        with pytest.raises(ShapeError) as via_test:
+            product_is_zero(a, b)
+        assert str(via_test.value) == str(via_matmul.value)
+
+
+def _bounded(m: Mat) -> Mat:
+    # The entry bound BlockMap.matrix would record: only for all-int matrices.
+    values = [v for row in m.sparse for v in row.values()]
+    if any(type(v) is not int for v in values):
+        return m
+    return replace(m, entry_bound=max(map(abs, values), default=0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_matrices(st.integers(-3, 3)), edge_matrices, small_fraction_matrices))
+# Row 1 is reduced by row 0, which is stored as it is; with ``reduced`` the
+# back-substitution then writes row 0.
+@example([[1, 2], [1, 3]])
+@example([[1, 1], [0, 1]])
+def test_rank_and_nullspace_write_no_input_row(rows):
+    # Elimination starts from a matrix's own rows, with or without a recorded
+    # entry bound (which lets a prime rank skip the residue walk).
+    base = Mat.from_rows(rows)
+    for m in (base, _bounded(base), _as_fractions(rows)):
+        snapshot, before = deepcopy(m.sparse), hash(m)
+        rank(m)
+        rank(m, PRIME)
+        nullspace(m)
+        assert m.sparse == snapshot and hash(m) == before
+        assert [list(map(type, row.values())) for row in m.sparse] == \
+            [list(map(type, row.values())) for row in snapshot]
