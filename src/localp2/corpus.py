@@ -118,9 +118,14 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     # of names whose direct sum it builds once; ``ext`` computes each ordered
     # pair once, and ``twisted`` each up-twist once, when a cell first reads
     # it.  An error is not kept: every cell that reads a failing pair or a
-    # refused twist raises it again.
+    # refused twist raises it again.  In prime mode ``ext`` also ranks the
+    # complex of each core pair over Q, for mode agreement, so that no
+    # complex is built twice and none is kept.
+    pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
+    prime = isinstance(scalars, PrimeScalars)
     modules: dict = dict(objs)
     exts: dict = {}
+    rational_exts: dict = {}
     twists: dict = {}
 
     def module(key) -> Representation:
@@ -130,7 +135,11 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
 
     def ext(x, y) -> homalg.ExtDims:
         if (x, y) not in exts:
-            exts[x, y] = homalg.ext_dims_Y(module(x), module(y), scalars)
+            cx = homalg.build_ext_complex_Y(module(x), module(y))
+            dims = homalg.ext_dims_of(cx, scalars)
+            if prime and x in pair_names and y in pair_names:
+                rational_exts[x, y] = homalg.ext_dims_of(cx, RATIONAL)
+            exts[x, y] = dims
         return exts[x, y]
 
     def twisted(name: str) -> Representation:
@@ -143,7 +152,6 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
         m, n = module(x), module(y)
         cells.append(_cell(name, lambda: _check_pair(m, n, ext(x, y), ext(y, x))))
 
-    pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
     for a in pair_names:
         for b in pair_names:
             pair_cell(f"ext:{a}|{b}", a, b)
@@ -189,13 +197,12 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     for name, rep in objs.items():
         cells.append(_cell(f"window:{name}", lambda rep=rep: _window_cell(rep)))
 
-    if isinstance(scalars, PrimeScalars):
+    if prime:
         def agreement() -> dict:
             mismatches = []
             for a in pair_names:
                 for b in pair_names:
-                    rat = homalg.ext_dims_Y(objs[a], objs[b], RATIONAL)
-                    mod = ext(a, b)
+                    mod, rat = ext(a, b), rational_exts[a, b]
                     if rat != mod:
                         mismatches.append({"pair": [a, b], "rational": list(rat),
                                            "prime": list(mod)})

@@ -6,6 +6,13 @@ plane-side analogue computing Ext^0..Ext^2.  In cohomological degree 0 sits
 the intertwiner defect, in degree 1 the linearization of the quadratic
 relations, and (on the 3-fold side) in degree 2 the signed dual of degree 0.
 
+Each differential is one ``BlockMap`` over a static term table
+(``EXT_TABLES``).  The tables are compiled against the module dims into
+``BlockPlan``s once per (side, dims of M, dims of N), in a memo bounded by
+``PLAN_MEMO_SIZE`` entries, so a complex whose dims were seen before pays only
+for its entries: every arrow matrix is checked once against the shape its
+plan implies, and each nonzero arrow entry is written where its terms put it.
+
 Differential orientation is pinned by the worked Euler values
 euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
 """
@@ -13,10 +20,11 @@ euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
-from .linalg import RATIONAL, BlockMap, Mat, Scalars, TermTable, product_is_zero, rank
+from .linalg import RATIONAL, BlockMap, BlockPlan, Mat, Scalars, TermTable, product_is_zero, rank
 from .quiver import (
     ARROW_SPACE,
     BEILINSON,
@@ -27,7 +35,6 @@ from .quiver import (
     VERTICES,
     Representation,
     arrow_matrices,
-    hom_blocks,
     p2_restrict,
 )
 
@@ -85,25 +92,55 @@ EXT_TABLES = {
 }
 
 
-def _ext_terms(side: str, m, n) -> list[list[tuple[str, int, int]]]:
-    """The blocks (label, dim N_r, dim M_c) of every term of the ``side`` complex."""
-    return [hom_blocks(space, m, n) for space in EXT_TABLES[side][0]]
+def _ext_terms(side: str, m_dims, n_dims) -> list[list[tuple[str, int, int]]]:
+    """The blocks (label, dim N_r, dim M_c) of every term of the ``side`` complex
+    between modules of these dims."""
+    return [[(label, n_dims[r], m_dims[c]) for label, r, c in space]
+            for space in EXT_TABLES[side][0]]
 
 
-def _term_dims(terms) -> tuple[int, ...]:
-    return tuple(sum(r * c for _, r, c in blocks) for blocks in terms)
+# The terms and plans of a complex depend on its side and module dims only,
+# and a corpus run builds hundreds of complexes on a few dozen dims pairs, so
+# they are compiled once per (side, dims of M, dims of N) and kept in a
+# bounded memo: the least recently used entry leaves first.  A plan holds a
+# few ints per nonempty term and per matrix it reads (at most 36 terms and 18
+# matrices per differential), whatever the dims.
+PLAN_MEMO_SIZE = 128
 
 
-def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
-    terms = _ext_terms(side, m, n)
+@lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _ext_plans(side: str, m_dims: tuple[int, ...],
+               n_dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[BlockPlan, ...]]:
+    """The term dims of the ``side`` complex between modules of these dims, and
+    the compiled plan of each of its differentials."""
+    terms = _ext_terms(side, m_dims, n_dims)
+    plans = tuple(BlockPlan(terms[d + 1], terms[d], table)
+                  for d, table in enumerate(EXT_TABLES[side][1]))
+    return tuple(sum(r * c for _, r, c in blocks) for blocks in terms), plans
+
+
+def d0_plan(presentation, m_dims: tuple[int, ...], n_dims: tuple[int, ...]) -> BlockPlan:
+    """The plan of d0, the intertwiner system of ``quiver.intertwiner_matrix``,
+    for modules of ``presentation`` with these dims, from the memo."""
+    return _ext_plans("y" if presentation is JACOBI else "p2", m_dims, n_dims)[1][0]
+
+
+def _ext_differentials(side: str, m: Representation,
+                       n: Representation) -> tuple[tuple[int, ...], list[Mat]]:
+    """The term dims and the differentials of the ``side`` complex, unchecked."""
+    term_dims, plans = _ext_plans(side, m.dims, n.dims)
     nm, mm = arrow_matrices(n), arrow_matrices(m)
     # Every differential entry is ± an arrow entry of m or n (write-once tables).
     bm, bn = m.entry_bound, n.entry_bound
     bound = None if bm is None or bn is None else max(bm, bn)
-    diffs = [BlockMap(terms[d + 1], terms[d], table, nm, mm, bound).matrix()
-             for d, table in enumerate(EXT_TABLES[side][1])]
+    return term_dims, [BlockMap(left=nm, right=mm, entry_bound=bound, plan=plan).matrix()
+                       for plan in plans]
+
+
+def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
+    term_dims, diffs = _ext_differentials(side, m, n)
     _check_composition(diffs, side)
-    return ExtComplex(side, _term_dims(terms), tuple(diffs))
+    return ExtComplex(side, term_dims, tuple(diffs))
 
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
@@ -214,7 +251,7 @@ def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
         "side": side,
         "dims_M": list(m.dims),
         "dims_N": list(n.dims),
-        "term_dims": list(_term_dims(_ext_terms(side, m, n))),
+        "term_dims": list(_ext_plans(side, m.dims, n.dims)[0]),
         "ext_dims": ext,
         "euler": euler,
         "cy3_ok": cy3,

@@ -22,7 +22,13 @@ building the product: that is the ``d.d = 0`` check of every Ext complex.
 write-once term tables (``TermTable``): no two terms share an (out block, in
 block) pair and every sign is ±1, so each entry of the map is written once
 and is ± one nonzero arrow entry.  Nothing is accumulated or filtered, and
-the largest |arrow entry| bounds every entry of the map.
+the largest |arrow entry| bounds every entry of the map.  A table is first
+compiled against the dims of its blocks into a ``BlockPlan`` (offsets and
+strides resolved, empty terms dropped, one implied shape per matrix), which
+serves every map between blocks of those dims: ``homalg`` keeps the plans of
+each Ext complex in a bounded memo keyed by module dims.  Applying a plan
+checks each matrix once against its shape and writes each entry as ``v`` or
+``-v``.
 
 Exact scalars are integer-first: a value that enters a matrix (``scalar``,
 behind ``Mat.from_rows``) is stored as an ``int`` when it is integral and as
@@ -256,47 +262,24 @@ def block_diag(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows + b.rows, a.cols + b.cols, a.sparse + shifted)
 
 
-def _axpy(row: dict, prow: dict, f, p: int) -> None:
-    """row -= f * prow in place, over GF(p) when p is nonzero; zeros are dropped.
-
-    Over GF(p) every value is a symmetric residue in [-p//2, p//2], so a new
-    value is reduced only when it leaves that range, and 0 is the only
-    residue of a multiple of p.
-    """
-    if p:
-        h = p // 2
-        lo = -h
-        for j, v in prow.items():
-            x = row.get(j, 0) - f * v
-            if x > h or x < lo:
-                x = (x + h) % p - h
-            if x:
-                row[j] = x
-            else:
-                del row[j]
-        return
-    for j, v in prow.items():
-        x = row.get(j, 0) - f * v
-        if x:
-            row[j] = x
-        else:
-            del row[j]
+def _in_range(m: Mat, p: int) -> bool:
+    """Whether ``m``'s own rows are its field rows: over Q, or over GF(p) when
+    ``m.entry_bound`` shows every entry is a nonzero int in [-p//2, p//2]."""
+    return not p or (m.entry_bound is not None and m.entry_bound <= p // 2)
 
 
 def _field_rows(m: Mat, p: int) -> list[dict]:
     """The nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q.
 
-    Over Q these are the matrix's own row dicts, not copies: ``_echelon``
-    copies a row before it writes it.  Over GF(p) the values are symmetric
-    residues in [-p//2, p//2]: an int already in that range is kept as it is,
-    so 0/±1 entries are never reduced.  When ``m.entry_bound`` shows that
-    every entry is such an int, the own rows are handed over as over Q;
-    otherwise each row is converted into a new dict.
+    When ``_in_range`` holds these are the matrix's own row dicts, not copies:
+    ``_echelon`` copies a row before it writes it.  Otherwise each row is
+    converted into a new dict of symmetric residues in [-p//2, p//2], which
+    ``_echelon`` may write as it stands: an int already in that range is kept
+    as it is, so 0/±1 entries are never reduced.
     """
-    h = p // 2
-    if not p or (m.entry_bound is not None and m.entry_bound <= h):
-        # Over Q, or every entry is a nonzero int in range: its own residue.
+    if _in_range(m, p):
         return [row for row in m.sparse if row]
+    h = p // 2
     lo = -h
     out = []
     for row in m.sparse:
@@ -322,36 +305,42 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
     return out
 
 
-def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
+def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> dict[int, dict]:
     """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p)
     (symmetric residues in [-p//2, p//2], as ``_field_rows`` makes them).
 
     Each row is cleared at its leftmost column by the monic pivot row of that
     column until its leftmost column has no pivot yet; it then becomes that
-    column's monic pivot row.  In both fields a pivot of 1 is used as it
-    stands and one of -1 is negated, which keeps integer rows integral over Q
-    and residues in range over GF(p).  Any other pivot is inverted, over Q as
+    column's monic pivot row.  Clearing is ``row -= f * prow`` with zeros
+    dropped, one loop per field; over GF(p) a value is reduced only when it
+    leaves the symmetric range, and 0 is the only residue of a multiple of p.
+    A pivot row with one entry clears its column by removing it, with no
+    arithmetic.  In both fields a pivot of 1 is used as it stands and one of
+    -1 is negated, which keeps integer rows integral over Q and residues in
+    range over GF(p).  Any other pivot is inverted, over Q as
     ``Fraction(1, v)``, never as ``1 / v``, and over GF(p) as
     ``pow(v, -1, p)``, each product reduced back into range.
-    Returns {pivot column: row}, its size is the rank.  With ``reduced`` the
-    pivot rows are back-substituted into the reduced row echelon form, which
-    is unique: each row only at the pivot columns it holds.  No input row is
-    written: a row is copied just before it is first reduced, and a monic row
-    that becomes a pivot unreduced is stored as it is, or as a copy with
+    Returns {pivot column: row}, its size is the rank.  With ``reduced``
+    (over Q only) the pivot rows are back-substituted into the reduced row
+    echelon form, which is unique: each row only at the pivot columns it holds.
+    No input row is written unless ``owned`` says the caller handed them over:
+    a row is copied just before it is first reduced, and a monic row that
+    becomes a pivot unreduced is stored as it is, or as a copy with
     ``reduced``, whose back-substitution writes pivot rows.  So the input rows
     may be a ``Mat``'s own, and a returned pivot row may be one of them.
     """
     pivots: dict[int, dict] = {}
     h = p // 2
+    lo = -h
     for row in rows:
-        owned = False
+        mine = owned
         while row:
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
                 v = row[c]
                 if v == 1:
-                    pivots[c] = dict(row) if reduced and not owned else row
+                    pivots[c] = dict(row) if reduced and not mine else row
                 elif v == -1:
                     pivots[c] = {j: -x for j, x in row.items()}
                 elif p:
@@ -361,23 +350,48 @@ def _echelon(rows: list[dict], p: int, reduced: bool) -> dict[int, dict]:
                     inv = Fraction(1, v)
                     pivots[c] = {j: x * inv for j, x in row.items()}
                 break
-            if not owned:
-                row, owned = dict(row), True
-            _axpy(row, prow, row[c], p)
+            if not mine:
+                row, mine = dict(row), True
+            if len(prow) == 1:
+                del row[c]
+                continue
+            f, get = row[c], row.get
+            if p:
+                for j, v in prow.items():
+                    x = get(j, 0) - f * v
+                    if x > h or x < lo:
+                        x = (x + h) % p - h
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+            else:
+                for j, v in prow.items():
+                    x = get(j, 0) - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
     if reduced:
         # Right to left: the pivot rows right of c are reduced already, so each
         # is zero at every other pivot column, and clearing one pivot column of
         # ``prow`` touches no other.
         for c in sorted(pivots, reverse=True):
             prow = pivots[c]
-            for j in [j for j in prow if j != c and j in pivots]:
-                _axpy(prow, pivots[j], prow[j], p)
+            for k in [k for k in prow if k != c and k in pivots]:
+                f, get = prow[k], prow.get
+                for j, v in pivots[k].items():
+                    x = get(j, 0) - f * v
+                    if x:
+                        prow[j] = x
+                    else:
+                        del prow[j]
     return pivots
 
 
 def rank(m: Mat, scalars: Scalars = RATIONAL) -> int:
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
-    return len(_echelon(_field_rows(m, p), p, False))
+    return len(_echelon(_field_rows(m, p), p, False, not _in_range(m, p)))
 
 
 def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -435,6 +449,82 @@ def _layout(blocks: Sequence[tuple[str, int, int]]) -> tuple[list[tuple[int, int
     return out, off
 
 
+class BlockPlan:
+    """A term table resolved against the dims of its blocks: what ``BlockMap``
+    applies.  It depends on the block dims only, not on the matrices, so one
+    plan serves every map between blocks of the same dims (``homalg`` keeps
+    the plans of each Ext complex in a bounded memo keyed by module dims).
+
+    Compiling validates the table as a ``TermTable``, refuses term dimensions
+    above ``MAX_DIM`` (``InputError``), a term whose two blocks do not fit
+    together, and two terms that imply different shapes for one matrix
+    (``ShapeError``).  A plan is kept small, as flat tuples of ints read in
+    fixed-size records: ``shapes`` holds ``left, k, rows, cols`` for each
+    matrix the table reads; ``left`` and ``right`` hold only the terms whose
+    two blocks are both nonempty, with their layout offsets and strides
+    resolved: ``k, negate, out offset, out cols, in offset, in cols``, a right
+    term with its out rows after them.
+    """
+
+    __slots__ = ("out_dim", "in_dim", "terms", "labels", "shapes", "left", "right")
+
+    def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
+                 in_blocks: Sequence[tuple[str, int, int]], terms: Sequence[Term] = ()):
+        if type(terms) is not TermTable:
+            terms = TermTable(terms)
+        out, self.out_dim = _layout(out_blocks)
+        inn, self.in_dim = _layout(in_blocks)
+        if max(self.out_dim, self.in_dim) > MAX_DIM:
+            raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
+                             f"size bound {MAX_DIM}")
+        self.terms = terms
+        self.labels = (tuple(b[0] for b in out_blocks), tuple(b[0] for b in in_blocks))
+        # The shape of each matrix as its first term implies it, by side
+        # (indexed by ``left``), and the flat records, in first-read order.
+        firsts: tuple[dict, dict] = ({}, {})
+        shapes: list = []
+        left: list[int] = []
+        right: list[int] = []
+        for o, i, k, is_left, sign in terms:
+            ooff, orows, ocols = out[o]
+            ioff, irows, icols = inn[i]
+            # phi -> L @ phi keeps the columns of phi and reads L as o x i rows;
+            # phi -> phi @ R keeps its rows and reads R as i x o columns.
+            if is_left:
+                fits, rows, cols = ocols == icols, orows, irows
+            else:
+                fits, rows, cols = orows == irows, icols, ocols
+            if not fits:
+                raise ShapeError(f"{_side(is_left)} term shape mismatch at {self.where(o, i)}")
+            first = firsts[is_left].get(k)
+            if first is None:
+                firsts[is_left][k] = rows, cols
+                shapes += (is_left, k, rows, cols)
+            elif first[0] != rows or first[1] != cols:
+                raise ShapeError(f"{_side(is_left)} matrix {k} is {first[0]}x{first[1]} at "
+                                 f"{self.reader(is_left, k)} but {rows}x{cols} at "
+                                 f"{self.where(o, i)}")
+            if orows and ocols and irows and icols:
+                if is_left:
+                    left += (k, sign < 0, ooff, ocols, ioff, icols)
+                else:
+                    right += (k, sign < 0, ooff, ocols, ioff, icols, orows)
+        self.shapes, self.left, self.right = tuple(shapes), tuple(left), tuple(right)
+
+    def where(self, o: int, i: int) -> str:
+        """The block pair ``out<-in`` of out block ``o`` and in block ``i``."""
+        return f"{self.labels[0][o]}<-{self.labels[1][i]}"
+
+    def reader(self, is_left: bool, k: int) -> str:
+        """The block pair of the first term that reads matrix ``k`` of its side."""
+        return next(self.where(o, i) for o, i, kk, left, _ in self.terms
+                    if kk == k and left == is_left)
+
+
+def _side(is_left: bool) -> str:
+    return "left" if is_left else "right"
+
+
 class BlockMap:
     """Assembles a sparse linear map between direct sums of Hom-spaces.
 
@@ -442,55 +532,54 @@ class BlockMap:
     ``(o, i, k, left, sign)`` maps phi -> sign * left[k] @ phi (``left``) or
     phi -> sign * phi @ right[k] from in-block ``i`` to out-block ``o``.  Each
     Ext differential and intertwiner system is one static ``TermTable``
-    (``homalg``, ``quiver``); a plain sequence of terms is validated as one
-    here.  The table is applied at construction by one loop over integer block
-    offsets and the nonzero entries of each matrix (``Mat.entries``, built
-    once per matrix and read again by every map over the same module; a zero
-    matrix adds nothing); since no block pair repeats, each entry is stored
-    once as ``sign * v``, never summed, and is nonzero.  Term dimensions above
-    ``MAX_DIM`` are refused first.  ``entry_bound``, when given, is an int at
-    least every |entry| of ``left`` and ``right``, all ints, and ``matrix``
-    records it on the map.
+    (``homalg``, ``quiver``); a plain sequence of terms is validated as one.
+    The blocks and terms are compiled into a ``BlockPlan``, or a compiled
+    ``plan`` is passed instead of them, and the plan is applied at
+    construction: each matrix is checked once against the shape the plan
+    implies for it, then one loop per side walks the plan's nonempty terms
+    and the nonzero entries of each matrix (``Mat.entries``, built once per
+    matrix and read again by every map over the same module; a zero matrix
+    adds nothing).  Since no block pair repeats, each entry is stored once as
+    ``v`` or ``-v``, never summed, and is nonzero.  ``entry_bound``, when
+    given, is an int at least every |entry| of ``left`` and ``right``, all
+    ints, and ``matrix`` records it on the map.
     """
 
-    def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
-                 in_blocks: Sequence[tuple[str, int, int]], terms: Sequence[Term] = (),
+    def __init__(self, out_blocks: Sequence[tuple[str, int, int]] = (),
+                 in_blocks: Sequence[tuple[str, int, int]] = (), terms: Sequence[Term] = (),
                  left: Sequence[Mat] = (), right: Sequence[Mat] = (),
-                 entry_bound: int | None = None):
-        if type(terms) is not TermTable:
-            terms = TermTable(terms)
-        self._blocks = (out_blocks, in_blocks)
-        self._out, self.out_dim = _layout(out_blocks)
-        self._in, self.in_dim = _layout(in_blocks)
-        if max(self.out_dim, self.in_dim) > MAX_DIM:
-            raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
-                             f"size bound {MAX_DIM}")
+                 entry_bound: int | None = None, plan: BlockPlan | None = None):
+        if plan is None:
+            plan = BlockPlan(out_blocks, in_blocks, terms)
+        self.out_dim, self.in_dim = plan.out_dim, plan.in_dim
         self._entry_bound = entry_bound
-        self._rows: list[Row] = [{} for _ in range(self.out_dim)]
-        rows, out, inn = self._rows, self._out, self._in
-        for o, i, k, is_left, sign in terms:
-            ooff, orows, ocols = out[o]
-            ioff, irows, icols = inn[i]
+        # zip(it, it, ...) over one iterator reads a flat tuple in records.
+        it = iter(plan.shapes)
+        for is_left, k, r, c in zip(it, it, it, it):
             mat = left[k] if is_left else right[k]
-            if is_left:
-                ok = ocols == icols and mat.rows == orows and mat.cols == irows
-            else:
-                ok = orows == irows and mat.rows == icols and mat.cols == ocols
-            if not ok:
-                raise ShapeError(f"{'left' if is_left else 'right'} term shape mismatch at "
-                                 f"{self._blocks[0][o][0]}<-{self._blocks[1][i][0]}")
-            if is_left:
-                # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
-                for r, c, v in mat.entries:
-                    sv, base_o, base_i = sign * v, ooff + r * ocols, ioff + c * icols
-                    for x in range(ocols):
-                        rows[base_o + x][base_i + x] = sv
-            else:
-                # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
-                for r, c, v in mat.entries:
-                    sv, base_o, base_i = sign * v, ooff + c, ioff + r
-                    for x in range(orows):
-                        rows[base_o + x * ocols][base_i + x * icols] = sv
+            if mat.rows != r or mat.cols != c:
+                raise ShapeError(f"{_side(is_left)} term shape mismatch at "
+                                 f"{plan.reader(is_left, k)}")
+        self._rows: list[Row] = [{} for _ in range(self.out_dim)]
+        rows = self._rows
+        # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
+        it = iter(plan.left)
+        for k, negate, ooff, ocols, ioff, icols in zip(it, it, it, it, it, it):
+            for r, c, v in left[k].entries:
+                if negate:
+                    v = -v
+                base_o, base_i = ooff + r * ocols, ioff + c * icols
+                for x in range(ocols):
+                    rows[base_o + x][base_i + x] = v
+        # (phi @ R)[x, c] picks up phi[x, r] * R[r, c].
+        it = iter(plan.right)
+        for k, negate, ooff, ocols, ioff, icols, orows in zip(it, it, it, it, it, it, it):
+            for r, c, v in right[k].entries:
+                if negate:
+                    v = -v
+                base_o, base_i = ooff + c, ioff + r
+                for x in range(orows):
+                    rows[base_o + x * ocols][base_i + x * icols] = v
 
     def matrix(self) -> Mat:
         # The rows are complete after __init__ and hold no zero, so they are

@@ -399,19 +399,20 @@ D0_TERMS = TermTable(term for x, a in enumerate(_ARROWS)
 D0_TABLES = {JACOBI: D0_TERMS, BEILINSON: TermTable(D0_TERMS[:2 * len(BEILINSON.arrows)])}
 
 
-def hom_blocks(space: Sequence[tuple[str, int, int]], m, n) -> list[tuple[str, int, int]]:
-    return [(label, n.dims[r], m.dims[c]) for label, r, c in space]
-
-
 def arrow_matrices(rep: Representation) -> list[Mat]:
     return list(rep.matrices.values())
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
-    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n."""
-    k = len(m.presentation.arrows)
-    return BlockMap(hom_blocks(ARROW_SPACE[:k], m, n), hom_blocks(VERTEX_SPACE, m, n),
-                    D0_TABLES[m.presentation], arrow_matrices(n), arrow_matrices(m)).matrix()
+    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n.
+
+    It is d0 of the Ext complex of m's presentation, so its compiled plan is
+    read from the plan memo of ``homalg`` (imported here, since ``homalg``
+    imports this module)."""
+    from .homalg import d0_plan
+
+    return BlockMap(left=arrow_matrices(n), right=arrow_matrices(m),
+                    plan=d0_plan(m.presentation, m.dims, n.dims)).matrix()
 
 
 class HomSpace(NamedTuple):

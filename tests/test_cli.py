@@ -254,26 +254,35 @@ def test_corpus_ext_error_fails_only_the_cells_that_read_it():
 
 @pytest.mark.parametrize("scalars", [corpus.RATIONAL, PrimeScalars(2147483659)])
 def test_corpus_builds_each_module_and_each_ext_once(monkeypatch, scalars):
-    # A module is told apart by its label and content; mode agreement's
-    # rational Exts are a different build from the prime ones.
+    # A module is told apart by its label and content.  Every 3-fold complex
+    # is built once, whatever ranks it: in prime mode, mode agreement ranks
+    # the complexes of the 36 core pairs over Q instead of building them again.
     builds: Counter = Counter()
     sums: Counter = Counter()
-    ext_dims_Y, direct_sum = homalg.ext_dims_Y, corpus.direct_sum
+    build, direct_sum = homalg.build_ext_complex_Y, corpus.direct_sum
 
-    def counted_ext(m, n, s=corpus.RATIONAL):
-        builds[tuple((r.label, r.heart, r.dims, tuple(r.matrices.items())) for r in (m, n)),
-               s.name] += 1
-        return ext_dims_Y(m, n, s)
+    def key(m, n):
+        return tuple((r.label, r.heart, r.dims, tuple(r.matrices.items())) for r in (m, n))
+
+    def counted_build(m, n):
+        builds[key(m, n)] += 1
+        return build(m, n)
 
     def counted_sum(a, b, label=None):
         sums[id(a), id(b)] += 1
         return direct_sum(a, b, label)
 
-    monkeypatch.setattr(homalg, "ext_dims_Y", counted_ext)
+    monkeypatch.setattr(homalg, "build_ext_complex_Y", counted_build)
     monkeypatch.setattr(corpus, "direct_sum", counted_sum)
-    assert corpus.run_corpus(corpus.RunConfig(scalars=scalars))["passed"]
+    objs = corpus.standard_corpus()
+    report = corpus.run_corpus(corpus.RunConfig(scalars=scalars), objects=objs)
+    assert report["passed"]
     assert [k for k, count in builds.items() if count > 1] == []
     assert set(sums.values()) == {1}
+    core = [key(objs[a], objs[b]) for a in corpus.CORE_PAIR_NAMES for b in corpus.CORE_PAIR_NAMES]
+    assert len(set(core)) == 36 and all(builds[k] == 1 for k in core)
+    agreement = [c for c in report["cells"] if c["name"] == "mode-agreement"]
+    assert [c["status"] for c in agreement] == (["pass"] if scalars.name == "prime" else [])
 
 
 def test_corpus_twists_each_module_once(monkeypatch):

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 from localp2.errors import HeartMismatchError, InternalCheckError
 from localp2.homalg import (
     EXT_TABLES,
+    PLAN_MEMO_SIZE,
     _check_composition,
+    _ext_differentials,
+    _ext_plans,
     _ext_terms,
     build_ext_complex_P2,
     build_ext_complex_Y,
@@ -27,7 +30,9 @@ from localp2.homalg import (
 )
 from localp2.linalg import RATIONAL, Mat, PrimeScalars, TermTable, _field_rows, rank
 from localp2.quiver import (
+    BEILINSON,
     D0_TABLES,
+    JACOBI,
     check_relations,
     direct_sum,
     hom_space,
@@ -235,7 +240,7 @@ def test_cy3_differentials_are_block_transposes(a, b):
     m, n = pushforward_module(a, 0), pushforward_module(b, 0)
     fwd = build_ext_complex_Y(n, m).differentials
     bwd = build_ext_complex_Y(_with_fraction_entries(m), _with_fraction_entries(n)).differentials
-    terms, dual = _ext_terms("y", n, m), _ext_terms("y", m, n)
+    terms, dual = _ext_terms("y", n.dims, m.dims), _ext_terms("y", m.dims, n.dims)
     perm = [_block_transpose(terms[j], dual[3 - j]) for j in range(4)]
     for i in range(3):
         back = {p: k for k, p in enumerate(perm[i])}
@@ -398,3 +403,95 @@ def test_composition_check_names_the_pair_whose_product_is_nonzero():
     rows[r] = {**rows[r], c: -rows[r][c]}
     with pytest.raises(InternalCheckError, match=r"^Y complex: d2 \. d1 != 0$"):
         _check_composition((d0, d1, Mat(d2.rows, d2.cols, tuple(rows))), "y")
+
+
+# Memoized assembly: the plans of a complex are compiled once per (side, dims
+# of M, dims of N), and a build from the memo must equal one assembled term by
+# term from the tables, with every term summed in (no write-once shortcut).
+
+def _dense_reference(side: str, m, n) -> list:
+    # The term dims, then each differential as dense rows.
+    spaces, tables = EXT_TABLES[side]
+    left = [mat.data for mat in n.matrices.values()]
+    right = [mat.data for mat in m.matrices.values()]
+
+    def layout(space):
+        blocks, offsets, off = [], [], 0
+        for _, r, c in space:
+            blocks.append((n.dims[r], m.dims[c]))
+            offsets.append(off)
+            off += n.dims[r] * m.dims[c]
+        return blocks, offsets, off
+
+    out = [tuple(layout(space)[2] for space in spaces)]
+    for d, table in enumerate(tables):
+        (iblocks, ioffs, idim), (oblocks, ooffs, odim) = layout(spaces[d]), layout(spaces[d + 1])
+        dense = [[0] * idim for _ in range(odim)]
+        for o, i, k, is_left, sign in table:
+            (ro, co), (ri, ci) = oblocks[o], iblocks[i]
+            # The image of the matrix unit E_ab of block i.
+            for a in range(ri):
+                for b in range(ci):
+                    col = ioffs[i] + a * ci + b
+                    if is_left:  # (L @ E_ab)[x, b] = L[x, a]
+                        for x in range(ro):
+                            dense[ooffs[o] + x * co + b][col] += sign * left[k][x][a]
+                    else:  # (E_ab @ R)[a, y] = R[b, y]
+                        for y in range(co):
+                            dense[ooffs[o] + a * co + y][col] += sign * right[k][b][y]
+        out.append(tuple(map(tuple, dense)))
+    return out
+
+
+_arrow_entries = st.one_of(st.integers(-2, 2),
+                           st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _modules_of(draw, presentation):
+    # Random dims 0..3 per slot and random arrow matrices: the relations need
+    # not hold, since the differentials are compared before d.d = 0 is checked.
+    dims = draw(st.tuples(*[st.integers(0, 3)] * 3))
+    mats = {}
+    for a in presentation.arrows:
+        r, c = dims[a.source], dims[a.target]
+        rows = draw(st.lists(st.lists(_arrow_entries, min_size=c, max_size=c),
+                             min_size=r, max_size=r))
+        mats[a.name] = Mat.from_rows(rows, cols=c)
+    return representation(0, dims, mats, presentation=presentation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("y", JACOBI), ("p2", BEILINSON)]), st.data())
+def test_memoized_assembly_matches_a_dense_term_by_term_reference(side_presentation, data):
+    side, presentation = side_presentation
+    m, n = data.draw(_modules_of(presentation)), data.draw(_modules_of(presentation))
+    term_dims, *reference = _dense_reference(side, m, n)
+    _ext_plans.cache_clear()
+    for _ in range(2):
+        dims, diffs = _ext_differentials(side, m, n)
+        assert dims == term_dims and [d.data for d in diffs] == reference
+        assert all(v for d in diffs for row in d.sparse for v in row.values())
+    info = _ext_plans.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_plan_memo_stays_within_its_bound():
+    _ext_plans.cache_clear()
+    dims = [(a, b, c) for a in range(4) for b in range(4) for c in range(3)]
+    pairs = [(x, y) for x in dims for y in dims[:3]]
+    assert len(pairs) > PLAN_MEMO_SIZE
+    for x, y in pairs:
+        cx = build_ext_complex_Y(representation(0, x), representation(0, y))
+        assert cx.term_dims == _term_dims_of(x, y)
+        assert _ext_plans.cache_info().currsize <= PLAN_MEMO_SIZE
+    info = _ext_plans.cache_info()
+    assert info.maxsize == info.currsize == PLAN_MEMO_SIZE and info.misses == len(pairs)
+
+
+def _term_dims_of(x, y) -> tuple[int, ...]:
+    # dim Hom(M, N) over the vertices, over the arrows, over the dual arrows, and again.
+    vertex = sum(y[v] * x[v] for v in range(3))
+    arrow = 3 * (y[0] * x[1] + y[1] * x[2] + y[2] * x[0])
+    dual = 3 * (y[1] * x[0] + y[2] * x[1] + y[0] * x[2])
+    return (vertex, arrow, dual, vertex)

@@ -16,6 +16,7 @@ from localp2.linalg import (
     MAX_DIM,
     RATIONAL,
     BlockMap,
+    BlockPlan,
     Mat,
     PrimeScalars,
     TermTable,
@@ -162,7 +163,7 @@ def test_prime_rank_can_fall_below_rational_rank():
         ([[_P]], 1, 0),
         ([[1, 1], [1, 1 + _P]], 2, 1),
         # Every entry is in range, and row 2 minus twice row 1 is
-        # (0, -1 - 2h) = (0, -p): zero only once _axpy reduces it.
+        # (0, -1 - 2h) = (0, -p): zero only once the row update reduces it.
         ([[1, _H], [2, -1]], 2, 1),
     ]
     for rows, over_q, mod_p in cases:
@@ -283,6 +284,42 @@ def test_blockmap_term_table_matches_one_term_tables():
             BlockMap(out_blocks, in_blocks, bad, left, right)
         with pytest.raises(ShapeError):
             TermTable(bad)
+
+
+def test_blockplan_refuses_two_shapes_for_one_matrix():
+    # Left matrix 0 read as 2x2 by p<-x and as 3x2 by q<-x; right matrix 0
+    # read as 2x2 by p<-x and as 2x3 by r<-x.  Refused when compiled, before
+    # any matrix is read.
+    out_blocks, in_blocks = [("p", 2, 2), ("q", 3, 2), ("r", 2, 3)], [("x", 2, 2)]
+    for terms, message in (([(0, 0, 0, True, 1), (1, 0, 0, True, -1)],
+                            "left matrix 0 is 2x2 at p<-x but 3x2 at q<-x"),
+                           ([(0, 0, 0, False, 1), (2, 0, 0, False, 1)],
+                            "right matrix 0 is 2x2 at p<-x but 2x3 at r<-x")):
+        with pytest.raises(ShapeError, match=message):
+            BlockPlan(out_blocks, in_blocks, terms)
+        with pytest.raises(ShapeError, match=message):
+            BlockMap(out_blocks, in_blocks, terms, [Mat.zeros(2, 2)], [Mat.zeros(2, 2)])
+
+
+def test_blockplan_checks_each_matrix_once_and_names_a_block_pair():
+    # Two terms read left matrix 0 as 2x2; a plan applies to any matrices of
+    # that shape, and a matrix of another shape is refused naming the first
+    # pair that reads it.  Terms with an empty block are dropped from the
+    # walk, but their matrices are still checked.
+    out_blocks, in_blocks = [("p", 2, 2), ("q", 2, 0)], [("x", 2, 2), ("y", 2, 0)]
+    plan = BlockPlan(out_blocks, in_blocks, [(0, 0, 0, True, 1), (1, 1, 0, True, -1),
+                                             (0, 1, 1, False, 1)])
+    assert (plan.out_dim, plan.in_dim, plan.left, plan.right) == (4, 4, (0, False, 0, 2, 0, 2), ())
+    assert plan.shapes == (True, 0, 2, 2, False, 1, 0, 2)
+    left = Mat.from_rows([[1, Fraction(1, 2)], [0, -1]])
+    right = [None, Mat.zeros(0, 2)]
+    expected = BlockMap(out_blocks[:1], in_blocks[:1], [(0, 0, 0, True, 1)], [left]).matrix()
+    for _ in range(2):
+        assert BlockMap(left=[left], right=right, plan=plan).matrix() == expected
+    with pytest.raises(ShapeError, match="^left term shape mismatch at p<-x$"):
+        BlockMap(left=[Mat.zeros(3, 2)], right=right, plan=plan)
+    with pytest.raises(ShapeError, match="^right term shape mismatch at p<-y$"):
+        BlockMap(left=[left], right=[None, Mat.zeros(1, 2)], plan=plan)
 
 
 def test_from_rows_stores_integral_values_as_int():
