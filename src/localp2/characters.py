@@ -32,9 +32,9 @@ its layout's degrees into one net table (slot_M, slot_N) -> sum of parity
 times multiplicity, memoized per layout value and looked up at call time.
 
 The verifiers build and compare every heart of their range exactly; what is
-saved is allocation.  Characters made inside this module hand their fresh
-dict over without the public constructor's copy unless it holds a zero, and
-``char_diff`` returns at once when both maps are equal.
+saved is per-key work.  Each operation makes one pass over its keys into one
+new dict (the cocycle's two differences are one sum), kept without a copy
+unless it holds a zero; ``char_diff`` returns at once when the maps are equal.
 """
 
 from __future__ import annotations
@@ -119,25 +119,24 @@ class DetCharacter:
         return not self.coeffs
 
     def __add__(self, other: "DetCharacter") -> "DetCharacter":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) + c
-        return _fresh(out)
+        return _combine(self, 1, other)
 
     def __neg__(self) -> "DetCharacter":
         return self.scale(-1)
 
     def __sub__(self, other: "DetCharacter") -> "DetCharacter":
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, 0) - c
-        return _fresh(out)
+        return _combine(self, -1, other)
 
     def scale(self, scalar: int) -> "DetCharacter":
         return _fresh({k: scalar * c for k, c in self.coeffs.items()})
 
     def branches(self) -> set[Branch]:
-        return {x[0] for key in self.coeffs for x in key if x is not None}
+        out = set()
+        for s, v in self.coeffs:
+            out.add(s[0])
+            if v is not None:
+                out.add(v[0])
+        return out
 
     def evaluate(self, assignment: Mapping) -> dict[Var, int]:
         """Substitute integer dimensions into every exponent, in symbol order."""
@@ -161,8 +160,18 @@ def _fresh(coeffs: dict[Key, int]) -> DetCharacter:
     if 0 in coeffs.values():
         coeffs = {k: c for k, c in coeffs.items() if c}
     char = object.__new__(DetCharacter)
-    object.__setattr__(char, "coeffs", coeffs)
+    char.__dict__["coeffs"] = coeffs
     return char
+
+
+def _combine(char: DetCharacter, sign: int, *others: DetCharacter) -> DetCharacter:
+    """``char`` plus ``sign`` times each of ``others``, summed into one new dict."""
+    out = dict(char.coeffs)
+    get = out.get
+    for other in others:
+        for k, c in other.coeffs.items():
+            out[k] = get(k, 0) + sign * c
+    return _fresh(out)
 
 
 def _substitute(char: DetCharacter, mapping: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
@@ -174,16 +183,24 @@ def _substitute(char: DetCharacter, mapping: Mapping[Var, Mapping[Var, int]]) ->
     result does not depend on the order of the substitutions.
     """
     out: dict[Key, int] = {}
+    get, find = out.get, mapping.get
     for key, c in char.coeffs.items():
         s, v = key
-        smap, vmap = mapping.get(s), mapping.get(v)
-        if smap is None and vmap is None:
-            out[key] = out.get(key, 0) + c
-            continue
-        for s2, a in smap.items() if smap is not None else ((s, 1),):
-            ac = a * c
-            for v2, b in vmap.items() if vmap is not None else ((v, 1),):
-                out[s2, v2] = out.get((s2, v2), 0) + ac * b
+        smap, vmap = find(s), find(v)
+        if vmap is None:
+            if smap is None:
+                out[key] = get(key, 0) + c
+            else:
+                for s2, a in smap.items():
+                    out[s2, v] = get((s2, v), 0) + a * c
+        elif smap is None:
+            for v2, b in vmap.items():
+                out[s, v2] = get((s, v2), 0) + b * c
+        else:
+            for s2, a in smap.items():
+                ac = a * c
+                for v2, b in vmap.items():
+                    out[s2, v2] = get((s2, v2), 0) + ac * b
     return _fresh(out)
 
 
@@ -192,9 +209,8 @@ def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
 
     D_n -> 3(h_{n+2} - h_{n+1}), and cyclically for D_{n+1} and D_{n+2}.
     """
-    d = [(branch, heart + j) for j in range(3)]
-    return _fresh({(d[i], d[(i + shift) % 3]): c
-                   for i in range(3) for shift, c in ((2, 3), (1, -3))})
+    a, b, c = (branch, heart), (branch, heart + 1), (branch, heart + 2)
+    return _fresh({(a, c): 3, (a, b): -3, (b, a): 3, (b, c): -3, (c, b): 3, (c, a): -3})
 
 
 # Koszul relation per direction: (offset of the eliminated index, its replacement).
@@ -247,10 +263,11 @@ def _net_blocks(layout) -> tuple[tuple[int, int, int], ...]:
 
 def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
     out: dict[Key, int] = {}
+    get = out.get
     for s, t, x in _net_blocks(layout):
         m, n = (branch_m, heart + s), (branch_n, heart + t)
-        out[n, m] = out.get((n, m), 0) + x
-        out[m, n] = out.get((m, n), 0) - x
+        out[n, m] = get((n, m), 0) + x
+        out[m, n] = get((m, n), 0) - x
     return _fresh(out)
 
 
@@ -268,8 +285,12 @@ def expand_extension(char: DetCharacter, whole: str = "2",
                      parts: tuple[str, str] = ("1", "3")) -> DetCharacter:
     """Rewrite branch ``whole`` as the sum of the two part branches (symbols and variables)."""
     a, b = parts
-    split = {x: {(a, x[1]): 1, (b, x[1]): 1}
-             for key in char.coeffs for x in key if x is not None and x[0] == whole}
+    split = {}
+    for s, v in char.coeffs:
+        if s[0] == whole and s not in split:
+            split[s] = {(a, s[1]): 1, (b, s[1]): 1}
+        if v is not None and v[0] == whole and v not in split:
+            split[v] = {(a, v[1]): 1, (b, v[1]): 1}
     return _substitute(char, split)
 
 
@@ -296,10 +317,10 @@ def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: d
     }
 
 
-def _require_hearts(n_min: int, n_max: int) -> None:
-    """Refuse a reversed range, which holds no heart and would pass unchecked."""
-    if n_max < n_min:
-        raise InputError(f"need n_max >= n_min, got [{n_min}, {n_max}]")
+def require_hearts(n_min: int, n_max: int, pairs: bool = False) -> None:
+    """Refuse a range with no heart (with ``pairs``: no adjacent pair); it would pass unchecked."""
+    if n_max < n_min or (pairs and n_max == n_min):
+        raise InputError(f"need n_max {'>' if pairs else '>='} n_min, got [{n_min}, {n_max}]")
 
 
 def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
@@ -308,8 +329,7 @@ def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
     Coefficient-level equality of the characters for every consecutive pair:
     a proof for all modules lying in the overlapping hearts.
     """
-    if n_max <= n_min:
-        raise InputError(f"need n_max > n_min, got [{n_min}, {n_max}]")
+    require_hearts(n_min, n_max, pairs=True)
     witness = {}
     rhs = ori_char(n_min)
     for n in range(n_min, n_max):
@@ -333,14 +353,14 @@ def verify_theorem4() -> dict:
 
 def verify_square_root(n_min: int = -8, n_max: int = 8) -> dict:
     """The full 4-term character is twice the window character, in every heart checked."""
-    _require_hearts(n_min, n_max)
+    require_hearts(n_min, n_max)
+    witness = {}
     for n in range(n_min, n_max + 1):
         lhs = full_complex_char(n)
-        rhs = ori_char(n).scale(2)
-        diff = char_diff(lhs, rhs)
+        diff = char_diff(lhs, ori_char(n).scale(2))
         if diff:
             return _report("square-root", (n_min, n_max), diff, {"failed_heart": n})
-    witness = {"heart": n_min, "character": full_complex_char(n_min).rendered()}
+        witness = witness or {"heart": n_min, "character": lhs.rendered()}
     return _report("square-root", (n_min, n_max), [], witness)
 
 
@@ -348,15 +368,15 @@ def verify_cocycle(n_min: int = -8, n_max: int = 8) -> dict:
     """Multiplicativity on extensions: the branch-2 character minus the branch
     characters equals the mixed character of the full complex between the
     sub- and quotient branches (a symbolic bilinear identity)."""
-    _require_hearts(n_min, n_max)
+    require_hearts(n_min, n_max)
+    witness = {}
     for n in range(n_min, n_max + 1):
-        lhs = (expand_extension(ori_char(n, "2"))
-               - ori_char(n, "1") - ori_char(n, "3"))
+        lhs = _combine(expand_extension(ori_char(n, "2")), -1, ori_char(n, "1"), ori_char(n, "3"))
         rhs = full_complex_char(n, "1", "3")
         diff = char_diff(lhs, rhs)
         if diff:
             return _report("cocycle", (n_min, n_max), diff, {"failed_heart": n})
-    witness = {"heart": n_min, "mixed_character": full_complex_char(n_min, "1", "3").rendered()}
+        witness = witness or {"heart": n_min, "mixed_character": rhs.rendered()}
     return _report("cocycle", (n_min, n_max), [], witness)
 
 

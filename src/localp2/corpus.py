@@ -31,6 +31,10 @@ class RunConfig:
     sum_samples: int = 100
     window: tuple[int, int] = (-8, 8)
 
+    def __post_init__(self):
+        # The identities run over the window; theorem3 needs a consecutive pair.
+        characters.require_hearts(*self.window, pairs=True)
+
 
 def standard_corpus() -> dict[str, Representation]:
     objs = {

@@ -13,6 +13,7 @@ from localp2.characters import (
     _P2_LAYOUT,
     _Y_LAYOUT,
     DetCharacter,
+    _combine,
     _complex_char,
     _substitute,
     char_diff,
@@ -45,6 +46,18 @@ def test_ori_char_heart1_displayed_formula():
     assert forms[None, 2] == {(None, 1): 3, (None, 3): -3}
     assert forms[None, 3] == {(None, 2): 3, (None, 1): -3}
     assert (None, 0) not in forms and (None, 4) not in forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-300, 300), st.sampled_from([None, "1", "2", "3"]))
+def test_ori_char_is_the_cyclic_definition(n, branch):
+    # D_{n+i} -> 3(h_{n+i+2} - h_{n+i+1}), indices read cyclically in n..n+2.
+    expected = {}
+    for i in range(3):
+        symbol = (branch, n + i)
+        expected[symbol, (branch, n + (i + 2) % 3)] = 3
+        expected[symbol, (branch, n + (i + 1) % 3)] = -3
+    assert ori_char(n, branch).coeffs == expected
 
 
 def test_ori_char_evaluations():
@@ -269,6 +282,72 @@ def test_verifiers_check_every_heart_of_the_range(monkeypatch):
     for verify in (verify_square_root, verify_cocycle):
         rep = verify(-3, 3)
         assert rep["status"] == "fail" and rep["witness"] == {"failed_heart": 2}
+
+
+def _count_calls(monkeypatch, module, names):
+    """Wrap each named module function; return {name: [args of each call]}."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def wrapper(*args, _inner=getattr(module, name), _log=calls[name]):
+            _log.append(args)
+            return _inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("lo, hi", [(-3, 3), (4, 5), (-20, -7)])
+def test_verifiers_build_each_heart_once(monkeypatch, lo, hi):
+    # The per-heart contract: every heart of [lo, hi] is built once and
+    # compared once, and theorem3 rewrites once per consecutive pair, which is
+    # what a trace's ``characters.rewrite_calls`` counts.
+    from localp2 import characters
+
+    names = ("ori_char", "koszul_rewrite", "expand_extension", "full_complex_char", "char_diff")
+    hearts = list(range(lo, hi + 1))
+
+    calls = _count_calls(monkeypatch, characters, names)
+    assert verify_theorem3(lo, hi)["status"] == "pass"
+    assert [args[1:] for args in calls["koszul_rewrite"]] == [(n, "up") for n in hearts[:-1]]
+    assert calls["ori_char"] == [(n,) for n in hearts]
+    assert len(calls["char_diff"]) == hi - lo
+    assert not calls["expand_extension"] and not calls["full_complex_char"]
+
+    calls = _count_calls(monkeypatch, characters, names)
+    assert verify_square_root(lo, hi)["status"] == "pass"
+    assert calls["full_complex_char"] == [(n,) for n in hearts]
+    assert calls["ori_char"] == [(n,) for n in hearts]
+    assert len(calls["char_diff"]) == len(hearts)
+    assert not calls["koszul_rewrite"] and not calls["expand_extension"]
+
+    calls = _count_calls(monkeypatch, characters, names)
+    assert verify_cocycle(lo, hi)["status"] == "pass"
+    assert calls["full_complex_char"] == [(n, "1", "3") for n in hearts]
+    assert calls["ori_char"] == [(n, b) for n in hearts for b in ("2", "1", "3")]
+    assert len(calls["expand_extension"]) == len(calls["char_diff"]) == len(hearts)
+    assert not calls["koszul_rewrite"]
+
+
+def _minus_reference(a, b, c):
+    # a - b - c from the raw maps, zeros dropped.
+    out = dict(a.coeffs)
+    for other in (b, c):
+        for k, x in other.coeffs.items():
+            out[k] = out.get(k, 0) - x
+    return {k: x for k, x in out.items() if x}
+
+
+@settings(max_examples=150, deadline=None)
+@given(tagged_chars, tagged_chars, tagged_chars, st.booleans())
+def test_fused_cocycle_difference_is_a_minus_b_minus_c(a, b, c, cancel):
+    # The cocycle's left side is one fused sum; ``cancel`` makes it vanish.
+    if cancel:
+        a = DetCharacter(_minus_reference(DetCharacter(), b, c)).scale(-1)
+    fused = _combine(a, -1, b, c)
+    assert fused.coeffs == _minus_reference(a, b, c)
+    assert fused == a - b - c
+    assert all(fused.coeffs.values())
+    assert fused.is_zero() or not cancel
+    assert _combine(a, 1, b) == DetCharacter(_minus_reference(a, -b, DetCharacter()))
 
 
 @pytest.mark.parametrize("verify", [verify_square_root, verify_cocycle])

@@ -190,6 +190,26 @@ def test_corpus_cli_smoke(capsys):
     assert "verify:theorem3" in names and "twist-refused:s0" in names
 
 
+@pytest.mark.parametrize("lo, hi", [(5, 2), (3, 3)])
+def test_corpus_refuses_a_window_without_a_pair_of_hearts(capsys, lo, hi):
+    # theorem3 needs two consecutive hearts; the window is refused before any
+    # cell runs, as ``localp2 verify theorem3`` refuses it.
+    code, stdout, stderr = run(capsys, "corpus", "--range", str(lo), str(hi))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: need n_max > n_min, got [{lo}, {hi}]\n"
+    assert run(capsys, "verify", "theorem3", "--range", str(lo), str(hi))[2] == stderr
+    with pytest.raises(InputError, match="need n_max > n_min"):
+        corpus.RunConfig(window=(lo, hi))
+
+
+@pytest.mark.parametrize("mode, cells", [((), 172), (("--mode", "prime", "2147483659"), 173)])
+def test_corpus_on_the_narrowest_window_keeps_every_cell(capsys, mode, cells):
+    code, stdout, _ = run(capsys, "corpus", "--range", "3", "4", "--format", "json", *mode)
+    payload = json.loads(stdout)
+    assert code == 0 and payload["passed"] is True and len(payload["cells"]) == cells
+    assert payload["config"]["window"] == [3, 4]
+
+
 def test_corpus_deterministic_under_seed():
     a = corpus.run_corpus(corpus.RunConfig(seed=3))
     b = corpus.run_corpus(corpus.RunConfig(seed=3))
