@@ -13,18 +13,28 @@ Each differential is one ``BlockMap`` over a static term table
 for its entries: every arrow matrix is checked once against the shape its
 plan implies, and each nonzero arrow entry is written where its terms put it.
 
+A complex is assembled once, as integer matrices over one denominator D (the
+lcm of the denominators of the arrow entries, ``ExtComplex.integral``), and
+the ``d.d = 0`` check and both ranks read them: (D d2)(D d1) = D^2 d2 d1 is
+zero exactly when d2 d1 is, and rank(D d) = rank(d) over Q and over GF(p)
+when p does not divide D; when it does, the rational matrices are ranked,
+and refused.  Those, ``ExtComplex.differentials``, are built only when read.
+
 Differential orientation is pinned by the worked Euler values
 euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import HeartMismatchError, InternalCheckError
-from .linalg import RATIONAL, BlockMap, BlockPlan, Mat, Scalars, TermTable, product_is_zero, rank
+from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars, TermTable,
+                     product_is_zero, rank)
 from .quiver import (
     ARROW_SPACE,
     BEILINSON,
@@ -34,18 +44,40 @@ from .quiver import (
     VERTEX_SPACE,
     VERTICES,
     Representation,
-    arrow_matrices,
     p2_restrict,
 )
 
 ExtDims = tuple[int, ...]
 
 
+class _RationalView:
+    """``ExtComplex.differentials``: as supplied, or else read off ``integral``."""
+
+    def __get__(self, cx, owner=None):
+        if cx is None:
+            return None  # the field's default: none supplied
+        if cx.__dict__["_differentials"] is None and cx.integral is not None:
+            d, scaled = cx.integral  # m / d, an entry an int where it is integral
+            cx.__dict__["_differentials"] = tuple(m if d == 1 else Mat(m.rows, m.cols, tuple(
+                {j: Fraction(x, d) if x % d else x // d for j, x in row.items()}
+                for row in m.sparse)) for m in scaled)
+        return cx.__dict__["_differentials"]
+
+    def __set__(self, cx, diffs):
+        if diffs is not None:
+            cx.__dict__["integral"] = None  # the kernels read supplied matrices
+        cx.__dict__["_differentials"] = diffs
+
+
 @dataclass(frozen=True)
 class ExtComplex:
+    """``integral`` is ``(D, D * differentials)``, every entry an int.  It is set
+    before ``differentials``, so supplying these (``dataclasses.replace``) drops it."""
+
     side: str
     term_dims: tuple[int, ...]
-    differentials: tuple[Mat, ...]
+    integral: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
+    differentials: tuple[Mat, ...] = _RationalView()
 
 
 def _check_composition(diffs: Sequence[Mat], side: str) -> None:
@@ -125,22 +157,28 @@ def d0_plan(presentation, m_dims: tuple[int, ...], n_dims: tuple[int, ...]) -> B
     return _ext_plans("y" if presentation is JACOBI else "p2", m_dims, n_dims)[1][0]
 
 
+def _integer_differentials(side: str, m: Representation,
+                           n: Representation) -> tuple[tuple[int, ...], int, list[Mat]]:
+    """The term dims, D and D times the differentials of the ``side`` complex, unchecked."""
+    term_dims, plans = _ext_plans(side, m.dims, n.dims)
+    d = lcm(m.denominator, n.denominator)
+    (bm, mm), (bn, nm) = m.arrows_over(d), n.arrows_over(d)
+    # Every differential entry is ± an arrow entry of m or n (write-once tables).
+    return term_dims, d, [BlockMap(left=nm, right=mm, entry_bound=max(bm, bn), plan=plan).matrix()
+                          for plan in plans]
+
+
 def _ext_differentials(side: str, m: Representation,
                        n: Representation) -> tuple[tuple[int, ...], list[Mat]]:
-    """The term dims and the differentials of the ``side`` complex, unchecked."""
-    term_dims, plans = _ext_plans(side, m.dims, n.dims)
-    nm, mm = arrow_matrices(n), arrow_matrices(m)
-    # Every differential entry is ± an arrow entry of m or n (write-once tables).
-    bm, bn = m.entry_bound, n.entry_bound
-    bound = None if bm is None or bn is None else max(bm, bn)
-    return term_dims, [BlockMap(left=nm, right=mm, entry_bound=bound, plan=plan).matrix()
-                       for plan in plans]
+    """The term dims and the rational differentials of the ``side`` complex, unchecked."""
+    term_dims, d, diffs = _integer_differentials(side, m, n)
+    return term_dims, list(ExtComplex(side, term_dims, integral=(d, tuple(diffs))).differentials)
 
 
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
-    term_dims, diffs = _ext_differentials(side, m, n)
+    term_dims, d, diffs = _integer_differentials(side, m, n)
     _check_composition(diffs, side)
-    return ExtComplex(side, term_dims, tuple(diffs))
+    return ExtComplex(side, term_dims, integral=(d, tuple(diffs)))
 
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
@@ -156,7 +194,10 @@ def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
 
 
 def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
-    ranks = [rank(d, scalars) for d in cx.differentials] + [0]
+    d, diffs = cx.integral or (1, None)
+    if diffs is None or isinstance(scalars, PrimeScalars) and d % scalars.p == 0:
+        diffs = cx.differentials
+    ranks = [rank(m, scalars) for m in diffs] + [0]
     out = []
     prev = 0
     for i, t in enumerate(cx.term_dims):

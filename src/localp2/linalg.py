@@ -37,8 +37,11 @@ on plain ``int`` arithmetic through assembly, products and elimination.
 Sums and products keep ints as ints; one that involves a ``Fraction`` stays
 a ``Fraction`` even when integral, which compares, hashes and prints exactly
 as the integer does.  The hazard of ``int`` entries is true division:
-``1 / 2`` is a float, so every division goes through ``Fraction``
-(``Fraction(1, v)`` for the monic pivot).
+``1 / 2`` is a float.  Elimination divides nothing: a pivot other than ±1 is
+cleared by cross-multiplying, so a matrix of ints is eliminated on ints
+alone, and only ``nullspace`` divides its pivot rows, through ``Fraction``,
+at the end.  ``cleared`` scales a matrix to ints, which is how ``homalg``
+assembles each Ext complex once, as integer matrices over one denominator.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import InputError, ScalarModeError, ShapeError
@@ -262,6 +266,12 @@ def block_diag(a: Mat, b: Mat) -> Mat:
     return Mat(a.rows + b.rows, a.cols + b.cols, a.sparse + shifted)
 
 
+def cleared(m: Mat, d: int) -> Mat:
+    """``d * m`` with int entries; ``d`` is a multiple of every entry's denominator."""
+    return Mat(m.rows, m.cols, tuple({j: x.numerator * (d // x.denominator) for j, x in row.items()}
+                                     for row in m.sparse))
+
+
 def _in_range(m: Mat, p: int) -> bool:
     """Whether ``m``'s own rows are its field rows: over Q, or over GF(p) when
     ``m.entry_bound`` shows every entry is a nonzero int in [-p//2, p//2]."""
@@ -309,25 +319,25 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
     """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p)
     (symmetric residues in [-p//2, p//2], as ``_field_rows`` makes them).
 
-    Each row is cleared at its leftmost column by the monic pivot row of that
+    Each row is cleared at its leftmost column by the pivot row of that
     column until its leftmost column has no pivot yet; it then becomes that
-    column's monic pivot row.  Clearing is ``row -= f * prow`` with zeros
-    dropped, one loop per field; over GF(p) a value is reduced only when it
-    leaves the symmetric range, and 0 is the only residue of a multiple of p.
-    A pivot row with one entry clears its column by removing it, with no
-    arithmetic.  In both fields a pivot of 1 is used as it stands and one of
-    -1 is negated, which keeps integer rows integral over Q and residues in
-    range over GF(p).  Any other pivot is inverted, over Q as
-    ``Fraction(1, v)``, never as ``1 / v``, and over GF(p) as
-    ``pow(v, -1, p)``, each product reduced back into range.
+    column's pivot row, negated if its pivot is -1.  A pivot row with one
+    entry clears its column by removing it.  Otherwise, for the row's entry f
+    and the pivot v, clearing is ``row -= (f // v) * prow`` when v divides f
+    (always for v = 1), else ``row = v * row - f * prow``, after which a row
+    over Q is made a primitive row of ints: no pivot is inverted, so rows of
+    ints are eliminated with no ``Fraction``.  Over GF(p) a value is reduced
+    only when it leaves the symmetric range, and 0 is the only residue of a
+    multiple of p.  Zeros are dropped, one loop per field.
     Returns {pivot column: row}, its size is the rank.  With ``reduced``
-    (over Q only) the pivot rows are back-substituted into the reduced row
-    echelon form, which is unique: each row only at the pivot columns it holds.
+    (over Q only) each pivot row is divided by its pivot after forward
+    elimination and back-substituted into the reduced row echelon form,
+    which is unique: each row only at the pivot columns it holds.
     No input row is written unless ``owned`` says the caller handed them over:
-    a row is copied just before it is first reduced, and a monic row that
-    becomes a pivot unreduced is stored as it is, or as a copy with
-    ``reduced``, whose back-substitution writes pivot rows.  So the input rows
-    may be a ``Mat``'s own, and a returned pivot row may be one of them.
+    a row is copied just before it is first reduced, and a row that becomes a
+    pivot unreduced is stored as it is, or as a copy with ``reduced``, whose
+    back-substitution writes pivot rows.  So the input rows may be a
+    ``Mat``'s own, and a returned pivot row may be one of them.
     """
     pivots: dict[int, dict] = {}
     h = p // 2
@@ -338,27 +348,28 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
             c = min(row)
             prow = pivots.get(c)
             if prow is None:
-                v = row[c]
-                if v == 1:
-                    pivots[c] = dict(row) if reduced and not mine else row
-                elif v == -1:
-                    pivots[c] = {j: -x for j, x in row.items()}
-                elif p:
-                    inv = pow(v, -1, p)
-                    pivots[c] = {j: (x * inv + h) % p - h for j, x in row.items()}
-                else:
-                    inv = Fraction(1, v)
-                    pivots[c] = {j: x * inv for j, x in row.items()}
+                if row[c] == -1:
+                    row = {j: -x for j, x in row.items()}
+                elif reduced and not mine:
+                    row = dict(row)
+                pivots[c] = row
                 break
             if not mine:
                 row, mine = dict(row), True
             if len(prow) == 1:
                 del row[c]
                 continue
-            f, get = row[c], row.get
+            f, v, get = row[c], prow[c], row.get
+            if v != 1:
+                if not f % v:
+                    f, v = f // v, 1
+                else:
+                    for j, x in row.items():
+                        x *= v
+                        row[j] = x if not p or lo <= x <= h else (x + h) % p - h
             if p:
-                for j, v in prow.items():
-                    x = get(j, 0) - f * v
+                for j, w in prow.items():
+                    x = get(j, 0) - f * w
                     if x > h or x < lo:
                         x = (x + h) % p - h
                     if x:
@@ -366,18 +377,28 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
                     else:
                         del row[j]
             else:
-                for j, v in prow.items():
-                    x = get(j, 0) - f * v
+                for j, w in prow.items():
+                    x = get(j, 0) - f * w
                     if x:
                         row[j] = x
                     else:
                         del row[j]
+                if v != 1 and row:
+                    # A primitive row of ints: times the lcm of its denominators
+                    # (1 for ints) over the gcd of its numerators.
+                    d = lcm(*[x.denominator for x in row.values()])
+                    g = gcd(*[x.numerator for x in row.values()])
+                    if d != 1 or g != 1:
+                        for j, x in row.items():
+                            row[j] = x.numerator * (d // x.denominator) // g
     if reduced:
-        # Right to left: the pivot rows right of c are reduced already, so each
-        # is zero at every other pivot column, and clearing one pivot column of
-        # ``prow`` touches no other.
+        # Right to left: the pivot rows right of c are monic and reduced already,
+        # so each is zero at every other pivot column, and clearing one pivot
+        # column of ``prow`` touches no other.
         for c in sorted(pivots, reverse=True):
-            prow = pivots[c]
+            prow, v = pivots[c], pivots[c][c]
+            if v != 1:
+                prow = pivots[c] = {j: Fraction(x, v) if x % v else x // v for j, x in prow.items()}
             for k in [k for k in prow if k != c and k in pivots]:
                 f, get = prow[k], prow.get
                 for j, v in pivots[k].items():

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
@@ -33,7 +34,8 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .linalg import MAX_DIM, BlockMap, Mat, Scalar, TermTable, block_diag, nullspace, scalar
+from .linalg import (MAX_DIM, BlockMap, Mat, Scalar, TermTable, block_diag, cleared, nullspace,
+                     scalar)
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -207,6 +209,24 @@ class Representation:
         if any(type(x) is not int for x in values):
             return None
         return max(map(abs, values), default=0)
+
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm of the denominators of the arrow entries (1 when all are ints)."""
+        return lcm(*[x.denominator for m in self.matrices.values() for row in m.sparse
+                     for x in row.values()])
+
+    def arrows_over(self, d: int) -> tuple[int, tuple[Mat, ...]]:
+        """The largest |entry| (0 if none) and the arrow matrices times ``d``, a multiple of
+        ``denominator``, as ints, made once per d: at d = 1, int matrices are kept as they are."""
+        memo = self.__dict__.setdefault("_arrows_over", {})
+        if d not in memo:
+            mats = tuple(self.matrices.values())
+            if d != 1 or self.entry_bound is None:
+                mats = tuple(cleared(m, d) for m in mats)
+            memo[d] = max((abs(x) for m in mats for row in m.sparse for x in row.values()),
+                          default=0), mats
+        return memo[d]
 
 
 def _coerce_matrices(pres: QuiverPresentation, dims: Sequence[int],
@@ -399,10 +419,6 @@ D0_TERMS = TermTable(term for x, a in enumerate(_ARROWS)
 D0_TABLES = {JACOBI: D0_TERMS, BEILINSON: TermTable(D0_TERMS[:2 * len(BEILINSON.arrows)])}
 
 
-def arrow_matrices(rep: Representation) -> list[Mat]:
-    return list(rep.matrices.values())
-
-
 def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n.
 
@@ -411,7 +427,7 @@ def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     imports this module)."""
     from .homalg import d0_plan
 
-    return BlockMap(left=arrow_matrices(n), right=arrow_matrices(m),
+    return BlockMap(left=tuple(n.matrices.values()), right=tuple(m.matrices.values()),
                     plan=d0_plan(m.presentation, m.dims, n.dims)).matrix()
 
 

@@ -6,6 +6,10 @@ every complex here is compared exactly with one captured into
 ``tests/data/golden_complexes.json``: its term dimensions, the number of
 nonzeros of each differential, and the sha256 of ``canonical_text``, which
 lists every nonzero entry.
+
+Whole corpus reports are pinned the same way: the sha256 of each report's
+sorted-key JSON, for two seeds in both scalar modes, is kept in
+``tests/data/corpus_sha256.json``, so a change to any cell detail fails.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import hashlib
 import json
 from pathlib import Path
 
-from localp2.corpus import standard_corpus
+from localp2.corpus import RunConfig, run_corpus, standard_corpus
 from localp2.homalg import build_ext_complex_P2, build_ext_complex_Y
+from localp2.linalg import RATIONAL, PrimeScalars
 from localp2.quiver import p2_restrict, pushforward_module
 
 GOLDEN = Path(__file__).parent / "data" / "golden_complexes.json"
+GOLDEN_CORPUS = Path(__file__).parent / "data" / "corpus_sha256.json"
 
 
 def golden_objects() -> dict:
@@ -62,8 +68,24 @@ def test_differentials_equal_golden_fixture():
     assert not wrong, wrong[:5]
 
 
+def corpus_hashes() -> dict:
+    out = {}
+    for seed in (0, 3):
+        for name, scalars in (("rational", RATIONAL),
+                              ("prime 2147483659", PrimeScalars(2147483659))):
+            report = run_corpus(RunConfig(scalars=scalars, seed=seed))
+            text = json.dumps(report, sort_keys=True)
+            out[f"seed {seed}, {name}"] = hashlib.sha256(text.encode()).hexdigest()
+    return out
+
+
+def test_corpus_reports_equal_golden_hashes():
+    assert corpus_hashes() == json.loads(GOLDEN_CORPUS.read_text())
+
+
 if __name__ == "__main__":
-    # Prints the fixture: PYTHONPATH=src python tests/test_golden_complexes.py
+    # Prints the fixtures: PYTHONPATH=src python tests/test_golden_complexes.py
+    print(json.dumps(corpus_hashes(), indent=2))
     records = sorted(golden_records().items())
     print("{\n" + ",\n".join(f" {json.dumps(k)}: {json.dumps(v, sort_keys=True)}"
                              for k, v in records) + "\n}")

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localp2.errors import HeartMismatchError, InternalCheckError
+from localp2.errors import HeartMismatchError, InternalCheckError, ScalarModeError
 from localp2.homalg import (
     EXT_TABLES,
     PLAN_MEMO_SIZE,
@@ -495,3 +495,68 @@ def _term_dims_of(x, y) -> tuple[int, ...]:
     arrow = 3 * (y[0] * x[1] + y[1] * x[2] + y[2] * x[0])
     dual = 3 * (y[1] * x[0] + y[2] * x[1] + y[0] * x[2])
     return (vertex, arrow, dual, vertex)
+
+
+# Integer complexes: each complex is assembled once as integer matrices over
+# one denominator D, the lcm of its arrow entries' denominators.  The check
+# and both ranks run on them, so a fractional module makes no Fraction there,
+# while ``differentials`` stays the rational matrices.
+
+def _counting_fractions(monkeypatch) -> list:
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    return made
+
+
+def test_ext_of_fractional_modules_makes_no_fraction(monkeypatch):
+    objs = golden_objects()
+    pairs = [(direct_sum(objs["pt_mix"], objs["s0"]), direct_sum(objs["pt_diag"], objs["pt_mix"])),
+             (objs["pt_mix"], objs["line1"]), (objs["line2"], objs["pt_mix"])]
+    expected = [ext_dims_of(build_ext_complex_Y(m, n)) for m, n in pairs]
+    made = _counting_fractions(monkeypatch)
+    for (m, n), dims in zip(pairs, expected):
+        for scalars in (RATIONAL, PRIME):
+            assert ext_dims_of(build_ext_complex_Y(m, n), scalars) == dims
+    assert made == []
+    # The counter does see Fractions: reading the rational matrices makes them.
+    build_ext_complex_Y(*pairs[0]).differentials
+    assert made
+
+
+def test_prime_mode_refuses_a_denominator_divisible_by_p():
+    p = PRIME.p
+    for t, entry in ((Fraction(1, p), "-1/2147483659"), (Fraction(5, 3 * p), "-5/6442450977")):
+        pt = point_module((1, 2, 3), t)
+        cx = build_ext_complex_Y(pt, pt)
+        with pytest.raises(ScalarModeError) as refused:
+            ext_dims_of(cx, PRIME)
+        assert str(refused.value) == (f"matrix entry {entry} has a denominator divisible "
+                                      f"by the prime {p}")
+        assert ext_dims_of(cx) == (1, 3, 3, 1)
+    pt = point_module((1, 2, 3), Fraction(1, 3))
+    assert ext_dims_of(build_ext_complex_Y(pt, pt), PRIME) == (1, 3, 3, 1)
+
+
+def test_rational_differentials_are_read_from_the_integer_complex():
+    objs = golden_objects()
+    m, n = direct_sum(objs["pt_mix"], objs["s0"]), objs["line1"]
+    cx = build_ext_complex_Y(m, n)
+    dims, diffs = _ext_differentials("y", m, n)
+    assert cx.term_dims == dims and cx.differentials == tuple(diffs)
+    assert all(d.entry_bound is None for d in diffs)
+    assert any(type(v) is Fraction for d in diffs for row in d.sparse for v in row.values())
+    # Supplied matrices replace the integer complex: the kernels read them.
+    zeros = tuple(Mat.zeros(d.rows, d.cols) for d in diffs)
+    supplied = replace(cx, differentials=zeros)
+    assert supplied.differentials == zeros and ext_dims_of(supplied) == dims
+    assert ext_dims_of(replace(cx, differentials=cx.differentials)) == ext_dims_of(cx)
+    with pytest.raises(ScalarModeError):
+        ext_dims_of(replace(cx, differentials=(Mat.from_rows([[Fraction(1, PRIME.p)]]),)), PRIME)
+    integral = build_ext_complex_Y(objs["line1"], objs["line2"])
+    assert all(d.entry_bound == 1 for d in integral.differentials)

@@ -433,9 +433,25 @@ _factors = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)).fl
 # The one nonzero sum sits in the last row.
 @example((Mat.from_rows([[1, 1], [0, 0], [0, 1]]), Mat.from_rows([[1], [-1]])))
 @example((Mat.from_rows([[1, 1], [Fraction(1, 2), 1]]), Mat.from_rows([[1, 0], [-1, 0]])))
+# Denominators 2 and 3 mixed in both factors, cancelling exactly, and one that does not.
+@example((Mat.from_rows([[Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]]),
+          Mat.from_rows([[Fraction(2, 3), Fraction(1, 3)], [-1, 0], [0, -1]])))
+@example((Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]),
+          Mat.from_rows([[Fraction(2, 3), Fraction(-4, 3)], [-1, 2]])))
+@example((Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]),
+          Mat.from_rows([[Fraction(2, 3), Fraction(-4, 3)], [-1, Fraction(3, 2)]])))
 def test_product_is_zero_matches_the_product(factors):
     a, b = factors
     assert product_is_zero(a, b) is (a @ b).is_zero()
+
+
+def test_product_is_zero_on_cancelling_mixed_denominators():
+    a = Mat.from_rows([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]])
+    b = Mat.from_rows([[Fraction(2, 3), Fraction(-4, 3)], [-1, 2]])
+    assert product_is_zero(a, b) and (a @ b).is_zero()
+    # Scaling rows of a and columns of b by nonzero ints keeps the product zero.
+    assert product_is_zero(Mat.from_rows([[3, 2], [9, 6]]), Mat.from_rows([[2, -4], [-3, 6]]))
+    assert not product_is_zero(a, Mat.from_rows([[Fraction(2, 3), 0], [-1, Fraction(1, 2)]]))
 
 
 def test_product_is_zero_refuses_a_shape_mismatch_as_matmul_does():
@@ -475,3 +491,45 @@ def test_rank_and_nullspace_write_no_input_row(rows):
         assert m.sparse == snapshot and hash(m) == before
         assert [list(map(type, row.values())) for row in m.sparse] == \
             [list(map(type, row.values())) for row in snapshot]
+
+
+# Rows over different denominators whose pivots are 2 or 3: over Q they are
+# eliminated as integer rows, cross-multiplied at a non-unit pivot, so no
+# pivot is ever inverted during forward elimination.
+_mixed_rows = st.lists(
+    st.tuples(st.sampled_from([1, 2, 3, 6]),
+              st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, -3]), min_size=4, max_size=4)),
+    min_size=1, max_size=5).map(
+    lambda rows: [[Fraction(x, d) for x in xs] for d, xs in rows])
+
+
+def _rank_checks(rows: list[list]) -> None:
+    m = Mat.from_rows(rows)
+    ref, piv = _gauss_jordan(rows, m.cols)
+    assert rank(m) == rank(m.transpose()) == len(piv)
+    assert rank(m, PRIME) == _rank_mod_p(rows, _P)
+    free = [c for c in range(m.cols) if c not in piv]
+    kernel = [[0] * len(free) for _ in range(m.cols)]
+    for i, f in enumerate(free):
+        kernel[f][i] = 1
+        for row, c in zip(ref, piv):
+            kernel[c][i] = -row[f]
+    assert nullspace(m) == (_dense(kernel, len(free)), tuple(free))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_rows)
+@example([[Fraction(2, 3), 1, 0, 0], [Fraction(3, 2), 0, 1, 0], [1, 1, 1, 1]])
+@example([[2, 3, 0, 1], [3, 2, 1, 0], [Fraction(1, 2), Fraction(1, 3), 0, 0]])
+@example([[2, 1, 0, 0], [3, 0, 1, 0], [0, 3, -2, 0]])
+def test_rank_on_mixed_denominators_and_non_unit_pivots(rows):
+    _rank_checks(rows)
+
+
+def test_rank_of_hilbert_matrices():
+    hilbert = [[Fraction(1, i + j + 1) for j in range(6)] for i in range(6)]
+    assert rank(Mat.from_rows(hilbert)) == rank(Mat.from_rows(hilbert), PRIME) == 6
+    _rank_checks(hilbert)
+    # A seventh column that is the sum of the first two: rank 6 and one kernel vector.
+    _rank_checks([row + [row[0] + row[1]] for row in hilbert])
+    _rank_checks([row[:4] for row in hilbert] + [[1, 1, 1, 1]])
