@@ -51,11 +51,11 @@ ExtDims = tuple[int, ...]
 
 
 class _RationalView:
-    """``ExtComplex.differentials``: as supplied, or else read off ``integral``."""
+    """``ExtComplex.differentials``: as supplied, or read off ``integral`` for None."""
 
     def __get__(self, cx, owner=None):
         if cx is None:
-            return None  # the field's default: none supplied
+            raise AttributeError("differentials")  # so the field has no default
         if cx.__dict__["_differentials"] is None and cx.integral is not None:
             d, scaled = cx.integral  # m / d, an entry an int where it is integral
             cx.__dict__["_differentials"] = tuple(m if d == 1 else Mat(m.rows, m.cols, tuple(
@@ -72,7 +72,7 @@ class _RationalView:
 @dataclass(frozen=True)
 class ExtComplex:
     """``integral`` is ``(D, D * differentials)``, every entry an int.  It is set
-    before ``differentials``, so supplying these (``dataclasses.replace``) drops it."""
+    before ``differentials``, so supplying them (``dataclasses.replace``) drops it."""
 
     side: str
     term_dims: tuple[int, ...]
@@ -172,13 +172,14 @@ def _ext_differentials(side: str, m: Representation,
                        n: Representation) -> tuple[tuple[int, ...], list[Mat]]:
     """The term dims and the rational differentials of the ``side`` complex, unchecked."""
     term_dims, d, diffs = _integer_differentials(side, m, n)
-    return term_dims, list(ExtComplex(side, term_dims, integral=(d, tuple(diffs))).differentials)
+    cx = ExtComplex(side, term_dims, differentials=None, integral=(d, tuple(diffs)))
+    return term_dims, list(cx.differentials)
 
 
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
     term_dims, d, diffs = _integer_differentials(side, m, n)
     _check_composition(diffs, side)
-    return ExtComplex(side, term_dims, integral=(d, tuple(diffs)))
+    return ExtComplex(side, term_dims, differentials=None, integral=(d, tuple(diffs)))
 
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:

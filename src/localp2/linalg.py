@@ -37,10 +37,10 @@ on plain ``int`` arithmetic through assembly, products and elimination.
 Sums and products keep ints as ints; one that involves a ``Fraction`` stays
 a ``Fraction`` even when integral, which compares, hashes and prints exactly
 as the integer does.  The hazard of ``int`` entries is true division:
-``1 / 2`` is a float.  Elimination divides nothing: a pivot other than ±1 is
+``1 / 2`` is a float.  Elimination inverts no pivot: one other than ±1 is
 cleared by cross-multiplying, so a matrix of ints is eliminated on ints
-alone, and only ``nullspace`` divides its pivot rows, through ``Fraction``,
-at the end.  ``cleared`` scales a matrix to ints, which is how ``homalg``
+alone, and only ``nullspace`` divides its pivot rows by their pivots,
+through ``Fraction``, at the end.  ``cleared`` scales a matrix to ints, which is how ``homalg``
 assembles each Ext complex once, as integer matrices over one denominator.
 """
 
