@@ -15,13 +15,13 @@ terms are mutually dual and never contribute.
 Cocycle bookkeeping uses branch-tagged symbols D_k^(1), D_k^(3) for the sub-
 and quotient module and the extension rule D^(2) = D^(1) + D^(3).
 
-A character is stored as one flat sparse integer map on (symbol, variable)
-pairs, with variable None for the constant term; sums, scaling and differences
-are dict operations, and exponents are grouped per symbol only to be rendered
-(``format_form``) or evaluated.  The Koszul rewrite and the extension rule are
-both linear substitutions of symbols and variables by one map, done by the
-single routine ``_substitute``; a key with neither its symbol nor its variable
-mapped is carried over as it is.
+A character is one sparse integer map on flat keys (symbol branch, symbol
+index, variable branch, variable index), (..., None, None) for the constant
+term, so each read or write hashes one flat tuple once; exponents are grouped
+per symbol only to be rendered (``format_form``) or evaluated.  The Koszul
+rewrite and the extension rule are both linear substitutions of symbols and
+variables by one map, done by the single routine ``_substitute``; a key with
+neither its symbol nor its variable mapped is carried over as it is.
 
 The characters of the two complexes are read off the very term spaces whose
 ranks ``homalg`` computes (``homalg.EXT_TABLES``): each degree's blocks are
@@ -29,19 +29,19 @@ grouped by (slot_M, slot_N) with their multiplicity once, at import.  The
 tests check these layouts against literal tables and their alternating
 pairings against the closed-form Euler forms.  A complex's character folds
 its layout's degrees into one net table (slot_M, slot_N) -> sum of parity
-times multiplicity, memoized per layout value and looked up at call time.
+times multiplicity, found at call time by the layout object's identity.
 
 The verifiers build and compare every heart of their range exactly; what is
 saved is per-key work.  Each operation makes one pass over its keys into one
-new dict (the cocycle's two differences are one sum), kept without a copy
-unless it holds a zero; ``char_diff`` returns at once when the maps are equal.
+new dict, building each output key once (the cocycle's two differences are one
+sum); a result is copied only to drop a zero, and ``char_diff`` returns at
+once when the maps are equal.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Mapping
 
 from .errors import InputError, MissingVariableError
@@ -49,8 +49,8 @@ from .homalg import EXT_TABLES
 
 Branch = str | None
 Var = tuple[Branch, int]
-# A flat character key: (symbol, variable), with variable None for the constant term.
-Key = tuple[Var, Var | None]
+# A character key: (symbol branch, index, variable branch, index or None for the constant).
+Key = tuple[Branch, int, Branch, int | None]
 
 
 def _vkey(v: Var):
@@ -89,16 +89,18 @@ def format_form(form: Mapping[Var | None, int]) -> str:
 class DetCharacter:
     """Finite-support map from window symbols D_k to integer linear-form exponents.
 
-    Stored flat: ``coeffs[(symbol, variable)]`` is the coefficient of the
-    variable in the symbol's exponent, with variable ``None`` for the constant
-    term.  Zero coefficients are dropped once, when a character is built; the
-    dict is never mutated afterwards.  Exponents are grouped per symbol only
-    to render or evaluate them.
+    Stored flat: ``coeffs[(sb, sk, vb, vk)]`` is the coefficient of variable
+    (vb, vk) in the exponent of symbol (sb, sk), with (sb, sk, None, None) for
+    the constant term.  Zero coefficients are dropped once, when a character
+    is built; the dict is never mutated afterwards.
     """
 
     coeffs: Mapping[Key, int] = field(default_factory=dict)
 
     def __post_init__(self):
+        for k in self.coeffs:
+            if not isinstance(k, tuple) or len(k) != 4:
+                raise InputError(f"a character key is a flat 4-tuple, got {k!r}")
         object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
 
     def __hash__(self) -> int:
@@ -107,8 +109,8 @@ class DetCharacter:
     def forms(self) -> dict[Var, dict[Var | None, int]]:
         """Each symbol's exponent ``{variable or None (constant): coeff}``, in symbol order."""
         out: dict[Var, dict[Var | None, int]] = {}
-        for (s, v), c in self.coeffs.items():
-            out.setdefault(s, {})[v] = c
+        for (sb, sk, vb, vk), c in self.coeffs.items():
+            out.setdefault((sb, sk), {})[None if vk is None else (vb, vk)] = c
         return {s: out[s] for s in sorted(out, key=_vkey)}
 
     def rendered(self) -> dict[str, str]:
@@ -132,10 +134,10 @@ class DetCharacter:
 
     def branches(self) -> set[Branch]:
         out = set()
-        for s, v in self.coeffs:
-            out.add(s[0])
-            if v is not None:
-                out.add(v[0])
+        for sb, _, vb, vk in self.coeffs:
+            out.add(sb)
+            if vk is not None:
+                out.add(vb)
         return out
 
     def evaluate(self, assignment: Mapping) -> dict[Var, int]:
@@ -154,24 +156,32 @@ class DetCharacter:
 def _fresh(coeffs: dict[Key, int]) -> DetCharacter:
     """A character that takes over ``coeffs``, a dict just built here and held by no one else.
 
-    The public constructor copies its argument to drop zeros; this one copies
-    only when a zero is present.
+    The public constructor checks and copies its argument; this copies only to drop a zero.
     """
     if 0 in coeffs.values():
         coeffs = {k: c for k, c in coeffs.items() if c}
+    return _own(coeffs)
+
+
+def _own(coeffs: dict[Key, int]) -> DetCharacter:
+    """``_fresh`` for a dict known to hold no zero."""
     char = object.__new__(DetCharacter)
     char.__dict__["coeffs"] = coeffs
     return char
 
 
 def _combine(char: DetCharacter, sign: int, *others: DetCharacter) -> DetCharacter:
-    """``char`` plus ``sign`` times each of ``others``, summed into one new dict."""
+    """``char`` plus ``sign`` times each of ``others``, in one new dict that drops cancellations."""
     out = dict(char.coeffs)
     get = out.get
     for other in others:
         for k, c in other.coeffs.items():
-            out[k] = get(k, 0) + sign * c
-    return _fresh(out)
+            x = get(k, 0) + sign * c
+            if x:
+                out[k] = x
+            else:
+                del out[k]
+    return _own(out)
 
 
 def _substitute(char: DetCharacter, mapping: Mapping[Var, Mapping[Var, int]]) -> DetCharacter:
@@ -185,22 +195,25 @@ def _substitute(char: DetCharacter, mapping: Mapping[Var, Mapping[Var, int]]) ->
     out: dict[Key, int] = {}
     get, find = out.get, mapping.get
     for key, c in char.coeffs.items():
-        s, v = key
-        smap, vmap = find(s), find(v)
+        sb, sk, vb, vk = key
+        smap, vmap = find((sb, sk)), find((vb, vk))
         if vmap is None:
             if smap is None:
                 out[key] = get(key, 0) + c
             else:
-                for s2, a in smap.items():
-                    out[s2, v] = get((s2, v), 0) + a * c
+                for (b2, k2), a in smap.items():
+                    new = b2, k2, vb, vk
+                    out[new] = get(new, 0) + a * c
         elif smap is None:
-            for v2, b in vmap.items():
-                out[s, v2] = get((s, v2), 0) + b * c
+            for (b2, k2), b in vmap.items():
+                new = sb, sk, b2, k2
+                out[new] = get(new, 0) + b * c
         else:
-            for s2, a in smap.items():
+            for (b2, k2), a in smap.items():
                 ac = a * c
-                for v2, b in vmap.items():
-                    out[s2, v2] = get((s2, v2), 0) + ac * b
+                for (b3, k3), b in vmap.items():
+                    new = b2, k2, b3, k3
+                    out[new] = get(new, 0) + ac * b
     return _fresh(out)
 
 
@@ -209,8 +222,9 @@ def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
 
     D_n -> 3(h_{n+2} - h_{n+1}), and cyclically for D_{n+1} and D_{n+2}.
     """
-    a, b, c = (branch, heart), (branch, heart + 1), (branch, heart + 2)
-    return _fresh({(a, c): 3, (a, b): -3, (b, a): 3, (b, c): -3, (c, b): 3, (c, a): -3})
+    x, a, b, c = branch, heart, heart + 1, heart + 2
+    return _own({(x, a, x, c): 3, (x, a, x, b): -3, (x, b, x, a): 3, (x, b, x, c): -3,
+                 (x, c, x, b): 3, (x, c, x, a): -3})
 
 
 # Koszul relation per direction: (offset of the eliminated index, its replacement).
@@ -250,24 +264,36 @@ def _layout(spaces) -> tuple:
 _Y_LAYOUT = _layout(EXT_TABLES["y"][0])
 _P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
 
+# id(layout) -> (layout, net table).  The entry holds its layout, so that id is
+# not reused while it lives; a replaced layout is a new object with its own table.
+_NETS: dict[int, tuple] = {}
 
-@lru_cache(maxsize=32)
+
 def _net_blocks(layout) -> tuple[tuple[int, int, int], ...]:
     """(slot_M, slot_N, Σ parity·multiplicity) over the degrees of a layout; zero nets dropped."""
+    hit = _NETS.get(id(layout))
+    if hit is not None and hit[0] is layout:
+        return hit[1]
     net: Counter = Counter()
     for parity, blocks in layout:
         for slots, mult in blocks:
             net[slots] += parity * mult
-    return tuple((s, t, x) for (s, t), x in net.items() if x)
+    table = tuple((s, t, x) for (s, t), x in net.items() if x)
+    if len(_NETS) >= 32:
+        _NETS.clear()
+    _NETS[id(layout)] = (layout, table)
+    return table
 
 
 def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
     out: dict[Key, int] = {}
     get = out.get
     for s, t, x in _net_blocks(layout):
-        m, n = (branch_m, heart + s), (branch_n, heart + t)
-        out[n, m] = get((n, m), 0) + x
-        out[m, n] = get((m, n), 0) - x
+        m, n = heart + s, heart + t
+        key = branch_n, n, branch_m, m
+        out[key] = get(key, 0) + x
+        key = branch_m, m, branch_n, n
+        out[key] = get(key, 0) - x
     return _fresh(out)
 
 
@@ -283,14 +309,14 @@ def geometric_char(heart: int = 0) -> DetCharacter:
 
 def expand_extension(char: DetCharacter, whole: str = "2",
                      parts: tuple[str, str] = ("1", "3")) -> DetCharacter:
-    """Rewrite branch ``whole`` as the sum of the two part branches (symbols and variables)."""
+    """Rewrite branch ``whole`` as the sum of the two part branches (symbols and variables).
+
+    Equal parts give twice the one part: D^(2) -> 2 D^(1).
+    """
+    indices = ({sk for sb, sk, _, _ in char.coeffs if sb == whole}
+               | {vk for _, _, vb, vk in char.coeffs if vb == whole and vk is not None})
     a, b = parts
-    split = {}
-    for s, v in char.coeffs:
-        if s[0] == whole and s not in split:
-            split[s] = {(a, s[1]): 1, (b, s[1]): 1}
-        if v is not None and v[0] == whole and v not in split:
-            split[v] = {(a, v[1]): 1, (b, v[1]): 1}
+    split = {(whole, k): {(a, k): 2} if a == b else {(a, k): 1, (b, k): 1} for k in indices}
     return _substitute(char, split)
 
 
@@ -299,7 +325,7 @@ def char_diff(lhs: DetCharacter, rhs: DetCharacter) -> list[dict]:
     cl, cr = lhs.coeffs, rhs.coeffs
     if cl == cr:
         return []
-    differ = {k[0] for k in cl.keys() | cr.keys() if cl.get(k, 0) != cr.get(k, 0)}
+    differ = {k[:2] for k in cl.keys() | cr.keys() if cl.get(k, 0) != cr.get(k, 0)}
     if not differ:
         return []
     fl, fr = lhs.forms(), rhs.forms()

@@ -32,11 +32,11 @@ from localp2.errors import InputError, MissingVariableError
 
 
 def char(exponents):
-    """A character from ``{symbol: ({variable: coeff}, const)}``."""
+    """A character from ``{symbol: ({variable: coeff}, const)}``, on flat keys."""
     flat = {}
-    for s, (form, const) in exponents.items():
-        flat.update(((s, v), c) for v, c in form.items())
-        flat[s, None] = const
+    for (sb, sk), (form, const) in exponents.items():
+        flat.update(((sb, sk, vb, vk), c) for (vb, vk), c in form.items())
+        flat[sb, sk, None, None] = const
     return DetCharacter(flat)
 
 
@@ -54,9 +54,8 @@ def test_ori_char_is_the_cyclic_definition(n, branch):
     # D_{n+i} -> 3(h_{n+i+2} - h_{n+i+1}), indices read cyclically in n..n+2.
     expected = {}
     for i in range(3):
-        symbol = (branch, n + i)
-        expected[symbol, (branch, n + (i + 2) % 3)] = 3
-        expected[symbol, (branch, n + (i + 1) % 3)] = -3
+        expected[branch, n + i, branch, n + (i + 2) % 3] = 3
+        expected[branch, n + i, branch, n + (i + 1) % 3] = -3
     assert ori_char(n, branch).coeffs == expected
 
 
@@ -85,10 +84,11 @@ def test_koszul_rewrite_zero_and_direction_validation():
 
 
 window_chars = st.builds(
-    lambda c0, c1, c2, d0, d1, d2: char({
-        (None, 0): ({(None, 0): c0, (None, 1): c1, (None, 2): c2}, 0),
-        (None, 1): ({(None, 0): d0, (None, 1): d1}, 0),
-        (None, 2): ({(None, 2): d2}, c1),
+    lambda c0, c1, c2, d0, d1, d2: DetCharacter({
+        (None, 0, None, 0): c0, (None, 0, None, 1): c1, (None, 0, None, 2): c2,
+        (None, 0, None, None): 0,
+        (None, 1, None, 0): d0, (None, 1, None, 1): d1, (None, 1, None, None): 0,
+        (None, 2, None, 2): d2, (None, 2, None, None): c1,
     }),
     *(st.integers(-5, 5) for _ in range(6)))
 
@@ -134,10 +134,10 @@ def test_theorem3_report():
 
 def test_theorem3_corrupted_character_fails_with_localized_diff():
     # exponent 2 instead of 3 on one slot
-    corrupted = char({
-        (None, 0): ({(None, 2): 2, (None, 1): -2}, 0),
-        (None, 1): ({(None, 0): 3, (None, 2): -3}, 0),
-        (None, 2): ({(None, 1): 3, (None, 0): -3}, 0),
+    corrupted = DetCharacter({
+        (None, 0, None, 2): 2, (None, 0, None, 1): -2, (None, 0, None, None): 0,
+        (None, 1, None, 0): 3, (None, 1, None, 2): -3, (None, 1, None, None): 0,
+        (None, 2, None, 1): 3, (None, 2, None, 0): -3, (None, 2, None, None): 0,
     })
     diff = char_diff(koszul_rewrite(corrupted, 0, "up"), ori_char(1))
     assert diff
@@ -188,6 +188,48 @@ def test_cocycle_identity():
     assert lhs == full_complex_char(0, "1", "3")
 
 
+def test_expand_extension_into_equal_parts_doubles():
+    # D^(2) -> 2 D^(1) in symbol and variable alike, so a symbol-variable
+    # coefficient is scaled by 4 and a constant term by 2.
+    assert expand_extension(ori_char(0, "2"), "2", ("1", "1")) == ori_char(0, "1").scale(4)
+    with_const = DetCharacter({("2", 0, "2", 1): 1, ("2", 0, None, None): 5, (None, 1, "2", 0): 1})
+    assert expand_extension(with_const, "2", ("3", "3")).coeffs == {
+        ("3", 0, "3", 1): 4, ("3", 0, None, None): 10, (None, 1, "3", 0): 2}
+    assert expand_extension(with_const, "2", ("1", "3")) == DetCharacter({
+        ("1", 0, "1", 1): 1, ("1", 0, "3", 1): 1, ("3", 0, "1", 1): 1, ("3", 0, "3", 1): 1,
+        ("1", 0, None, None): 5, ("3", 0, None, None): 5, (None, 1, "1", 0): 1,
+        (None, 1, "3", 0): 1})
+
+
+@pytest.mark.parametrize("key", [((None, 0), (None, 1)), ((None, 0), None), (None, 0, None),
+                                 (None, 0, None, 1, 0), "D0", 0])
+def test_character_refuses_a_key_that_is_not_flat(key):
+    # The nested (symbol, variable) keys of earlier versions must not build a character.
+    with pytest.raises(InputError, match="flat 4-tuple"):
+        DetCharacter({(None, 0, None, 1): 3, key: 1})
+
+
+def test_net_table_follows_the_layout_object(monkeypatch):
+    # The net table is found by the layout's identity: a replaced layout is
+    # read on the next call, the original again once restored, and a layout
+    # made after an earlier one is freed (so its id may be reused) gets its own.
+    from localp2 import characters
+
+    def scaled(layout, factor):
+        # Built from lists, each tuple has its exact size from the start, so
+        # CPython tends to hand a freed layout's memory, and its id, to the next.
+        return tuple([(parity, tuple([(slots, factor * mult) for slots, mult in blocks]))
+                      for parity, blocks in layout])
+
+    original, exact = characters._Y_LAYOUT, full_complex_char(0, "1", "3")
+    monkeypatch.setattr(characters, "_Y_LAYOUT", scaled(original, 2))
+    assert full_complex_char(0, "1", "3") == exact.scale(2)
+    monkeypatch.setattr(characters, "_Y_LAYOUT", original)
+    assert full_complex_char(0, "1", "3") == exact
+    for factor in range(1, 80):
+        assert _complex_char(scaled(original, factor), 0, "1", "3") == exact.scale(factor)
+
+
 def test_cocycle_mixed_character_niceties():
     # full mixed character = sum of the two half characters (the duality that
     # makes the square root multiplicative)
@@ -204,8 +246,8 @@ def test_cocycle_zero_branch_reduction():
     lhs = expand_extension(ori_char(0, "2")) - ori_char(0, "1") - ori_char(0, "3")
     rhs = full_complex_char(0, "1", "3")
     # drop branch-3 variables from every exponent, then the branch-3 symbols
-    kill3 = lambda c: DetCharacter({(s, v): x for (s, v), x in c.coeffs.items()
-                                    if s[0] != "3" and (v is None or v[0] != "3")})
+    kill3 = lambda c: DetCharacter({k: x for k, x in c.coeffs.items()
+                                    if k[0] != "3" and (k[3] is None or k[2] != "3")})
     assert kill3(lhs) == kill3(rhs)
     assert kill3(rhs).is_zero()
 
@@ -224,6 +266,7 @@ def test_branch_rendering_and_forms():
 
 
 tagged_index = st.tuples(st.sampled_from(["1", "3"]), st.integers(0, 2))
+# Per-symbol forms, turned into flat keys by ``char``.
 tagged_chars = st.dictionaries(
     tagged_index,
     st.tuples(st.dictionaries(tagged_index, st.integers(-5, 5), max_size=4),
@@ -359,22 +402,26 @@ def test_per_heart_verifiers_refuse_a_reversed_range(verify):
 
 
 def _two_pass_substitute(coeffs, symbol_map, variable_map):
-    # Reference: rewrite the symbols, then the variables, with a fresh
-    # ``{key: 1}`` for every unmapped key; zeros dropped at the end.
+    # Reference: rewrite the symbols (key[:2]), then the variables (key[2:]),
+    # with a fresh ``{part: 1}`` for every unmapped part; zeros dropped at the end.
     def apply(items, which, mapping):
         out = {}
         for key, c in items:
-            for x, a in mapping.get(key[which], {key[which]: 1}).items():
-                new = (x, key[1]) if which == 0 else (key[0], x)
+            part = key[which:which + 2]
+            for x, a in mapping.get(part, {part: 1}).items():
+                new = x + key[2:] if which == 0 else key[:2] + x
                 out[new] = out.get(new, 0) + a * c
         return out
 
     once = apply(coeffs.items(), 0, symbol_map)
-    twice = apply(once.items(), 1, variable_map)
+    twice = apply(once.items(), 2, variable_map)
     return {k: c for k, c in twice.items() if c}
 
 
 flat_vars = st.tuples(st.sampled_from([None, "1"]), st.integers(0, 4))
+# (symbol, variable or None) spelled as one flat key, (None, None) for the constant.
+flat_keys = st.tuples(flat_vars, st.one_of(st.none(), flat_vars)).map(
+    lambda sv: sv[0] + (sv[1] or (None, None)))
 # Mapped keys have index 0 or 1, replacements only indices 2..4, so a
 # replacement never mentions a mapped key again.
 sub_maps = st.dictionaries(
@@ -385,9 +432,7 @@ sub_maps = st.dictionaries(
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.dictionaries(st.tuples(flat_vars, st.one_of(st.none(), flat_vars)),
-                       st.integers(-4, 4), max_size=12),
-       sub_maps)
+@given(st.dictionaries(flat_keys, st.integers(-4, 4), max_size=12), sub_maps)
 def test_substitute_matches_two_pass_reference(coeffs, mapping):
     # One map rewrites symbols and variables alike, as both callers use it.
     out = _substitute(DetCharacter(coeffs), mapping)

@@ -359,8 +359,9 @@ def test_operations_on_int_matrices_produce_exact_scalars():
 @settings(max_examples=80, deadline=None)
 @given(_matrices(st.integers(-3, 3)))
 def test_int_entries_eliminate_like_fraction_entries(rows):
-    # Entries in -3..3 give pivots other than ±1, whose inverses must be
-    # Fractions: ``1 / v`` on an int would be a float.
+    # Entries in -3..3 give pivots other than ±1. Elimination clears them by
+    # cross-multiplying and inverts none; only ``nullspace`` divides its pivot
+    # rows at the end, and that quotient must be a Fraction, not a float.
     m, f = Mat.from_rows(rows), _as_fractions(rows)
     assert rank(m) == rank(f) and rank(m, PRIME) == rank(f, PRIME) == rank(m)
     (ns, free), (ns_f, free_f) = nullspace(m), nullspace(f)
