@@ -264,15 +264,16 @@ def _layout(spaces) -> tuple:
 _Y_LAYOUT = _layout(EXT_TABLES["y"][0])
 _P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
 
-# id(layout) -> (layout, net table).  The entry holds its layout, so that id is
-# not reused while it lives; a replaced layout is a new object with its own table.
+# id(layout) -> (layout, net table).  The entry holds its layout, so that id
+# names no other object while the entry lives; a replaced layout is a new
+# object with its own table.
 _NETS: dict[int, tuple] = {}
 
 
 def _net_blocks(layout) -> tuple[tuple[int, int, int], ...]:
     """(slot_M, slot_N, Σ parity·multiplicity) over the degrees of a layout; zero nets dropped."""
     hit = _NETS.get(id(layout))
-    if hit is not None and hit[0] is layout:
+    if hit is not None:
         return hit[1]
     net: Counter = Counter()
     for parity, blocks in layout:
