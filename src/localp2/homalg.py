@@ -7,11 +7,12 @@ the intertwiner defect, in degree 1 the linearization of the quadratic
 relations, and (on the 3-fold side) in degree 2 the signed dual of degree 0.
 
 Each differential is one ``BlockMap`` over a static term table
-(``EXT_TABLES``).  The tables are compiled against the module dims into
-``BlockPlan``s once per (side, dims of M, dims of N), in a memo bounded by
-``PLAN_MEMO_SIZE`` entries, so a complex whose dims were seen before pays only
-for its entries: every arrow matrix is checked once against the shape its
-plan implies, and each nonzero arrow entry is written where its terms put it.
+(``EXT_TABLES``), checked once where it is defined, so that every term fits
+its blocks for all module dims.  Per (side, dims of M, dims of N) the tables
+are only laid out as ``BlockPlan``s, in a memo bounded by ``PLAN_MEMO_SIZE``
+entries, so a complex whose dims were seen before pays only for its entries:
+each nonzero arrow entry is written where its terms put it.  The 3-fold side
+takes two ``JACOBI`` modules.
 
 A complex is assembled once, as integer matrices over one denominator D (the
 lcm of the denominators of the arrow entries, ``ExtComplex.integral``), and
@@ -32,9 +33,9 @@ from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import HeartMismatchError, InternalCheckError
-from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars, TermTable,
-                     product_is_zero, rank)
+from .errors import HeartMismatchError, InputError, InternalCheckError
+from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars,
+                     product_is_zero, rank, term_table)
 from .quiver import (
     ARROW_SPACE,
     BEILINSON,
@@ -91,36 +92,41 @@ def _check_composition(diffs: Sequence[Mat], side: str) -> None:
             raise InternalCheckError(f"{side.upper()} complex: d{i + 1} . d{i} != 0")
 
 
+# The term spaces after those of d0: on the 3-fold side the dual arrow blocks
+# Hom(M_src, N_tgt), on the plane side the three relation blocks Hom(M_2, N_0).
+_DUAL_SPACE = tuple((label, c, r) for label, r, c in ARROW_SPACE)
+_RELATION_SPACE = tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))
+
 # Differentials after d0 as BlockMap terms (out block, in block, arrow, left
 # with N or right with M, sign), read off the sign table; arrow a_i has index
 # i - 1, b_j j + 2 and c_k k + 5.  Y d1 is the Leibniz linearization of the
 # nine 2-term relations: the component indexed by an arrow is the derivative
 # of its relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
-# c-derivative relations.  Each is a validated write-once ``TermTable``: the
+# c-derivative relations.  Each is checked once, here, by ``term_table``: the
 # cycles (i, j, k) are the permutations of (1, 2, 3), so any two of their
 # indices fix the third and no (out, in) block pair repeats.
-_Y_D1 = TermTable(term for i, j, k, e in CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
-                  for term in ((a, c, b, True, e), (a, b, c, False, e),
-                               (b, a, c, True, e), (b, c, a, False, e),
-                               (c, b, a, True, e), (c, a, b, False, e)))
-_Y_D2 = TermTable(term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
-                  for term in ((src, x, x, True, 1), (tgt, x, x, False, -1)))
-_P2_D1 = TermTable(term for i, j, k, e in CYCLES
-                   for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e)))
+_Y_D1 = term_table(_DUAL_SPACE, ARROW_SPACE, ARROW_SPACE,
+                   [term for i, j, k, e in CYCLES for a, b, c in [(i - 1, j + 2, k + 5)]
+                    for term in ((a, c, b, True, e), (a, b, c, False, e),
+                                 (b, a, c, True, e), (b, c, a, False, e),
+                                 (c, b, a, True, e), (c, a, b, False, e))])
+_Y_D2 = term_table(VERTEX_SPACE, _DUAL_SPACE, ARROW_SPACE,
+                   [term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
+                    for term in ((src, x, x, True, 1), (tgt, x, x, False, -1))])
+_P2_D1 = term_table(_RELATION_SPACE, ARROW_SPACE[:6], ARROW_SPACE[:6],
+                    [term for i, j, k, e in CYCLES
+                     for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e))])
 
 # One table per side: the term spaces in cohomological degree 0, 1, ..., then
 # the term tables of the differentials d0, d1, ...  d0 is the intertwiner
 # system of ``quiver`` (``D0_TERMS``, which ``hom_space`` reads too); the plane
-# side takes its first twelve terms, those of the a and b arrows.  Beyond the
-# spaces of d0, the 3-fold side has the dual arrow blocks Hom(M_src, N_tgt)
-# and its degree-0 space again; the plane side has the three relation blocks
-# Hom(M_2, N_0).  The character layouts of ``characters`` are derived from
-# these spaces.
+# side takes its first twelve terms, those of the a and b arrows.  The 3-fold
+# side ends with its degree-0 space again.  The character layouts of
+# ``characters`` are derived from these spaces.
 EXT_TABLES = {
-    "y": ((VERTEX_SPACE, ARROW_SPACE, tuple((label, c, r) for label, r, c in ARROW_SPACE),
-           VERTEX_SPACE), (D0_TABLES[JACOBI], _Y_D1, _Y_D2)),
-    "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))),
-           (D0_TABLES[BEILINSON], _P2_D1)),
+    "y": ((VERTEX_SPACE, ARROW_SPACE, _DUAL_SPACE, VERTEX_SPACE),
+          (D0_TABLES[JACOBI], _Y_D1, _Y_D2)),
+    "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], _RELATION_SPACE), (D0_TABLES[BEILINSON], _P2_D1)),
 }
 
 
@@ -133,10 +139,9 @@ def _ext_terms(side: str, m_dims, n_dims) -> list[list[tuple[str, int, int]]]:
 
 # The terms and plans of a complex depend on its side and module dims only,
 # and a corpus run builds hundreds of complexes on a few dozen dims pairs, so
-# they are compiled once per (side, dims of M, dims of N) and kept in a
+# they are laid out once per (side, dims of M, dims of N) and kept in a
 # bounded memo: the least recently used entry leaves first.  A plan holds a
-# few ints per nonempty term and per matrix it reads (at most 36 terms and 18
-# matrices per differential), whatever the dims.
+# few ints per nonempty term (at most 36 per differential), whatever the dims.
 PLAN_MEMO_SIZE = 128
 
 
@@ -144,7 +149,7 @@ PLAN_MEMO_SIZE = 128
 def _ext_plans(side: str, m_dims: tuple[int, ...],
                n_dims: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[BlockPlan, ...]]:
     """The term dims of the ``side`` complex between modules of these dims, and
-    the compiled plan of each of its differentials."""
+    the plan of each of its differentials."""
     terms = _ext_terms(side, m_dims, n_dims)
     plans = tuple(BlockPlan(terms[d + 1], terms[d], table)
                   for d, table in enumerate(EXT_TABLES[side][1]))
@@ -164,8 +169,7 @@ def _integer_differentials(side: str, m: Representation,
     d = lcm(m.denominator, n.denominator)
     (bm, mm), (bn, nm) = m.arrows_over(d), n.arrows_over(d)
     # Every differential entry is ± an arrow entry of m or n (write-once tables).
-    return term_dims, d, [BlockMap(left=nm, right=mm, entry_bound=max(bm, bn), plan=plan).matrix()
-                          for plan in plans]
+    return term_dims, d, [BlockMap(plan, nm, mm, max(bm, bn)).matrix() for plan in plans]
 
 
 def _ext_differentials(side: str, m: Representation,
@@ -183,7 +187,10 @@ def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtCo
 
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
-    """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side."""
+    """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side,
+    between two modules of ``JACOBI`` (``InputError`` otherwise)."""
+    if m.presentation is not JACOBI or n.presentation is not JACOBI:
+        raise InputError("the 3-fold side needs two modules of the Jacobi presentation")
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
     return _build_ext_complex("y", m, n)

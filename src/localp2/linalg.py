@@ -19,16 +19,17 @@ mutated.  ``product_is_zero`` answers whether ``a @ b`` vanishes without
 building the product: that is the ``d.d = 0`` check of every Ext complex.
 
 ``BlockMap`` assembles the Ext differentials and intertwiner systems from
-write-once term tables (``TermTable``): no two terms share an (out block, in
-block) pair and every sign is ±1, so each entry of the map is written once
-and is ± one nonzero arrow entry.  Nothing is accumulated or filtered, and
-the largest |arrow entry| bounds every entry of the map.  A table is first
-compiled against the dims of its blocks into a ``BlockPlan`` (offsets and
-strides resolved, empty terms dropped, one implied shape per matrix), which
+term tables checked once, where they are defined (``term_table``, given the
+table's spaces as slot-indexed blocks): no (out block, in block) pair
+repeats, every sign is ±1, and every term fits its blocks whatever the dims.
+So each entry of a map is written once and is ± one nonzero arrow entry;
+nothing is accumulated or filtered, and the largest |arrow entry| bounds
+every entry of the map.  Per dims pair, a table is only laid out on its
+blocks as a ``BlockPlan`` (offsets and strides, empty terms dropped), which
 serves every map between blocks of those dims: ``homalg`` keeps the plans of
 each Ext complex in a bounded memo keyed by module dims.  Applying a plan
-checks each matrix once against its shape and writes each entry as ``v`` or
-``-v``.
+checks no matrix, since the builders tie each arrow matrix's shape to its
+module's dims, and writes each entry as ``v`` or ``-v``.
 
 Exact scalars are integer-first: a value that enters a matrix (``scalar``,
 behind ``Mat.from_rows``) is stored as an ``int`` when it is integral and as
@@ -438,31 +439,51 @@ def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 # refused before anything is allocated.
 MAX_DIM = 100_000
 
-Term = tuple[int, int, int, bool, int]  # (out block, in block, matrix index, left, sign)
+Term = tuple[int, int, int, bool, int]  # (out block, in block, arrow, left, sign)
+Blocks = Sequence[tuple[str, int, int]]
 
 
-class TermTable(tuple):
-    """A write-once ``BlockMap`` term table: no (out block, in block) pair
-    repeats and every sign is 1 or -1, so each entry of the map is written by
-    one term, once, as ± one matrix entry.  Refused with ``ShapeError``
-    otherwise.  Static tables are validated once, where they are defined.
+def term_table(out_space: Blocks, in_space: Blocks, arrows: Blocks,
+               terms: Sequence[Term]) -> tuple[Term, ...]:
+    """The terms of a ``BlockMap`` table, checked once, for every choice of dims.
+
+    A space lists slot-indexed blocks ``(label, r, c)``, the matrices from
+    slot c of M to slot r of N, and ``arrows`` lists ``(name, source,
+    target)``: arrow k of a module of dims ``dims`` is a ``dims[source] x
+    dims[target]`` matrix.  A term ``(o, i, k, left, sign)`` maps phi in in
+    block ``i`` to ``sign * N_k @ phi`` (``left``) or ``sign * phi @ M_k`` in
+    out block ``o``; it fits its blocks whatever the dims exactly when a left
+    term has ``out.c == in.c`` and ``(out.r, in.r) == (source, target)`` and
+    a right term has ``out.r == in.r`` and ``(in.c, out.c) == (source,
+    target)``.  No (out block, in block) pair may repeat and every sign is 1
+    or -1, so each entry of a map is written by one term, once, as ± one
+    arrow entry.  Refused with ``ShapeError`` otherwise.
     """
+    table = tuple(terms)
+    pairs = set()
+    for term in table:
+        o, i, k, left, sign = term
+        if not (0 <= o < len(out_space) and 0 <= i < len(in_space) and 0 <= k < len(arrows)):
+            raise ShapeError(f"term {term} names a block or an arrow out of range")
+        (olabel, orow, ocol), (ilabel, irow, icol) = out_space[o], in_space[i]
+        name, source, target = arrows[k]
+        where = f"{olabel}<-{ilabel}"
+        if type(sign) is not int or sign not in (1, -1):
+            raise ShapeError(f"term sign {sign!r} at block pair {where} is not ±1")
+        if (o, i) in pairs:
+            raise ShapeError(f"block pair {where} repeats in a term table")
+        pairs.add((o, i))
+        if left:
+            fits = ocol == icol and (orow, irow) == (source, target)
+        else:
+            fits = orow == irow and (icol, ocol) == (source, target)
+        if not fits:
+            raise ShapeError(f"{'left' if left else 'right'} term of arrow {name} does not fit "
+                             f"block pair {where}")
+    return table
 
-    __slots__ = ()
 
-    def __new__(cls, terms):
-        table = super().__new__(cls, terms)
-        pairs = set()
-        for o, i, _, _, sign in table:
-            if type(sign) is not int or sign not in (1, -1):
-                raise ShapeError(f"term sign {sign!r} at block pair ({o}, {i}) is not ±1")
-            if (o, i) in pairs:
-                raise ShapeError(f"block pair ({o}, {i}) repeats in a term table")
-            pairs.add((o, i))
-        return table
-
-
-def _layout(blocks: Sequence[tuple[str, int, int]]) -> tuple[list[tuple[int, int, int]], int]:
+def _layout(blocks: Blocks) -> tuple[list[tuple[int, int, int]], int]:
     out, off = [], 0
     for _, r, c in blocks:
         out.append((off, r, c))
@@ -471,118 +492,65 @@ def _layout(blocks: Sequence[tuple[str, int, int]]) -> tuple[list[tuple[int, int
 
 
 class BlockPlan:
-    """A term table resolved against the dims of its blocks: what ``BlockMap``
-    applies.  It depends on the block dims only, not on the matrices, so one
-    plan serves every map between blocks of the same dims (``homalg`` keeps
-    the plans of each Ext complex in a bounded memo keyed by module dims).
+    """A ``term_table`` laid out on blocks ``(label, rows, cols)`` of given dims:
+    what ``BlockMap`` applies.
 
-    Compiling validates the table as a ``TermTable``, refuses term dimensions
-    above ``MAX_DIM`` (``InputError``), a term whose two blocks do not fit
-    together, and two terms that imply different shapes for one matrix
-    (``ShapeError``).  A plan is kept small, as flat tuples of ints read in
-    fixed-size records: ``shapes`` holds ``left, k, rows, cols`` for each
-    matrix the table reads; ``left`` and ``right`` hold only the terms whose
-    two blocks are both nonempty, with their layout offsets and strides
-    resolved: ``k, negate, out offset, out cols, in offset, in cols``, a right
-    term with its out rows after them.
+    The table was checked where it is defined, so every term fits its blocks
+    and only offsets and strides depend on the dims.  One plan serves every
+    map between blocks of the same dims (``homalg`` keeps the plans of each
+    Ext complex in a bounded memo keyed by module dims).  Term dimensions
+    above ``MAX_DIM`` are refused (``InputError``).  ``left`` and ``right``
+    are flat tuples of ints read in fixed-size records, one per term whose
+    two blocks are both nonempty: ``k, negate, out offset, out cols, in
+    offset, in cols``, a right term with its out rows after them.
     """
 
-    __slots__ = ("out_dim", "in_dim", "terms", "labels", "shapes", "left", "right")
+    __slots__ = ("out_dim", "in_dim", "left", "right")
 
-    def __init__(self, out_blocks: Sequence[tuple[str, int, int]],
-                 in_blocks: Sequence[tuple[str, int, int]], terms: Sequence[Term] = ()):
-        if type(terms) is not TermTable:
-            terms = TermTable(terms)
+    def __init__(self, out_blocks: Blocks, in_blocks: Blocks, terms: Sequence[Term]):
         out, self.out_dim = _layout(out_blocks)
         inn, self.in_dim = _layout(in_blocks)
         if max(self.out_dim, self.in_dim) > MAX_DIM:
             raise InputError(f"term dimensions {self.out_dim} x {self.in_dim} exceed the "
                              f"size bound {MAX_DIM}")
-        self.terms = terms
-        self.labels = (tuple(b[0] for b in out_blocks), tuple(b[0] for b in in_blocks))
-        # The shape of each matrix as its first term implies it, by side
-        # (indexed by ``left``), and the flat records, in first-read order.
-        firsts: tuple[dict, dict] = ({}, {})
-        shapes: list = []
         left: list[int] = []
         right: list[int] = []
         for o, i, k, is_left, sign in terms:
             ooff, orows, ocols = out[o]
             ioff, irows, icols = inn[i]
-            # phi -> L @ phi keeps the columns of phi and reads L as o x i rows;
-            # phi -> phi @ R keeps its rows and reads R as i x o columns.
-            if is_left:
-                fits, rows, cols = ocols == icols, orows, irows
-            else:
-                fits, rows, cols = orows == irows, icols, ocols
-            if not fits:
-                raise ShapeError(f"{_side(is_left)} term shape mismatch at {self.where(o, i)}")
-            first = firsts[is_left].get(k)
-            if first is None:
-                firsts[is_left][k] = rows, cols
-                shapes += (is_left, k, rows, cols)
-            elif first[0] != rows or first[1] != cols:
-                raise ShapeError(f"{_side(is_left)} matrix {k} is {first[0]}x{first[1]} at "
-                                 f"{self.reader(is_left, k)} but {rows}x{cols} at "
-                                 f"{self.where(o, i)}")
             if orows and ocols and irows and icols:
                 if is_left:
                     left += (k, sign < 0, ooff, ocols, ioff, icols)
                 else:
                     right += (k, sign < 0, ooff, ocols, ioff, icols, orows)
-        self.shapes, self.left, self.right = tuple(shapes), tuple(left), tuple(right)
-
-    def where(self, o: int, i: int) -> str:
-        """The block pair ``out<-in`` of out block ``o`` and in block ``i``."""
-        return f"{self.labels[0][o]}<-{self.labels[1][i]}"
-
-    def reader(self, is_left: bool, k: int) -> str:
-        """The block pair of the first term that reads matrix ``k`` of its side."""
-        return next(self.where(o, i) for o, i, kk, left, _ in self.terms
-                    if kk == k and left == is_left)
-
-
-def _side(is_left: bool) -> str:
-    return "left" if is_left else "right"
+        self.left, self.right = tuple(left), tuple(right)
 
 
 class BlockMap:
     """Assembles a sparse linear map between direct sums of Hom-spaces.
 
     Each block is a matrix space Hom(k^c, k^r) flattened row-major.  A term
-    ``(o, i, k, left, sign)`` maps phi -> sign * left[k] @ phi (``left``) or
-    phi -> sign * phi @ right[k] from in-block ``i`` to out-block ``o``.  Each
-    Ext differential and intertwiner system is one static ``TermTable``
-    (``homalg``, ``quiver``); a plain sequence of terms is validated as one.
-    The blocks and terms are compiled into a ``BlockPlan``, or a compiled
-    ``plan`` is passed instead of them, and the plan is applied at
-    construction: each matrix is checked once against the shape the plan
-    implies for it, then one loop per side walks the plan's nonempty terms
-    and the nonzero entries of each matrix (``Mat.entries``, built once per
-    matrix and read again by every map over the same module; a zero matrix
-    adds nothing).  Since no block pair repeats, each entry is stored once as
-    ``v`` or ``-v``, never summed, and is nonzero.  ``entry_bound``, when
-    given, is an int at least every |entry| of ``left`` and ``right``, all
-    ints, and ``matrix`` records it on the map.
+    ``(o, i, k, left, sign)`` of the ``plan`` maps phi -> sign * left[k] @ phi
+    (``left``) or phi -> sign * phi @ right[k] from in-block ``i`` to
+    out-block ``o``.  The matrices are not checked here: the builders tie
+    their shapes to the dims the plan was laid out on (a module's matrices
+    fit its dims, and both modules share one presentation).  One loop per
+    side walks the plan's nonempty terms and the nonzero entries of each
+    matrix (``Mat.entries``, built once per matrix and read again by every
+    map over the same module; a zero matrix adds nothing).  Since no block
+    pair repeats, each entry is stored once as ``v`` or ``-v``, never summed,
+    and is nonzero.  ``entry_bound``, when given, is an int at least every
+    |entry| of ``left`` and ``right``, all ints, and ``matrix`` records it on
+    the map.
     """
 
-    def __init__(self, out_blocks: Sequence[tuple[str, int, int]] = (),
-                 in_blocks: Sequence[tuple[str, int, int]] = (), terms: Sequence[Term] = (),
-                 left: Sequence[Mat] = (), right: Sequence[Mat] = (),
-                 entry_bound: int | None = None, plan: BlockPlan | None = None):
-        if plan is None:
-            plan = BlockPlan(out_blocks, in_blocks, terms)
+    def __init__(self, plan: BlockPlan, left: Sequence[Mat], right: Sequence[Mat],
+                 entry_bound: int | None = None):
         self.out_dim, self.in_dim = plan.out_dim, plan.in_dim
         self._entry_bound = entry_bound
-        # zip(it, it, ...) over one iterator reads a flat tuple in records.
-        it = iter(plan.shapes)
-        for is_left, k, r, c in zip(it, it, it, it):
-            mat = left[k] if is_left else right[k]
-            if mat.rows != r or mat.cols != c:
-                raise ShapeError(f"{_side(is_left)} term shape mismatch at "
-                                 f"{plan.reader(is_left, k)}")
         self._rows: list[Row] = [{} for _ in range(self.out_dim)]
         rows = self._rows
+        # zip(it, it, ...) over one iterator reads a flat tuple in records.
         # (L @ phi)[r, x] picks up L[r, c] * phi[c, x].
         it = iter(plan.left)
         for k, negate, ooff, ocols, ioff, icols in zip(it, it, it, it, it, it):

@@ -34,8 +34,8 @@ from .errors import (
     InternalCheckError,
     ShapeError,
 )
-from .linalg import (MAX_DIM, BlockMap, Mat, Scalar, TermTable, block_diag, cleared, nullspace,
-                     scalar)
+from .linalg import (MAX_DIM, BlockMap, Mat, Scalar, block_diag, cleared, nullspace, scalar,
+                     term_table)
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -201,16 +201,6 @@ class Representation:
     label: str | None = None
 
     @cached_property
-    def entry_bound(self) -> int | None:
-        """The largest |entry| of the arrow matrices (0 if none), or None when
-        an entry is not an int.  Every Ext differential entry is ± an arrow
-        entry of its two modules, so the larger of their bounds bounds it."""
-        values = [x for m in self.matrices.values() for row in m.sparse for x in row.values()]
-        if any(type(x) is not int for x in values):
-            return None
-        return max(map(abs, values), default=0)
-
-    @cached_property
     def denominator(self) -> int:
         """The lcm of the denominators of the arrow entries (1 when all are ints)."""
         return lcm(*[x.denominator for m in self.matrices.values() for row in m.sparse
@@ -218,11 +208,14 @@ class Representation:
 
     def arrows_over(self, d: int) -> tuple[int, tuple[Mat, ...]]:
         """The largest |entry| (0 if none) and the arrow matrices times ``d``, a multiple of
-        ``denominator``, as ints, made once per d: at d = 1, int matrices are kept as they are."""
+        ``denominator``, as ints, made once per d: at d = 1, int matrices are kept as they are.
+        Every Ext differential entry is ± an entry of its two modules' scaled arrows, so the
+        larger of their bounds bounds it."""
         memo = self.__dict__.setdefault("_arrows_over", {})
         if d not in memo:
             mats = tuple(self.matrices.values())
-            if d != 1 or self.entry_bound is None:
+            if d != 1 or any(type(x) is not int for m in mats for row in m.sparse
+                             for x in row.values()):
                 mats = tuple(cleared(m, d) for m in mats)
             memo[d] = max((abs(x) for m in mats for row in m.sparse for x in row.values()),
                           default=0), mats
@@ -408,27 +401,34 @@ def p2_restrict(rep: Representation) -> Representation:
 # Hom(M_c, N_r) from slot c of M to slot r of N.  d0, the intertwiner defect
 # phi_src . M_a - N_a . phi_tgt on arrow block a, is a table of BlockMap terms
 # (out block, in block, arrow, left with N or right with M, sign), two per
-# arrow in arrow order, so the plane side takes the first twelve.  It is also
-# the d0 of both Ext complexes (``homalg.EXT_TABLES``).  Both are validated
-# write-once tables: an arrow's source and target differ, so no (out, in)
-# block pair repeats.
+# arrow in arrow order, so the plane side, whose arrows are the first six,
+# takes the first twelve.  It is also the d0 of both Ext complexes
+# (``homalg.EXT_TABLES``).  Each table is checked once, here, by
+# ``term_table``: an arrow's source and target differ, so no (out, in) block
+# pair repeats.
 VERTEX_SPACE = tuple((f"v{v}", v, v) for v in VERTICES)
 ARROW_SPACE = tuple((a.name, a.source, a.target) for a in _ARROWS)
-D0_TERMS = TermTable(term for x, a in enumerate(_ARROWS)
-                     for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1)))
-D0_TABLES = {JACOBI: D0_TERMS, BEILINSON: TermTable(D0_TERMS[:2 * len(BEILINSON.arrows)])}
+D0_TERMS = term_table(ARROW_SPACE, VERTEX_SPACE, ARROW_SPACE,
+                      [term for x, a in enumerate(_ARROWS)
+                       for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1))])
+D0_TABLES = {JACOBI: D0_TERMS,
+             BEILINSON: term_table(ARROW_SPACE[:6], VERTEX_SPACE, ARROW_SPACE[:6], D0_TERMS[:12])}
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
-    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n.
+    """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n,
+    two modules of one presentation (``InputError`` otherwise).
 
-    It is d0 of the Ext complex of m's presentation, so its compiled plan is
+    It is d0 of the Ext complex of that presentation, so its compiled plan is
     read from the plan memo of ``homalg`` (imported here, since ``homalg``
     imports this module)."""
     from .homalg import d0_plan
 
-    return BlockMap(left=tuple(n.matrices.values()), right=tuple(m.matrices.values()),
-                    plan=d0_plan(m.presentation, m.dims, n.dims)).matrix()
+    if m.presentation is not n.presentation:
+        raise InputError(f"intertwiners need modules of one presentation, got "
+                         f"{m.presentation.name} and {n.presentation.name}")
+    return BlockMap(d0_plan(m.presentation, m.dims, n.dims), tuple(n.matrices.values()),
+                    tuple(m.matrices.values())).matrix()
 
 
 class HomSpace(NamedTuple):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localp2.errors import HeartMismatchError, InternalCheckError, ScalarModeError
+from localp2.errors import (HeartMismatchError, InputError, InternalCheckError, ScalarModeError,
+                            ShapeError)
 from localp2.homalg import (
     EXT_TABLES,
     PLAN_MEMO_SIZE,
@@ -28,8 +29,10 @@ from localp2.homalg import (
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import RATIONAL, Mat, PrimeScalars, TermTable, _field_rows, rank
+from localp2.linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, _field_rows, rank,
+                            term_table)
 from localp2.quiver import (
+    ARROW_SPACE,
     BEILINSON,
     D0_TABLES,
     JACOBI,
@@ -296,14 +299,103 @@ def test_ext_d0_is_the_intertwiner_system_of_hom_space():
 # once with sign ±1, so each differential entry is ± one nonzero arrow entry
 # of the two modules, and the larger of their entry bounds bounds it.
 
+def _shipped_tables() -> list:
+    # (out space, in space, arrow space, table) of every differential of both sides.
+    out = []
+    for side, (spaces, tables) in EXT_TABLES.items():
+        arrows = ARROW_SPACE if side == "y" else ARROW_SPACE[:6]
+        out += [(spaces[d + 1], spaces[d], arrows, table) for d, table in enumerate(tables)]
+    return out
+
+
 def test_shipped_term_tables_are_write_once():
-    tables = [t for _, diffs in EXT_TABLES.values() for t in diffs] + list(D0_TABLES.values())
     assert [len(t) for t in EXT_TABLES["y"][1]] == [18, 36, 18]
     assert [len(t) for t in EXT_TABLES["p2"][1]] == [12, 12]
-    for table in tables:
-        assert type(table) is TermTable and TermTable(tuple(table)) == table
+    assert (EXT_TABLES["y"][1][0], EXT_TABLES["p2"][1][0]) == (D0_TABLES[JACOBI],
+                                                               D0_TABLES[BEILINSON])
+    for out_space, in_space, arrows, table in _shipped_tables():
+        assert type(table) is tuple and term_table(out_space, in_space, arrows, table) == table
         assert len({(o, i) for o, i, *_ in table}) == len(table)
         assert {sign for *_, sign in table} <= {1, -1}
+        # A repeated block pair, a sign of 2 and a True sign are refused.
+        o, i, k, left, sign = table[0]
+        for bad in (table + table[:1], ((o, i, k, left, 2),) + table[1:],
+                    ((o, i, k, left, True),) + table[1:]):
+            with pytest.raises(ShapeError):
+                term_table(out_space, in_space, arrows, bad)
+
+
+def test_term_table_refuses_every_shipped_term_moved_off_its_blocks():
+    # In every shipped table, a term moved to the other side, or to an out or
+    # in block at other slots, fits no dims and is refused where the table is
+    # defined.  Moving a term to another arrow of its family (a1 <-> a2, same
+    # source and target) keeps every shape: that slip passes this check and
+    # is left to the d.d = 0 check of every build (below).
+    for out_space, in_space, arrows, table in _shipped_tables():
+        for t, (o, i, k, left, sign) in enumerate(table):
+            moved = [(o, i, k, not left, sign)]
+            moved += [(p, i, k, left, sign) for p, (_, *slots) in enumerate(out_space)
+                      if slots != list(out_space[o][1:])]
+            moved += [(o, j, k, left, sign) for j, (_, *slots) in enumerate(in_space)
+                      if slots != list(in_space[i][1:])]
+            assert len(moved) >= 3
+            for term in moved:
+                with pytest.raises(ShapeError):
+                    term_table(out_space, in_space, arrows, table[:t] + (term,) + table[t + 1:])
+
+
+def test_an_arrow_swapped_within_its_family_is_caught_by_d_d_zero():
+    spaces, (d0, d1, d2) = EXT_TABLES["y"]
+    o, i, k, left, sign = d1[0]
+    family = [x for x, a in enumerate(ARROW_SPACE) if a[1:] == ARROW_SPACE[k][1:] and x != k]
+    swapped = term_table(spaces[2], spaces[1], ARROW_SPACE, ((o, i, family[0], left, sign),)
+                         + d1[1:])
+    pt = point_module((1, 2, 3), t=5)
+    blocks = _ext_terms("y", pt.dims, pt.dims)
+    arrows = tuple(pt.matrices.values())
+    diffs = [BlockMap(BlockPlan(blocks[d + 1], blocks[d], table), arrows, arrows).matrix()
+             for d, table in enumerate((d0, swapped, d2))]
+    with pytest.raises(InternalCheckError):
+        _check_composition(diffs, "y")
+
+
+def _cy3_self_dual(spaces, tables) -> bool:
+    # Term j and term 3 - j hold the same blocks with r and c swapped, and
+    # table d_i is d_{2-i} with out and in blocks exchanged, left and right
+    # swapped, signs unchanged.
+    top = len(spaces) - 1
+    return (all(spaces[j] == tuple((label, c, r) for label, r, c in spaces[top - j])
+                for j in range(top + 1))
+            and all(set(tables[d]) == {(i, o, k, not left, sign)
+                                       for o, i, k, left, sign in tables[top - 1 - d]}
+                    for d in range(top)))
+
+
+def test_cy3_self_duality_of_the_y_tables():
+    # For every pair of modules, d_i(n, m) is then the block transpose of
+    # d_{2-i}(m, n); ``test_cy3_differentials_are_block_transposes`` samples
+    # that on pushforwards.  A copy of Y d1 with one sign flipped breaks it.
+    spaces, (d0, d1, d2) = EXT_TABLES["y"]
+    assert _cy3_self_dual(spaces, (d0, d1, d2))
+    o, i, k, left, sign = d1[5]
+    flipped = term_table(spaces[2], spaces[1], ARROW_SPACE,
+                         d1[:5] + ((o, i, k, left, -sign),) + d1[6:])
+    assert not _cy3_self_dual(spaces, (d0, flipped, d2))
+
+
+def test_ext_and_intertwiners_refuse_modules_of_mixed_presentations():
+    # Nothing in BlockMap checks a matrix's shape, so the builders check that
+    # the modules' presentations are the ones their plans are laid out for.
+    line = pushforward_module(1, 0)
+    plane = p2_restrict(line)
+    for m, n in ((plane, plane), (plane, line), (line, plane)):
+        with pytest.raises(InputError, match="3-fold side needs two modules"):
+            build_ext_complex_Y(m, n)
+    for m, n in ((plane, line), (line, plane)):
+        with pytest.raises(InputError, match="modules of one presentation"):
+            intertwiner_matrix(m, n)
+    # O(1) has no c-blocks (dim N_2 = 0), so both presentations give one system.
+    assert intertwiner_matrix(plane, plane) == intertwiner_matrix(line, line)
 
 
 def _arrow_values(*reps) -> list:
@@ -366,7 +458,7 @@ def test_edge_entries_keep_write_once_and_prime_dims_with_or_without_bound(m, n)
 def test_entry_equal_to_p_takes_the_residue_walk():
     p, h = PRIME.p, PRIME.p // 2
     in_range, at_p = point_module((1, h, -h), 1), point_module((1, p, 0), 1)
-    assert in_range.entry_bound == h and at_p.entry_bound == p
+    assert in_range.arrows_over(1)[0] == h and at_p.arrows_over(1)[0] == p
     for m, walks in ((in_range, False), (at_p, True)):
         d0 = build_ext_complex_Y(m, m).differentials[0]
         rows = _field_rows(d0, p)

@@ -19,7 +19,6 @@ from localp2.linalg import (
     BlockPlan,
     Mat,
     PrimeScalars,
-    TermTable,
     _echelon,
     _field_rows,
     block_diag,
@@ -27,6 +26,7 @@ from localp2.linalg import (
     nullspace,
     product_is_zero,
     rank,
+    term_table,
     vstack,
 )
 
@@ -216,19 +216,32 @@ def test_stacking_and_shape_errors():
         a @ a
 
 
+def _blockmap(out_space, in_space, arrows, terms, left=(), right=(), m_dims=(2, 2, 2),
+              n_dims=(2, 2, 2)) -> BlockMap:
+    # A table checked by ``term_table``, laid out on modules of these dims and applied.
+    table = term_table(out_space, in_space, arrows, terms)
+    out_blocks, in_blocks = ([(label, n_dims[r], m_dims[c]) for label, r, c in space]
+                             for space in (out_space, in_space))
+    return BlockMap(BlockPlan(out_blocks, in_blocks, table), left, right)
+
+
 def test_blockmap_left_right_composition():
     # One block each side: phi -> L @ phi @ R, checked entrywise on a sample.
+    # Arrow f runs from slot 1 to slot 0, so N_f @ phi reads phi at slots
+    # (1, c) and phi @ M_f reads it at (r, 0).
+    arrows = [("f", 0, 1)]
     left = Mat.from_rows([[1, 2], [0, 1]])
     right = Mat.from_rows([[1, 1], [2, 0]])
-    op_left = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, 1)], [left]).matrix()
+    op_left = _blockmap([("out", 0, 0)], [("in", 1, 0)], arrows, [(0, 0, 0, True, 1)],
+                        [left]).matrix()
     phi = Mat.from_rows([[1, 0], [3, 4]])
     flat = [x for row in phi.data for x in row]
     image = op_left @ Mat.from_rows([[v] for v in flat], cols=1)
     expected = left @ phi
     assert [x for row in expected.data for x in row] == [r[0] for r in image.data]
 
-    op_right = BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, False, -1)],
-                        right=[right]).matrix()
+    op_right = _blockmap([("out", 0, 1)], [("in", 0, 0)], arrows, [(0, 0, 0, False, -1)],
+                         right=[right]).matrix()
     image = op_right @ Mat.from_rows([[v] for v in flat], cols=1)
     expected = phi @ right
     assert [-x for row in expected.data for x in row] == [r[0] for r in image.data]
@@ -249,31 +262,42 @@ def _as_fractions(rows) -> Mat:
 
 
 def test_blockmap_refuses_terms_above_the_size_bound():
-    assert BlockMap([("out", MAX_DIM, 1)], [("in", 1, MAX_DIM)]).out_dim == MAX_DIM
+    # The bound is checked per dims, when a table is laid out on its blocks.
+    plan = BlockPlan([("out", MAX_DIM, 1)], [("in", 1, MAX_DIM)], ())
+    assert BlockMap(plan, (), ()).out_dim == MAX_DIM
     for out_blocks, in_blocks in (([("out", MAX_DIM + 1, 1)], []),
                                   ([("out", 1, 1)], [("a", 1, MAX_DIM), ("b", 1, 1)])):
         with pytest.raises(InputError, match="size bound"):
-            BlockMap(out_blocks, in_blocks)
+            BlockPlan(out_blocks, in_blocks, ())
+
+
+# Two out blocks p, q and two in blocks x, y over slots 0 and 1, and arrows
+# f: 1 -> 0 and g: 0 -> 0.  With dims M = (3, 2), N = (2, 3) the blocks are
+# p 2x3, q 2x2, x 3x3 and y 2x3, N_f is 2x3, N_g 2x2, M_f 3x2 and M_g 3x3.
+_TWO_BY_TWO = ([("p", 0, 0), ("q", 0, 1)], [("x", 1, 0), ("y", 0, 0)], [("f", 0, 1), ("g", 0, 0)])
 
 
 def test_blockmap_term_table_matches_one_term_tables():
-    # Two out blocks, two in blocks; terms in any order on distinct block
-    # pairs, one matrix with a Fraction entry: the table gives the sum of its
-    # one-term tables.  A zero matrix adds nothing.
-    out_blocks, in_blocks = [("p", 2, 3), ("q", 2, 2)], [("x", 3, 3), ("y", 2, 3)]
+    # Terms in any order on distinct block pairs, one matrix with a Fraction
+    # entry: the table gives the sum of its one-term tables.  A zero matrix
+    # adds nothing.
     left = [Mat.from_rows([[1, 0, 2], [0, -1, 1]]), Mat.zeros(2, 2)]
     right = [Mat.from_rows([[0, 1], [1, 0], [3, 0]]), Mat.from_rows([[1, 0, Fraction(1, 2)],
                                                                      [2, 1, 0], [0, 0, 1]])]
     terms = [(0, 1, 1, False, 1), (0, 0, 0, True, 1), (1, 1, 0, False, -1)]
+
+    def build(table):
+        return _blockmap(*_TWO_BY_TWO, table, left, right, (3, 2), (2, 3)).matrix()
+
     with pytest.raises(ShapeError):
-        BlockMap(out_blocks, in_blocks, [(1, 0, 0, True, 1)], left, right)
-    one_term = [BlockMap(out_blocks, in_blocks, [t], left, right).matrix().data for t in terms]
-    table = BlockMap(out_blocks, in_blocks, terms, left, right).matrix()
+        build([(1, 0, 0, True, 1)])
+    one_term = [build([t]).data for t in terms]
+    table = build(terms)
     assert table.data == tuple(tuple(map(sum, zip(*rows))) for rows in zip(*one_term))
     assert not table.is_zero()
     assert all(v for row in table.sparse for v in row.values())
     assert Fraction(1, 2) in table.sparse[2].values()
-    assert BlockMap(out_blocks, in_blocks, [(0, 1, 1, True, 1)], left, right).matrix().is_zero()
+    assert build([(0, 1, 1, True, 1)]).is_zero()
     # A table is write-once: a repeated block pair (here a cancelling one, and
     # a left and a right term on one pair) and a sign other than ±1 are refused.
     for bad in ([(0, 1, 1, False, 1), (0, 1, 1, False, -1)],
@@ -281,45 +305,50 @@ def test_blockmap_term_table_matches_one_term_tables():
                 [(0, 1, 1, True, 2)],
                 [(0, 0, 0, True, True)]):
         with pytest.raises(ShapeError):
-            BlockMap(out_blocks, in_blocks, bad, left, right)
-        with pytest.raises(ShapeError):
-            TermTable(bad)
+            term_table(*_TWO_BY_TWO, bad)
 
 
-def test_blockplan_refuses_two_shapes_for_one_matrix():
-    # Left matrix 0 read as 2x2 by p<-x and as 3x2 by q<-x; right matrix 0
-    # read as 2x2 by p<-x and as 2x3 by r<-x.  Refused when compiled, before
-    # any matrix is read.
-    out_blocks, in_blocks = [("p", 2, 2), ("q", 3, 2), ("r", 2, 3)], [("x", 2, 2)]
+def test_term_table_refuses_a_term_that_does_not_fit_its_blocks():
+    # Arrow f runs from slot 1 to slot 0.  Left terms read N_f at p<-x; at
+    # q<-x, whose out block sits at another slot, it cannot fit for any dims.
+    # Right terms read M_f at r<-y; at p<-y it cannot fit either.  So no two
+    # terms can read one matrix at two shapes, and the table is refused where
+    # it is defined, before any dims or matrices are seen.
+    out_space = [("p", 0, 2), ("q", 1, 2), ("r", 0, 1)]
+    in_space, arrows = [("x", 1, 2), ("y", 0, 0)], [("f", 0, 1)]
+    assert len(term_table(out_space, in_space, arrows,
+                          [(0, 0, 0, True, 1), (2, 1, 0, False, 1)])) == 2
     for terms, message in (([(0, 0, 0, True, 1), (1, 0, 0, True, -1)],
-                            "left matrix 0 is 2x2 at p<-x but 3x2 at q<-x"),
-                           ([(0, 0, 0, False, 1), (2, 0, 0, False, 1)],
-                            "right matrix 0 is 2x2 at p<-x but 2x3 at r<-x")):
+                            "^left term of arrow f does not fit block pair q<-x$"),
+                           ([(2, 1, 0, False, 1), (0, 1, 0, False, 1)],
+                            "^right term of arrow f does not fit block pair p<-y$"),
+                           ([(0, 0, 0, False, 1)],
+                            "^right term of arrow f does not fit block pair p<-x$"),
+                           ([(3, 0, 0, True, 1)], "out of range"),
+                           ([(0, 0, 1, True, 1)], "out of range"),
+                           ([(0, -1, 0, True, 1)], "out of range")):
         with pytest.raises(ShapeError, match=message):
-            BlockPlan(out_blocks, in_blocks, terms)
-        with pytest.raises(ShapeError, match=message):
-            BlockMap(out_blocks, in_blocks, terms, [Mat.zeros(2, 2)], [Mat.zeros(2, 2)])
+            term_table(out_space, in_space, arrows, terms)
 
 
-def test_blockplan_checks_each_matrix_once_and_names_a_block_pair():
-    # Two terms read left matrix 0 as 2x2; a plan applies to any matrices of
-    # that shape, and a matrix of another shape is refused naming the first
-    # pair that reads it.  Terms with an empty block are dropped from the
-    # walk, but their matrices are still checked.
-    out_blocks, in_blocks = [("p", 2, 2), ("q", 2, 0)], [("x", 2, 2), ("y", 2, 0)]
-    plan = BlockPlan(out_blocks, in_blocks, [(0, 0, 0, True, 1), (1, 1, 0, True, -1),
-                                             (0, 1, 1, False, 1)])
+def test_blockplan_drops_empty_terms_and_serves_every_map_of_its_dims():
+    # Arrow f: 1 -> 0 is read at p<-x and q<-y, arrow g: 0 -> 1 at p<-z.  With
+    # M = (2, 0) and N = (2, 2) the blocks q, y and z are empty, so only the
+    # p<-x term is walked; the plan keeps its offsets and strides, and applies
+    # to any matrices of these dims, Fraction entries kept.
+    out_space, in_space = [("p", 0, 0), ("q", 0, 1)], [("x", 1, 0), ("y", 1, 1), ("z", 0, 1)]
+    arrows = [("f", 0, 1), ("g", 1, 0)]
+    table = term_table(out_space, in_space, arrows,
+                       [(0, 0, 0, True, 1), (1, 1, 0, True, -1), (0, 2, 1, False, 1)])
+    plan = BlockPlan([("p", 2, 2), ("q", 2, 0)], [("x", 2, 2), ("y", 2, 0), ("z", 2, 0)], table)
     assert (plan.out_dim, plan.in_dim, plan.left, plan.right) == (4, 4, (0, False, 0, 2, 0, 2), ())
-    assert plan.shapes == (True, 0, 2, 2, False, 1, 0, 2)
-    left = Mat.from_rows([[1, Fraction(1, 2)], [0, -1]])
     right = [None, Mat.zeros(0, 2)]
-    expected = BlockMap(out_blocks[:1], in_blocks[:1], [(0, 0, 0, True, 1)], [left]).matrix()
-    for _ in range(2):
-        assert BlockMap(left=[left], right=right, plan=plan).matrix() == expected
-    with pytest.raises(ShapeError, match="^left term shape mismatch at p<-x$"):
-        BlockMap(left=[Mat.zeros(3, 2)], right=right, plan=plan)
-    with pytest.raises(ShapeError, match="^right term shape mismatch at p<-y$"):
-        BlockMap(left=[left], right=[None, Mat.zeros(1, 2)], plan=plan)
+    for left in (Mat.from_rows([[1, Fraction(1, 2)], [0, -1]]), Mat.from_rows([[0, 3], [1, 0]])):
+        expected = _blockmap(out_space[:1], in_space[:1], arrows, [(0, 0, 0, True, 1)],
+                             [left], m_dims=(2, 0), n_dims=(2, 2)).matrix()
+        for _ in range(2):
+            assert BlockMap(plan, [left], right).matrix() == expected
+        assert left.sparse[0].get(1) in expected.sparse[0].values()
 
 
 def test_from_rows_stores_integral_values_as_int():
@@ -344,14 +373,14 @@ def test_operations_on_int_matrices_produce_exact_scalars():
         assert _exact(out)
     assert all(type(v) is int for v in _values(m @ m.transpose()))
     # (phi, psi) -> -L phi + psi R: a left and a right term on two distinct
-    # in blocks, since one block pair takes one term.
+    # in blocks, since one block pair takes one term.  Arrow f runs from slot
+    # 1 to slot 0.
+    spaces = ([("out", 0, 1)], [("phi", 1, 1), ("psi", 0, 0)], [("f", 0, 1)])
     mats = [Mat.from_rows([[1, 2], [0, 1]])], [Mat.from_rows([[1, 1], [2, 0]])]
-    bm = BlockMap([("out", 2, 2)], [("phi", 2, 2), ("psi", 2, 2)],
-                  [(0, 0, 0, True, -1), (0, 1, 0, False, 1)], *mats)
+    bm = _blockmap(*spaces, [(0, 0, 0, True, -1), (0, 1, 0, False, 1)], *mats)
     assert all(type(v) is int for v in _values(bm.matrix()))
     with pytest.raises(ShapeError):
-        BlockMap([("out", 2, 2)], [("in", 2, 2)], [(0, 0, 0, True, -1), (0, 0, 0, False, 1)],
-                 *mats)
+        term_table(*spaces, [(0, 0, 0, True, -1), (0, 0, 0, False, 1)])
     # The identity entries of a kernel basis are ints.
     assert all(type(v) is int for v in _values(nullspace(Mat.from_rows([[1, -1, 0]]))[0]))
 
