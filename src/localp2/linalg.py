@@ -461,10 +461,7 @@ def term_table(out_space: Blocks, in_space: Blocks, arrows: Blocks,
     """
     table = tuple(terms)
     pairs = set()
-    for term in table:
-        o, i, k, left, sign = term
-        if not (0 <= o < len(out_space) and 0 <= i < len(in_space) and 0 <= k < len(arrows)):
-            raise ShapeError(f"term {term} names a block or an arrow out of range")
+    for o, i, k, left, sign in table:
         (olabel, orow, ocol), (ilabel, irow, icol) = out_space[o], in_space[i]
         name, source, target = arrows[k]
         where = f"{olabel}<-{ilabel}"

@@ -345,6 +345,9 @@ def test_term_table_refuses_every_shipped_term_moved_off_its_blocks():
 
 
 def test_an_arrow_swapped_within_its_family_is_caught_by_d_d_zero():
+    # The first term of Y d1 moved to another arrow of its family passes
+    # ``term_table``; the complex of a point with distinct coordinates then
+    # fails the d.d = 0 check.
     spaces, (d0, d1, d2) = EXT_TABLES["y"]
     o, i, k, left, sign = d1[0]
     family = [x for x, a in enumerate(ARROW_SPACE) if a[1:] == ARROW_SPACE[k][1:] and x != k]
