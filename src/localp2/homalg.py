@@ -51,6 +51,13 @@ from .quiver import (
 ExtDims = tuple[int, ...]
 
 
+def _rational(d: int, scaled: Sequence[Mat]) -> tuple[Mat, ...]:
+    """The matrices m / d, an entry an int where it is integral."""
+    return tuple(m if d == 1 else Mat(m.rows, m.cols, tuple(
+        {j: Fraction(x, d) if x % d else x // d for j, x in row.items()}
+        for row in m.sparse)) for m in scaled)
+
+
 class _RationalView:
     """``ExtComplex.differentials``: as supplied, or read off ``integral`` for None."""
 
@@ -58,10 +65,7 @@ class _RationalView:
         if cx is None:
             raise AttributeError("differentials")  # so the field has no default
         if cx.__dict__["_differentials"] is None and cx.integral is not None:
-            d, scaled = cx.integral  # m / d, an entry an int where it is integral
-            cx.__dict__["_differentials"] = tuple(m if d == 1 else Mat(m.rows, m.cols, tuple(
-                {j: Fraction(x, d) if x % d else x // d for j, x in row.items()}
-                for row in m.sparse)) for m in scaled)
+            cx.__dict__["_differentials"] = _rational(*cx.integral)
         return cx.__dict__["_differentials"]
 
     def __set__(self, cx, diffs):
@@ -73,7 +77,9 @@ class _RationalView:
 @dataclass(frozen=True)
 class ExtComplex:
     """``integral`` is ``(D, D * differentials)``, every entry an int.  It is set
-    before ``differentials``, so supplying them (``dataclasses.replace``) drops it."""
+    before ``differentials``, so supplying them (``dataclasses.replace``) drops it.
+    Only ``_build_ext_complex`` sets it, after ``_check_composition`` passed, so
+    ``ext_dims_of`` may rank it with clearing."""
 
     side: str
     term_dims: tuple[int, ...]
@@ -174,10 +180,10 @@ def _integer_differentials(side: str, m: Representation,
 
 def _ext_differentials(side: str, m: Representation,
                        n: Representation) -> tuple[tuple[int, ...], list[Mat]]:
-    """The term dims and the rational differentials of the ``side`` complex, unchecked."""
+    """The term dims and the rational differentials of the ``side`` complex,
+    unchecked, so they make no ``ExtComplex``."""
     term_dims, d, diffs = _integer_differentials(side, m, n)
-    cx = ExtComplex(side, term_dims, differentials=None, integral=(d, tuple(diffs)))
-    return term_dims, list(cx.differentials)
+    return term_dims, list(_rational(d, diffs))
 
 
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
@@ -197,20 +203,48 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
 
 
 def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
-    """The 3-term complex computing Ext^0..Ext^2 on the plane side."""
+    """The 3-term complex computing Ext^0..Ext^2 on the plane side, between two
+    modules of one presentation (``InputError`` otherwise).  Two ``JACOBI``
+    modules are read through their a and b arrows, as their restrictions."""
+    if m.presentation is not n.presentation:
+        raise InputError(f"the plane side needs modules of one presentation, got "
+                         f"{m.presentation.name} and {n.presentation.name}")
     return _build_ext_complex("p2", m, n)
 
 
 def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
+    """The cohomology dimensions of ``cx``: term dims minus the ranks of the
+    differentials into and out of each term.
+
+    A checked complex (``cx.integral``) is ranked from the top differential
+    down, with clearing.  If ``d_{i+1}`` has a pivot at column c, some
+    combination of its rows leads at c, and since ``d_{i+1} . d_i = 0`` it
+    also annihilates ``d_i``, so row c of ``d_i`` lies in the span of the rows
+    after it.  So the rows of ``d_i`` at the pivot columns of ``d_{i+1}`` are
+    left out of its elimination, and its rank is unchanged, over Q and over
+    GF(p) alike; of the rows kept, dim Ext^{i+1} still reduce to zero.
+    Supplied differentials, which nothing checked, and prime mode when p
+    divides D (refused by the first such entry met) are ranked in full, d0
+    first.
+    """
     d, diffs = cx.integral or (1, None)
     if diffs is None or isinstance(scalars, PrimeScalars) and d % scalars.p == 0:
-        diffs = cx.differentials
-    ranks = [rank(m, scalars) for m in diffs] + [0]
+        ranks = [rank(m, scalars) for m in cx.differentials]
+    else:
+        ranks, cleared = [], set()
+        for m in reversed(diffs):
+            pivots = set()
+            ranks.append(rank(m, scalars, skip=cleared, pivots=pivots))
+            cleared = pivots
+        ranks.reverse()
+    ranks.append(0)
     out = []
     prev = 0
     for i, t in enumerate(cx.term_dims):
         out.append(t - ranks[i] - prev)
         prev = ranks[i]
+    # On the cleared path this guards only the clearing bookkeeping: the check
+    # at build proved d.d = 0, so the true ranks give no negative dimension.
     if any(e < 0 for e in out):
         raise InternalCheckError(f"negative cohomology dimension {out}; rank backend broken")
     return tuple(out)

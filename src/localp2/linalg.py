@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import Container, Sequence, Union
 
 from .errors import InputError, ScalarModeError, ShapeError
 
@@ -279,8 +279,9 @@ def _in_range(m: Mat, p: int) -> bool:
     return not p or (m.entry_bound is not None and m.entry_bound <= p // 2)
 
 
-def _field_rows(m: Mat, p: int) -> list[dict]:
-    """The nonzero rows of ``m``, over GF(p) when p is nonzero, else over Q.
+def _field_rows(m: Mat, p: int, skip: Container[int] = ()) -> list[dict]:
+    """The nonzero rows of ``m`` whose indices are not in ``skip``, over GF(p)
+    when p is nonzero, else over Q.
 
     When ``_in_range`` holds these are the matrix's own row dicts, not copies:
     ``_echelon`` copies a row before it writes it.  Otherwise each row is
@@ -288,12 +289,13 @@ def _field_rows(m: Mat, p: int) -> list[dict]:
     ``_echelon`` may write as it stands: an int already in that range is kept
     as it is, so 0/±1 entries are never reduced.
     """
+    rows = [row for i, row in enumerate(m.sparse) if i not in skip] if skip else m.sparse
     if _in_range(m, p):
-        return [row for row in m.sparse if row]
+        return [row for row in rows if row]
     h = p // 2
     lo = -h
     out = []
-    for row in m.sparse:
+    for row in rows:
         if not row:
             continue
         residues = {}
@@ -411,9 +413,20 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
     return pivots
 
 
-def rank(m: Mat, scalars: Scalars = RATIONAL) -> int:
+def rank(m: Mat, scalars: Scalars = RATIONAL, *, skip: Container[int] = (),
+         pivots: set[int] | None = None) -> int:
+    """The rank of ``m`` over Q, or over GF(p) for ``PrimeScalars``, read from
+    the rows whose indices are not in ``skip``.
+
+    Leaving rows out gives the rank of ``m`` only when they lie in the span of
+    the rows kept, which the caller must know (clearing in ``homalg``).  The
+    pivot columns of the elimination are added to ``pivots`` when it is given.
+    """
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
-    return len(_echelon(_field_rows(m, p), p, False, not _in_range(m, p)))
+    found = _echelon(_field_rows(m, p, skip), p, False, not _in_range(m, p))
+    if pivots is not None:
+        pivots.update(found)
+    return len(found)
 
 
 def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:

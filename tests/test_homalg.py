@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from localp2.errors import (HeartMismatchError, InputError, InternalCheckError, ScalarModeError,
                             ShapeError)
+from localp2 import homalg
 from localp2.homalg import (
     EXT_TABLES,
     PLAN_MEMO_SIZE,
+    ExtComplex,
     _check_composition,
     _ext_differentials,
     _ext_plans,
@@ -401,6 +403,21 @@ def test_ext_and_intertwiners_refuse_modules_of_mixed_presentations():
     assert intertwiner_matrix(plane, plane) == intertwiner_matrix(line, line)
 
 
+def test_plane_side_refuses_modules_of_mixed_presentations():
+    # Two JACOBI modules are read through their a and b arrows, as their
+    # restrictions; one of each is refused, as intertwiner_matrix refuses it.
+    line = pushforward_module(2, 0)
+    plane = p2_restrict(line)
+    for m, n in ((line, plane), (plane, line)):
+        with pytest.raises(InputError, match="plane side needs modules of one presentation"):
+            build_ext_complex_P2(m, n)
+        with pytest.raises(InputError, match="plane side needs modules of one presentation"):
+            ext_dims_P2(m, n)
+    restricted = build_ext_complex_P2(plane, plane)
+    assert build_ext_complex_P2(line, line).integral == restricted.integral
+    assert ext_dims_P2(line, line) == ext_dims_P2(plane, plane) == (1, 0, 0)
+
+
 def _arrow_values(*reps) -> list:
     return [v for rep in reps for m in rep.matrices.values() for row in m.sparse
             for v in row.values()]
@@ -655,3 +672,66 @@ def test_rational_differentials_are_read_from_the_integer_complex():
         ext_dims_of(replace(cx, differentials=(Mat.from_rows([[Fraction(1, PRIME.p)]]),)), PRIME)
     integral = build_ext_complex_Y(objs["line1"], objs["line2"])
     assert all(d.entry_bound == 1 for d in integral.differentials)
+
+
+def test_prime_refusal_names_the_entry_met_in_the_order_d0_d1_d2():
+    # When p divides D the rational matrices are ranked in full, d0 first, as
+    # before clearing; ranked top down with clearing, d2 would name -1/p.
+    p = PRIME.p
+    m, n = point_module((1, 2, 3), Fraction(1, p)), point_module((1, 2, 3), Fraction(5, 3 * p))
+    with pytest.raises(ScalarModeError) as refused:
+        ext_dims_Y(m, n, PRIME)
+    assert str(refused.value) == (f"matrix entry -5/6442450977 has a denominator divisible "
+                                  f"by the prime {p}")
+    diffs = build_ext_complex_Y(m, n).differentials
+    with pytest.raises(ScalarModeError, match="entry -1/2147483659 "):
+        rank(diffs[2], PRIME)
+
+
+def test_supplied_differentials_are_ranked_in_full():
+    # Not a complex (d1 . d0 = 1): nothing checked it, so nothing is cleared,
+    # and the ranks (1, 1) give a negative dimension.  Clearing d0 on the
+    # pivot of d1 would have given (1, 0, 0).
+    one = Mat.from_rows([[1]])
+    cx = ExtComplex("p2", (1, 1, 1), differentials=(one, one))
+    assert cx.integral is None
+    for scalars in (RATIONAL, PRIME):
+        with pytest.raises(InternalCheckError, match=r"negative cohomology dimension \[0, -1, 0\]"):
+            ext_dims_of(cx, scalars)
+
+
+def test_self_ext_of_o4_eliminates_only_the_rows_left_by_clearing(monkeypatch):
+    # Term dims (361, 900, 900, 361), ranks (360, 540, 360): d1 is eliminated
+    # on 900 - 360 of its rows and d0 on 900 - 540.
+    seen = []
+
+    def counting(m, scalars=RATIONAL, **kwargs):
+        r = rank(m, scalars, **kwargs)
+        seen.append((m.rows, len(kwargs.get("skip", ())), r))
+        return r
+
+    monkeypatch.setattr(homalg, "rank", counting)
+    o4 = pushforward_module(4)
+    for scalars in (RATIONAL, PRIME):
+        seen.clear()
+        assert ext_dims_Y(o4, o4, scalars) == (1, 0, 0, 1)
+        assert seen == [(361, 0, 360), (900, 360, 540), (900, 540, 360)]
+
+
+def _pivots(m, scalars) -> set:
+    pivots = set()
+    rank(m, scalars, pivots=pivots)
+    return pivots
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(_edge_modules, st.sampled_from([pushforward_module(a) for a in range(5)])),
+       st.one_of(_edge_modules, st.sampled_from([pushforward_module(a) for a in range(5)])),
+       st.sampled_from([RATIONAL, PRIME]))
+def test_clearing_keeps_every_rank_and_dimension(m, n, scalars):
+    for cx in (build_ext_complex_Y(m, n), build_ext_complex_P2(p2_restrict(m), p2_restrict(n))):
+        diffs = cx.integral[1]
+        for d, above in zip(diffs, diffs[1:]):
+            assert rank(d, scalars, skip=_pivots(above, scalars)) == rank(d, scalars)
+        # A supplied copy of the same matrices is ranked in full.
+        assert ext_dims_of(cx, scalars) == ext_dims_of(replace(cx, differentials=diffs), scalars)

@@ -102,6 +102,22 @@ def test_nullspace_annihilates_and_has_complementary_rank(rows):
         assert rank(ns) == ns.cols
 
 
+@settings(max_examples=80, deadline=None)
+@given(small_fraction_matrices, st.sets(st.integers(0, 3)), st.sampled_from([RATIONAL, PRIME]))
+def test_rank_leaves_out_skipped_rows_and_reports_its_pivot_columns(rows, skip, scalars):
+    m = Mat.from_rows(rows)
+    kept = [row for i, row in enumerate(rows) if i not in skip]
+    pivots = {-1}
+    r = rank(m, scalars, skip=skip, pivots=pivots)
+    assert type(r) is int and r == rank(Mat.from_rows(kept, cols=m.cols), scalars)
+    # The pivots are added to the set: the leading columns of the kept rows'
+    # echelon form, the columns outside the kernel's free ones (entries are
+    # small, so the prime rank of every column prefix is the rational one).
+    free = nullspace(Mat.from_rows(kept, cols=m.cols))[1]
+    assert pivots == {-1} | (set(range(m.cols)) - set(free)) and len(pivots) == r + 1
+    assert rank(m, scalars, skip=set(range(m.rows))) == 0
+
+
 def test_rank_of_empty_shapes():
     assert rank(Mat.zeros(0, 5)) == 0
     assert rank(Mat.zeros(5, 0)) == 0
