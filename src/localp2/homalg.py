@@ -12,7 +12,7 @@ its blocks for all module dims.  Per (side, dims of M, dims of N) the tables
 are only laid out as ``BlockPlan``s, in a memo bounded by ``PLAN_MEMO_SIZE``
 entries, so a complex whose dims were seen before pays only for its entries:
 each nonzero arrow entry is written where its terms put it.  The 3-fold side
-takes two ``JACOBI`` modules.
+takes two ``JACOBI`` modules, the plane side two modules of one presentation.
 
 A complex is assembled once, as integer matrices over one denominator D (the
 lcm of the denominators of the arrow entries, ``ExtComplex.integral``), and
@@ -20,6 +20,11 @@ the ``d.d = 0`` check and both ranks read them: (D d2)(D d1) = D^2 d2 d1 is
 zero exactly when d2 d1 is, and rank(D d) = rank(d) over Q and over GF(p)
 when p does not divide D; when it does, the rational matrices are ranked,
 and refused.  Those, ``ExtComplex.differentials``, are built only when read.
+The ranks of a checked complex run from the top differential down, with
+clearing: ``d_i`` is eliminated without its rows at the pivot columns of
+``d_{i+1}``, which ``d.d = 0`` puts in the span of the rows after them
+(``ext_dims_of``).  Supplied differentials and prime mode when p divides D
+are ranked in full, d0 first.
 
 Differential orientation is pinned by the worked Euler values
 euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.

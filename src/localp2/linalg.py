@@ -4,9 +4,11 @@ Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
 (``_echelon``) row-reduces them over Q or over GF(p).  It backs ``rank`` in
 both modes and ``nullspace``, the one solver: kernels are all the twists and
-``hom_space`` need.  The prime-field mode computes ranks modulo a large
-prime (> 2**30) and is contractually required to agree with the rational
-mode on the regression corpus.  Its values are symmetric residues, ints in
+``hom_space`` need.  ``rank`` can leave out given rows and hand back its
+pivot columns, which is how ``homalg`` clears the rows of an Ext differential
+that the next one shows to be redundant.  The prime-field mode computes ranks
+modulo a large prime (> 2**30) and is contractually required to agree with
+the rational mode on the regression corpus.  Its values are symmetric residues, ints in
 [-p//2, p//2]: an in-range entry is used as it is, so ±1 stays ±1 (one
 30-bit digit, where p - 1 takes two), and a value is reduced only when it
 leaves the range.  A matrix whose ``entry_bound`` is known and at most p//2

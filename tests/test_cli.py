@@ -108,6 +108,13 @@ def test_ext_prime_mode_denominator_divisible_by_p(tmp_path, capsys):
     assert code == 2
     assert "Traceback" not in stderr and stderr.startswith("error:")
     assert len(stderr.splitlines()) == 1
+    # The refusal names the first such entry of d0, d1, d2 in that order.
+    m, n = tmp_path / "m.json", tmp_path / "n.json"
+    run(capsys, "mk", "point", "1:2:3", "--t", "1/2147483659", "-o", str(m))
+    run(capsys, "mk", "point", "1:2:3", "--t", "5/6442450977", "-o", str(n))
+    assert run(capsys, "ext", str(m), str(n), "--mode", "prime", "2147483659") == (
+        2, "", "error: matrix entry -5/6442450977 has a denominator divisible by the prime "
+        "2147483659\n")
 
 
 def test_ext_heart_mismatch_exit_code(tmp_path, capsys):

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from localp2 import homalg
 from localp2.errors import (HeartMismatchError, InputError, InternalCheckError, ScalarModeError,
                             ShapeError)
-from localp2 import homalg
 from localp2.homalg import (
     EXT_TABLES,
     PLAN_MEMO_SIZE,
@@ -413,8 +413,7 @@ def test_plane_side_refuses_modules_of_mixed_presentations():
             build_ext_complex_P2(m, n)
         with pytest.raises(InputError, match="plane side needs modules of one presentation"):
             ext_dims_P2(m, n)
-    restricted = build_ext_complex_P2(plane, plane)
-    assert build_ext_complex_P2(line, line).integral == restricted.integral
+    assert build_ext_complex_P2(line, line).integral == build_ext_complex_P2(plane, plane).integral
     assert ext_dims_P2(line, line) == ext_dims_P2(plane, plane) == (1, 0, 0)
 
 
@@ -642,15 +641,21 @@ def test_ext_of_fractional_modules_makes_no_fraction(monkeypatch):
 
 
 def test_prime_mode_refuses_a_denominator_divisible_by_p():
+    # When p divides D the rational matrices are ranked in full, d0 first, as
+    # before clearing; top down, d2 of the last pair would name -1/p.
     p = PRIME.p
-    for t, entry in ((Fraction(1, p), "-1/2147483659"), (Fraction(5, 3 * p), "-5/6442450977")):
-        pt = point_module((1, 2, 3), t)
-        cx = build_ext_complex_Y(pt, pt)
+    m, n = point_module((1, 2, 3), Fraction(1, p)), point_module((1, 2, 3), Fraction(5, 3 * p))
+    for x, y, entry, dims in ((m, m, "-1/2147483659", (1, 3, 3, 1)),
+                              (n, n, "-5/6442450977", (1, 3, 3, 1)),
+                              (m, n, "-5/6442450977", (0, 0, 0, 0))):
+        cx = build_ext_complex_Y(x, y)
         with pytest.raises(ScalarModeError) as refused:
             ext_dims_of(cx, PRIME)
         assert str(refused.value) == (f"matrix entry {entry} has a denominator divisible "
                                       f"by the prime {p}")
-        assert ext_dims_of(cx) == (1, 3, 3, 1)
+        assert ext_dims_of(cx) == dims
+    with pytest.raises(ScalarModeError, match="entry -1/2147483659 "):
+        rank(cx.differentials[2], PRIME)
     pt = point_module((1, 2, 3), Fraction(1, 3))
     assert ext_dims_of(build_ext_complex_Y(pt, pt), PRIME) == (1, 3, 3, 1)
 
@@ -672,20 +677,6 @@ def test_rational_differentials_are_read_from_the_integer_complex():
         ext_dims_of(replace(cx, differentials=(Mat.from_rows([[Fraction(1, PRIME.p)]]),)), PRIME)
     integral = build_ext_complex_Y(objs["line1"], objs["line2"])
     assert all(d.entry_bound == 1 for d in integral.differentials)
-
-
-def test_prime_refusal_names_the_entry_met_in_the_order_d0_d1_d2():
-    # When p divides D the rational matrices are ranked in full, d0 first, as
-    # before clearing; ranked top down with clearing, d2 would name -1/p.
-    p = PRIME.p
-    m, n = point_module((1, 2, 3), Fraction(1, p)), point_module((1, 2, 3), Fraction(5, 3 * p))
-    with pytest.raises(ScalarModeError) as refused:
-        ext_dims_Y(m, n, PRIME)
-    assert str(refused.value) == (f"matrix entry -5/6442450977 has a denominator divisible "
-                                  f"by the prime {p}")
-    diffs = build_ext_complex_Y(m, n).differentials
-    with pytest.raises(ScalarModeError, match="entry -1/2147483659 "):
-        rank(diffs[2], PRIME)
 
 
 def test_supplied_differentials_are_ranked_in_full():
