@@ -22,9 +22,11 @@ when p does not divide D; when it does, the rational matrices are ranked,
 and refused.  Those, ``ExtComplex.differentials``, are built only when read.
 The ranks of a checked complex run from the top differential down, with
 clearing: ``d_i`` is eliminated without its rows at the pivot columns of
-``d_{i+1}``, which ``d.d = 0`` puts in the span of the rows after them
-(``ext_dims_of``).  Supplied differentials and prime mode when p divides D
-are ranked in full, d0 first.
+``d_{i+1}``, which ``d.d = 0`` puts in the span of its other rows.  The top
+differential takes trailing pivots, so the rows it clears from the next are
+rows that elimination would reduce to zero, and clearing there only saves
+work (``ext_dims_of``).  Supplied differentials and prime mode when p divides
+D are ranked in full, d0 first.
 
 Differential orientation is pinned by the worked Euler values
 euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
@@ -210,10 +212,14 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
 def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
     """The 3-term complex computing Ext^0..Ext^2 on the plane side, between two
     modules of one presentation (``InputError`` otherwise).  Two ``JACOBI``
-    modules are read through their a and b arrows, as their restrictions."""
+    modules are read through their a and b arrows, as their restrictions, and
+    must share a heart (``HeartMismatchError``), as on the 3-fold side; their
+    ``p2_restrict`` images, which forget the heart, need not."""
     if m.presentation is not n.presentation:
         raise InputError(f"the plane side needs modules of one presentation, got "
                          f"{m.presentation.name} and {n.presentation.name}")
+    if m.heart != n.heart:
+        raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
     return _build_ext_complex("p2", m, n)
 
 
@@ -222,15 +228,25 @@ def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
     differentials into and out of each term.
 
     A checked complex (``cx.integral``) is ranked from the top differential
-    down, with clearing.  If ``d_{i+1}`` has a pivot at column c, some
-    combination of its rows leads at c, and since ``d_{i+1} . d_i = 0`` it
-    also annihilates ``d_i``, so row c of ``d_i`` lies in the span of the rows
-    after it.  So the rows of ``d_i`` at the pivot columns of ``d_{i+1}`` are
-    left out of its elimination, and its rank is unchanged, over Q and over
-    GF(p) alike; of the rows kept, dim Ext^{i+1} still reduce to zero.
-    Supplied differentials, which nothing checked, and prime mode when p
-    divides D (refused by the first such entry met) are ranked in full, d0
-    first.
+    down, with clearing: ``d_i`` is eliminated without its rows at the pivot
+    columns P of ``d_{i+1}``.  The check at build proved ``d_{i+1} . d_i = 0``
+    over Z, so every echelon row of ``d_{i+1}``, over Q or GF(p), annihilates
+    ``d_i``.  On the columns P those rows are triangular with nonzero
+    pivots, whichever side they pivot on, so the rows of ``d_i`` at P are
+    combinations of its other rows, and its rank is unchanged.
+
+    The top differential, ranked first, takes trailing pivots: its echelon
+    row at c ends at c, so row c of the next differential is a combination
+    of the rows before c.  Eliminated in full, in row order, that row meets
+    pivot rows spanning every row before it and reduces to zero, adding no
+    pivot row.  So the cleared elimination builds the same pivot rows as the
+    full one and skips only rows that reduce to zero: it never does more
+    work.  Every other differential keeps leading pivots and row order; the
+    rows they clear are combinations of rows after them, the rank is still
+    exact, but the work is not bounded that way (trailing pivots there
+    measured slower on thick points).  Supplied differentials, which
+    nothing checked, and prime mode when p divides D (refused by the first
+    such entry met) are ranked in full, d0 first.
     """
     d, diffs = cx.integral or (1, None)
     if diffs is None or isinstance(scalars, PrimeScalars) and d % scalars.p == 0:
@@ -239,7 +255,7 @@ def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
         ranks, cleared = [], set()
         for m in reversed(diffs):
             pivots = set()
-            ranks.append(rank(m, scalars, skip=cleared, pivots=pivots))
+            ranks.append(rank(m, scalars, skip=cleared, pivots=pivots, trailing=not ranks))
             cleared = pivots
         ranks.reverse()
     ranks.append(0)

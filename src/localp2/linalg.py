@@ -4,9 +4,10 @@ Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
 (``_echelon``) row-reduces them over Q or over GF(p).  It backs ``rank`` in
 both modes and ``nullspace``, the one solver: kernels are all the twists and
-``hom_space`` need.  ``rank`` can leave out given rows and hand back its
-pivot columns, which is how ``homalg`` clears the rows of an Ext differential
-that the next one shows to be redundant.  The prime-field mode computes ranks
+``hom_space`` need.  ``rank`` can leave out given rows, hand back its pivot
+columns and pivot at each row's last column instead of its first, which is
+how ``homalg`` clears the rows of an Ext differential that the next one shows
+to be redundant.  The prime-field mode computes ranks
 modulo a large prime (> 2**30) and is contractually required to agree with
 the rational mode on the regression corpus.  Its values are symmetric residues, ints in
 [-p//2, p//2]: an in-range entry is used as it is, so ±1 stays ±1 (one
@@ -320,24 +321,27 @@ def _field_rows(m: Mat, p: int, skip: Container[int] = ()) -> list[dict]:
     return out
 
 
-def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> dict[int, dict]:
+def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False,
+             trailing: bool = False) -> dict[int, dict]:
     """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p)
     (symmetric residues in [-p//2, p//2], as ``_field_rows`` makes them).
 
-    Each row is cleared at its leftmost column by the pivot row of that
-    column until its leftmost column has no pivot yet; it then becomes that
-    column's pivot row, negated if its pivot is -1.  A pivot row with one
-    entry clears its column by removing it.  Otherwise, for the row's entry f
-    and the pivot v, clearing is ``row -= (f // v) * prow`` when v divides f
-    (always for v = 1), else ``row = v * row - f * prow``, after which a row
-    over Q is made a primitive row of ints: no pivot is inverted, so rows of
-    ints are eliminated with no ``Fraction``.  Over GF(p) a value is reduced
-    only when it leaves the symmetric range, and 0 is the only residue of a
-    multiple of p.  Zeros are dropped, one loop per field.
-    Returns {pivot column: row}, its size is the rank.  With ``reduced``
-    (over Q only) each pivot row is divided by its pivot after forward
-    elimination and back-substituted into the reduced row echelon form,
-    which is unique: each row only at the pivot columns it holds.
+    Each row is cleared at its pivot side, its leftmost column (its last one
+    with ``trailing``), by the pivot row of that column until that column has
+    no pivot yet; it then becomes that column's pivot row, negated if its
+    pivot is -1.  So a pivot row is zero left of its pivot (right of it with
+    ``trailing``).  A pivot row with one entry clears its column by removing
+    it.  Otherwise, for the row's entry f and the pivot v, clearing is
+    ``row -= (f // v) * prow`` when v divides f (always for v = 1), else
+    ``row = v * row - f * prow``, after which a row over Q is made a
+    primitive row of ints: no pivot is inverted, so rows of ints are
+    eliminated with no ``Fraction``.  Over GF(p) a value is reduced only when
+    it leaves the symmetric range, and 0 is the only residue of a multiple
+    of p.  Zeros are dropped, one loop per field.  Returns {pivot column:
+    row}, its size is the rank.  With ``reduced`` (over Q, leading pivots
+    only) each pivot row is divided by its pivot after forward elimination
+    and back-substituted into the reduced row echelon form, which is unique:
+    each row only at the pivot columns it holds.
     No input row is written unless ``owned`` says the caller handed them over:
     a row is copied just before it is first reduced, and a row that becomes a
     pivot unreduced is stored as it is, or as a copy with ``reduced``, whose
@@ -345,12 +349,13 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
     ``Mat``'s own, and a returned pivot row may be one of them.
     """
     pivots: dict[int, dict] = {}
+    side = max if trailing else min
     h = p // 2
     lo = -h
     for row in rows:
         mine = owned
         while row:
-            c = min(row)
+            c = side(row)
             prow = pivots.get(c)
             if prow is None:
                 if row[c] == -1:
@@ -416,16 +421,18 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False) -> di
 
 
 def rank(m: Mat, scalars: Scalars = RATIONAL, *, skip: Container[int] = (),
-         pivots: set[int] | None = None) -> int:
+         pivots: set[int] | None = None, trailing: bool = False) -> int:
     """The rank of ``m`` over Q, or over GF(p) for ``PrimeScalars``, read from
     the rows whose indices are not in ``skip``.
 
     Leaving rows out gives the rank of ``m`` only when they lie in the span of
     the rows kept, which the caller must know (clearing in ``homalg``).  The
-    pivot columns of the elimination are added to ``pivots`` when it is given.
+    pivot columns of the elimination are added to ``pivots`` when it is given:
+    each row's leftmost column, or with ``trailing`` its last one, once
+    reduced.  The rank is the same either way.
     """
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
-    found = _echelon(_field_rows(m, p, skip), p, False, not _in_range(m, p))
+    found = _echelon(_field_rows(m, p, skip), p, False, not _in_range(m, p), trailing)
     if pivots is not None:
         pivots.update(found)
     return len(found)

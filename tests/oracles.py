@@ -37,3 +37,13 @@ def ext_point_self_Y() -> tuple[int, int, int, int]:
 def ext_point_self_P2() -> tuple[int, int, int]:
     """Self-Ext of a plane point: exterior algebra on 2 generators."""
     return tuple(comb(2, q) for q in range(3))
+
+
+def ext_thick_point_self_Y(k: int) -> tuple[int, int, int, int]:
+    """Self-Ext of O_Z for a curvilinear subscheme Z of length k of a smooth 3-fold.
+
+    Ext^0 = End(O_Z) = O_Z has dimension k, and Ext^1 = Hom(I_Z, O_Z) is the
+    tangent space of Hilb^k at Z, of dimension 3k on the smooth curvilinear
+    locus; CY3 duality gives Ext^2 and Ext^3.
+    """
+    return (k, 3 * k, 3 * k, k)

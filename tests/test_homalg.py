@@ -31,8 +31,8 @@ from localp2.homalg import (
     verify_cy3_duality,
     verify_pushforward_triangle,
 )
-from localp2.linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, _field_rows, rank,
-                            term_table)
+from localp2.linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, _echelon, _field_rows,
+                            rank, term_table)
 from localp2.quiver import (
     ARROW_SPACE,
     BEILINSON,
@@ -52,6 +52,7 @@ from localp2.quiver import (
 from oracles import ext_point_self_P2, ext_point_self_Y, ext_pushforward
 from test_golden_complexes import golden_objects
 from test_linalg import _EDGE_INTS
+from thick_points import thick_point
 
 PRIME = PrimeScalars(2147483659)
 
@@ -157,6 +158,18 @@ def test_zero_module_gives_zero_complex():
 def test_heart_mismatch_rejected():
     with pytest.raises(HeartMismatchError):
         build_ext_complex_Y(simple_module(0, 0), simple_module(0, 1))
+
+
+def test_plane_side_refuses_jacobi_modules_of_two_hearts():
+    # Read through their a and b arrows, O(1) in hearts 0 and 1 have term dims
+    # (3, 3, 0), and the plane side used to give (0, 0, 0) for them.
+    m, n = pushforward_module(1, 0), pushforward_module(1, 1)
+    for x, y in ((m, n), (n, m)):
+        for refused in (build_ext_complex_Y, build_ext_complex_P2, ext_dims_P2):
+            with pytest.raises(HeartMismatchError, match="ext across hearts"):
+                refused(x, y)
+    # The restrictions forget the heart, so the plane side takes them.
+    assert ext_dims_P2(p2_restrict(m), p2_restrict(n)) == (0, 0, 0)
 
 
 def test_euler_form_examples():
@@ -693,12 +706,13 @@ def test_supplied_differentials_are_ranked_in_full():
 
 def test_self_ext_of_o4_eliminates_only_the_rows_left_by_clearing(monkeypatch):
     # Term dims (361, 900, 900, 361), ranks (360, 540, 360): d1 is eliminated
-    # on 900 - 360 of its rows and d0 on 900 - 540.
+    # on 900 - 360 of its rows and d0 on 900 - 540.  Only the top
+    # differential, ranked first, takes trailing pivots.
     seen = []
 
     def counting(m, scalars=RATIONAL, **kwargs):
         r = rank(m, scalars, **kwargs)
-        seen.append((m.rows, len(kwargs.get("skip", ())), r))
+        seen.append((m.rows, len(kwargs.get("skip", ())), kwargs.get("trailing", False), r))
         return r
 
     monkeypatch.setattr(homalg, "rank", counting)
@@ -706,7 +720,7 @@ def test_self_ext_of_o4_eliminates_only_the_rows_left_by_clearing(monkeypatch):
     for scalars in (RATIONAL, PRIME):
         seen.clear()
         assert ext_dims_Y(o4, o4, scalars) == (1, 0, 0, 1)
-        assert seen == [(361, 0, 360), (900, 360, 540), (900, 540, 360)]
+        assert seen == [(361, 0, True, 360), (900, 360, False, 540), (900, 540, False, 360)]
 
 
 def _pivots(m, scalars) -> set:
@@ -726,3 +740,33 @@ def test_clearing_keeps_every_rank_and_dimension(m, n, scalars):
             assert rank(d, scalars, skip=_pivots(above, scalars)) == rank(d, scalars)
         # A supplied copy of the same matrices is ranked in full.
         assert ext_dims_of(cx, scalars) == ext_dims_of(replace(cx, differentials=diffs), scalars)
+
+
+def test_trailing_top_pivots_clear_only_rows_that_elimination_zeroes():
+    # The echelon row of the top differential at trailing pivot c ends at c
+    # and annihilates the one below, so row c of that one is a combination of
+    # the rows before it: eliminated in full, in row order, it reduces to
+    # zero.  Leaving those rows out builds the very same pivot rows.  With
+    # leading top pivots a cleared row is a combination of the rows after it,
+    # and the pivot rows change on some of these pairs.
+    objs = golden_objects()
+    mods = [pushforward_module(a) for a in range(5)] + [
+        objs["pt_mix"], direct_sum(objs["pt_diag"], objs["s2"]),
+        thick_point(3, objs["pt_mix"]), thick_point(7, objs["pt_mix"])]
+    cases = changed = 0
+    for m in mods:
+        for n in mods:
+            for cx in (build_ext_complex_Y(m, n),
+                       build_ext_complex_P2(p2_restrict(m), p2_restrict(n))):
+                top, below = cx.integral[1][-1], cx.integral[1][-2]
+                for scalars in (RATIONAL, PRIME):
+                    p = scalars.p if isinstance(scalars, PrimeScalars) else 0
+                    full = _echelon(_field_rows(below, p), p, False)
+                    for trailing in (True, False):
+                        pivots = set()
+                        rank(top, scalars, pivots=pivots, trailing=trailing)
+                        same = _echelon(_field_rows(below, p, pivots), p, False) == full
+                        assert same or not trailing, (m.label, n.label, cx.side, scalars)
+                        changed += not same
+                    cases += 1
+    assert cases == 324 and changed > 0

@@ -199,6 +199,22 @@ def test_prime_residues_are_nonzero_and_symmetric(rows):
     assert all(type(x) is int and x and -_H <= x <= _H for x in values)
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(small_fraction_matrices, edge_matrices), st.sampled_from([RATIONAL, PRIME]))
+@example([[1, 1], [0, 1]], RATIONAL)
+def test_trailing_pivots_keep_the_rank_and_end_their_rows(rows, scalars):
+    m = Mat.from_rows(rows)
+    p = scalars.p if isinstance(scalars, PrimeScalars) else 0
+    trailing = set()
+    assert rank(m, scalars, pivots=trailing, trailing=True) == rank(m, scalars)
+    found = _echelon(_field_rows(m, p), p, False, trailing=True)
+    assert set(found) == trailing and all(max(row) == c for c, row in found.items())
+    # They are the leading pivots of the matrix with its columns reversed.
+    flipped = set()
+    rank(Mat.from_rows([row[::-1] for row in rows]), scalars, pivots=flipped)
+    assert trailing == {m.cols - 1 - c for c in flipped}
+
+
 def test_prime_scalars_rejects_small_modulus():
     with pytest.raises(ScalarModeError):
         PrimeScalars(97)
