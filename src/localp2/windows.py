@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .linalg import Mat, Row, hstack, nullspace, rank, vstack
+from .linalg import Mat, Row, hstack, nullspace, product_is_zero, rank, vstack
 from .quiver import CYCLES, Representation, representation, require_valid
 
 
@@ -53,12 +53,13 @@ def _skew(rep: Representation, family: str) -> Mat:
 def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
     """(kappa1, kappa2): the row map in the A's and the skew block map in the B's.
 
-    kappa1 . kappa2 = 0 is a consequence of the relations and is asserted.
+    kappa1 . kappa2 = 0 is a consequence of the relations and is asserted by
+    ``product_is_zero``, which never builds the product.
     """
     mats = rep.matrices
     kappa1 = hstack([mats["a1"], mats["a2"], mats["a3"]])
     kappa2 = _skew(rep, "b")
-    if not (kappa1 @ kappa2).is_zero():
+    if not product_is_zero(kappa1, kappa2):
         raise InternalCheckError("kappa1 . kappa2 != 0; relations must be broken")
     return kappa1, kappa2
 

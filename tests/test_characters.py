@@ -5,17 +5,17 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from localp2 import homalg
 from localp2.characters import (
+    _KOSZUL,
     _P2_LAYOUT,
     _Y_LAYOUT,
     DetCharacter,
     _combine,
     _complex_char,
-    _substitute,
     char_diff,
     expand_extension,
     format_form,
@@ -313,6 +313,17 @@ def test_theorem3_fails_on_corrupted_koszul_relation(monkeypatch):
     assert rep["witness"] == {"failed_pair": [-3, -2]}
 
 
+def test_cocycle_fails_when_the_extension_rule_is_wrong(monkeypatch):
+    from localp2 import characters
+
+    exact = characters.expand_extension
+    monkeypatch.setattr(characters, "expand_extension",
+                        lambda char, whole="2", parts=("1", "3"): exact(char, whole, ("1", "1")))
+    rep = verify_cocycle(-3, 3)
+    assert rep["status"] == "fail" and rep["diff"]
+    assert rep["witness"] == {"failed_heart": -3}
+
+
 def test_verifiers_check_every_heart_of_the_range(monkeypatch):
     # A window character wrong in heart 2 alone must be found inside [-3, 3].
     from localp2 import characters
@@ -418,25 +429,42 @@ def _two_pass_substitute(coeffs, symbol_map, variable_map):
     return {k: c for k, c in twice.items() if c}
 
 
-flat_vars = st.tuples(st.sampled_from([None, "1"]), st.integers(0, 4))
-# (symbol, variable or None) spelled as one flat key, (None, None) for the constant.
-flat_keys = st.tuples(flat_vars, st.one_of(st.none(), flat_vars)).map(
-    lambda sv: sv[0] + (sv[1] or (None, None)))
-# Mapped keys have index 0 or 1, replacements only indices 2..4, so a
-# replacement never mentions a mapped key again.
-sub_maps = st.dictionaries(
-    st.tuples(st.sampled_from([None, "1"]), st.integers(0, 1)),
-    st.dictionaries(st.tuples(st.sampled_from([None, "1"]), st.integers(2, 4)),
-                    st.integers(-3, 3), min_size=1, max_size=3),
-    max_size=3)
+# Few branches and indices, so that rewritten keys often land on keys already there.
+BRANCHES = [None, "2", "3"]
+flat_vars = st.tuples(st.sampled_from(BRANCHES), st.integers(0, 2))
+# (symbol, variable) spelled as one flat key; a variable index None is the
+# constant term, with any variable branch.
+flat_keys = st.tuples(flat_vars, st.sampled_from(BRANCHES), st.one_of(st.none(), st.integers(0, 2))
+                      ).map(lambda svk: svk[0] + svk[1:])
+flat_chars = st.dictionaries(flat_keys, st.integers(-4, 4), max_size=20)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.dictionaries(flat_keys, st.integers(-4, 4), max_size=12), sub_maps)
-def test_substitute_matches_two_pass_reference(coeffs, mapping):
-    # One map rewrites symbols and variables alike, as both callers use it.
-    out = _substitute(DetCharacter(coeffs), mapping)
-    assert out.coeffs == _two_pass_substitute(coeffs, mapping, mapping)
+@settings(max_examples=150, deadline=None)
+@given(flat_chars, st.integers(-3, 2), st.sampled_from(["up", "down"]))
+# A rewritten variable, and a rewritten symbol, landing on a key met before it.
+@example({("2", 1, "2", 1): 1, ("2", 1, "2", 0): 1}, 0, "up")
+@example({("2", 0, None, None): 1, ("2", 2, None, None): 1, ("2", 2, "3", 2): 1}, -1, "down")
+def test_koszul_rewrite_matches_two_pass_reference(coeffs, k, direction):
+    # The map a generic substitution would be given: the eliminated index of
+    # every branch, in symbols and variables alike.
+    offset, combo = _KOSZUL[direction]
+    relation = {(b, k + offset): {(b, k + j): c for j, c in combo} for b in BRANCHES}
+    out = koszul_rewrite(DetCharacter(coeffs), k, direction)
+    assert out.coeffs == _two_pass_substitute(coeffs, relation, relation)
+    assert all(out.coeffs.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(flat_chars, st.sampled_from(["1", "2", "3"]),
+       st.tuples(st.sampled_from(["1", "2", "3"]), st.sampled_from(["1", "2", "3"])))
+@example({("3", 0, "3", 0): 1, ("3", 0, "2", 0): 1, ("2", 1, None, None): 1}, "2", ("1", "3"))
+@example({("1", 0, "1", 0): 1, ("2", 0, "2", 0): 1, ("2", 0, "1", 0): 1}, "2", ("1", "1"))
+def test_expand_extension_matches_two_pass_reference(coeffs, whole, parts):
+    # Equal parts double; parts that contain ``whole`` are replaced once, not again.
+    a, b = parts
+    split = {(whole, k): {(a, k): 2} if a == b else {(a, k): 1, (b, k): 1} for k in range(3)}
+    out = expand_extension(DetCharacter(coeffs), whole, parts)
+    assert out.coeffs == _two_pass_substitute(coeffs, split, split)
     assert all(out.coeffs.values())
 
 

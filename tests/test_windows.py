@@ -9,7 +9,7 @@ import pytest
 
 from localp2.characters import koszul_rewrite, ori_char
 from localp2.corpus import standard_corpus
-from localp2.errors import InputError, MembershipError
+from localp2.errors import InputError, InternalCheckError, MembershipError
 from localp2.homalg import ext_dims_Y
 from localp2.linalg import Mat, rank
 from localp2.quiver import (
@@ -20,6 +20,7 @@ from localp2.quiver import (
     hom_space,
     point_module,
     pushforward_module,
+    representation,
     simple_module,
     zero_module,
 )
@@ -51,6 +52,16 @@ def test_koszul_map_examples():
     line = pushforward_module(1, 0)
     k1, _ = koszul_maps(line)
     assert rank(k1) == 3  # the linear forms span
+
+
+def test_koszul_maps_refuse_broken_relations():
+    # ``representation`` skips ``require_valid``: moving a1 off the point
+    # (0:1:2) breaks a_i b_j = a_j b_i, so kappa1 . kappa2 != 0.
+    pt = point_module((0, 1, 2), 1, 0)
+    broken = representation(0, pt.dims, {**pt.matrices, "a1": Mat.from_rows([[2]])})
+    assert not check_relations(broken).ok
+    with pytest.raises(InternalCheckError, match=r"kappa1 \. kappa2 != 0; relations must be broken"):
+        koszul_maps(broken)
 
 
 def _dense_koszul_maps(rep):
