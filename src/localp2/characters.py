@@ -29,9 +29,9 @@ The characters of the two complexes are read off the very term spaces whose
 ranks ``homalg`` computes (``homalg.EXT_TABLES``): each degree's blocks are
 grouped by (slot_M, slot_N) with their multiplicity once, at import.  The
 tests check these layouts against literal tables and their alternating
-pairings against the closed-form Euler forms.  A complex's character folds
-its layout's degrees into one net table (slot_M, slot_N) -> sum of parity
-times multiplicity, found at call time by the layout object's identity.
+pairings against the closed-form Euler forms.  A complex's character reads
+one net table, its layout's degrees folded into (slot_M, slot_N) -> sum of
+parity times multiplicity, also made once, at import.
 
 The verifiers build and compare every heart of their range exactly; what is
 saved is per-key work.  Each operation makes one pass over its keys into one
@@ -95,8 +95,10 @@ class DetCharacter:
 
     Stored flat: ``coeffs[(sb, sk, vb, vk)]`` is the coefficient of variable
     (vb, vk) in the exponent of symbol (sb, sk), with (sb, sk, None, None) for
-    the constant term.  Zero coefficients are dropped once, when a character
-    is built; the dict is never mutated afterwards.
+    the constant term; the constructor refuses a key that is not a flat
+    4-tuple, or whose variable index is None but whose variable branch is
+    not.  Zero coefficients are dropped once, when a character is built; the
+    dict is never mutated afterwards.
     """
 
     coeffs: Mapping[Key, int] = field(default_factory=dict)
@@ -105,6 +107,8 @@ class DetCharacter:
         for k in self.coeffs:
             if not isinstance(k, tuple) or len(k) != 4:
                 raise InputError(f"a character key is a flat 4-tuple, got {k!r}")
+            if k[3] is None and k[2] is not None:
+                raise InputError(f"a constant key has variable branch None, got {k!r}")
         object.__setattr__(self, "coeffs", {k: c for k, c in self.coeffs.items() if c})
 
     def __hash__(self) -> int:
@@ -239,37 +243,29 @@ def _layout(spaces) -> tuple:
                  for degree, space in enumerate(spaces))
 
 
-# The block layouts of the two complexes, read off the Ext term spaces;
-# ``full_complex_char`` and ``geometric_char`` read them at call time.
-_Y_LAYOUT = _layout(EXT_TABLES["y"][0])
-_P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
-
-# id(layout) -> (layout, net table).  The entry holds its layout, so that id
-# names no other object while the entry lives; a replaced layout is a new
-# object with its own table.
-_NETS: dict[int, tuple] = {}
-
-
 def _net_blocks(layout) -> tuple[tuple[int, int, int], ...]:
     """(slot_M, slot_N, Σ parity·multiplicity) over the degrees of a layout; zero nets dropped."""
-    hit = _NETS.get(id(layout))
-    if hit is not None:
-        return hit[1]
     net: Counter = Counter()
     for parity, blocks in layout:
         for slots, mult in blocks:
             net[slots] += parity * mult
-    table = tuple((s, t, x) for (s, t), x in net.items() if x)
-    if len(_NETS) >= 32:
-        _NETS.clear()
-    _NETS[id(layout)] = (layout, table)
-    return table
+    return tuple((s, t, x) for (s, t), x in net.items() if x)
 
 
-def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
+# The block layouts of the two complexes, read off the Ext term spaces, and
+# their net tables, which ``full_complex_char`` and ``geometric_char`` read at
+# call time.
+_Y_LAYOUT = _layout(EXT_TABLES["y"][0])
+_P2_LAYOUT = _layout(EXT_TABLES["p2"][0])
+_Y_NET = _net_blocks(_Y_LAYOUT)
+_P2_NET = _net_blocks(_P2_LAYOUT)
+
+
+def _complex_char(net, heart: int, branch_m: Branch, branch_n: Branch) -> DetCharacter:
+    """The character of a complex whose net table (``_net_blocks``) is ``net``."""
     out: dict[Key, int] = {}
     get = out.get
-    for s, t, x in _net_blocks(layout):
+    for s, t, x in net:
         m, n = heart + s, heart + t
         key = branch_n, n, branch_m, m
         out[key] = get(key, 0) + x
@@ -280,12 +276,12 @@ def _complex_char(layout, heart: int, branch_m: Branch, branch_n: Branch) -> Det
 
 def full_complex_char(heart: int, branch_m: Branch = None, branch_n: Branch = None) -> DetCharacter:
     """Alternating determinant character of the 4-term complex for (M, N)."""
-    return _complex_char(_Y_LAYOUT, heart, branch_m, branch_n)
+    return _complex_char(_Y_NET, heart, branch_m, branch_n)
 
 
 def geometric_char(heart: int = 0) -> DetCharacter:
     """Determinant character of the plane-side 3-term self-RHom complex."""
-    return _complex_char(_P2_LAYOUT, heart, None, None)
+    return _complex_char(_P2_NET, heart, None, None)
 
 
 def expand_extension(char: DetCharacter, whole: str = "2",

@@ -14,19 +14,22 @@ entries, so a complex whose dims were seen before pays only for its entries:
 each nonzero arrow entry is written where its terms put it.  The 3-fold side
 takes two ``JACOBI`` modules, the plane side two modules of one presentation.
 
-A complex is assembled once, as integer matrices over one denominator D (the
-lcm of the denominators of the arrow entries, ``ExtComplex.integral``), and
-the ``d.d = 0`` check and both ranks read them: (D d2)(D d1) = D^2 d2 d1 is
-zero exactly when d2 d1 is, and rank(D d) = rank(d) over Q and over GF(p)
-when p does not divide D; when it does, the rational matrices are ranked,
-and refused.  Those, ``ExtComplex.differentials``, are built only when read.
-The ranks of a checked complex run from the top differential down, with
+Every ``ExtComplex`` holds integer matrices over one denominator D
+(``ExtComplex.integral``) whose ``d.d = 0`` was checked when it was made:
+(D d2)(D d1) = D^2 d2 d1 is zero exactly when d2 d1 is.  The builders
+assemble a complex once, over the lcm of the denominators of the arrow
+entries, and check it; differentials supplied to ``ExtComplex`` are scaled
+over the lcm of their own denominators, refused unless their shapes chain
+the term dims, and checked the same way.  The rational matrices,
+``ExtComplex.differentials``, are read back only when asked for.  Ranks
+read the integer matrices, since rank(D d) = rank(d) over Q and over GF(p)
+when p does not divide D, and run from the top differential down, with
 clearing: ``d_i`` is eliminated without its rows at the pivot columns of
 ``d_{i+1}``, which ``d.d = 0`` puts in the span of its other rows.  The top
 differential takes trailing pivots, so the rows it clears from the next are
 rows that elimination would reduce to zero, and clearing there only saves
-work (``ext_dims_of``).  Supplied differentials and prime mode when p divides
-D are ranked in full, d0 first.
+work (``ext_dims_of``).  Only prime mode when p divides D ranks in full,
+d0 first, and refuses the rational matrices' first such entry.
 
 Differential orientation is pinned by the worked Euler values
 euler_form_Y((1,0,0),(3,1,0)) = euler_form_P2((1,0,0),(3,1,0)) = 3.
@@ -36,12 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import HeartMismatchError, InputError, InternalCheckError
-from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars,
+from .errors import HeartMismatchError, InputError, InternalCheckError, ShapeError
+from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars, cleared,
                      product_is_zero, rank, term_table)
 from .quiver import (
     ARROW_SPACE,
@@ -65,33 +68,34 @@ def _rational(d: int, scaled: Sequence[Mat]) -> tuple[Mat, ...]:
         for row in m.sparse)) for m in scaled)
 
 
-class _RationalView:
-    """``ExtComplex.differentials``: as supplied, or read off ``integral`` for None."""
-
-    def __get__(self, cx, owner=None):
-        if cx is None:
-            raise AttributeError("differentials")  # so the field has no default
-        if cx.__dict__["_differentials"] is None and cx.integral is not None:
-            cx.__dict__["_differentials"] = _rational(*cx.integral)
-        return cx.__dict__["_differentials"]
-
-    def __set__(self, cx, diffs):
-        if diffs is not None:
-            cx.__dict__["integral"] = None  # the kernels read supplied matrices
-        cx.__dict__["_differentials"] = diffs
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExtComplex:
-    """``integral`` is ``(D, D * differentials)``, every entry an int.  It is set
-    before ``differentials``, so supplying them (``dataclasses.replace``) drops it.
-    Only ``_build_ext_complex`` sets it, after ``_check_composition`` passed, so
-    ``ext_dims_of`` may rank it with clearing."""
+    """A complex checked when it is made: ``integral`` is ``(D, D * d)``, every
+    entry an int, and ``d_{i+1} . d_i = 0`` holds, so ``ext_dims_of`` may rank
+    it with clearing.  ``ExtComplex(side, term_dims, differentials)``, which
+    ``dataclasses.replace`` calls too, refuses differentials that do not chain
+    ``term_dims`` (``ShapeError``) or do not compose to zero
+    (``InternalCheckError``).  Complexes compare by side, term dims and
+    ``integral``: the same maps held over two denominators compare unequal."""
 
     side: str
     term_dims: tuple[int, ...]
-    integral: tuple | None = field(default=None, kw_only=True, repr=False, compare=False)
-    differentials: tuple[Mat, ...] = _RationalView()
+    integral: tuple[int, tuple[Mat, ...]] = field(init=False, repr=False)
+
+    def __init__(self, side: str, term_dims: Sequence[int], differentials: Sequence[Mat]):
+        term_dims = tuple(term_dims)
+        if [(m.cols, m.rows) for m in differentials] != list(zip(term_dims, term_dims[1:])):
+            raise ShapeError(f"differentials of shapes {[(m.rows, m.cols) for m in differentials]} "
+                             f"do not chain the term dims {term_dims}")
+        d = lcm(*(x.denominator for m in differentials for row in m.sparse for x in row.values()))
+        scaled = tuple(cleared(m, d) for m in differentials)
+        _check_composition(scaled, side)
+        self.__dict__.update(side=side, term_dims=term_dims, integral=(d, scaled))
+
+    @cached_property
+    def differentials(self) -> tuple[Mat, ...]:
+        """The differentials over Q, read off ``integral`` when first read."""
+        return _rational(*self.integral)
 
 
 def _check_composition(diffs: Sequence[Mat], side: str) -> None:
@@ -185,18 +189,12 @@ def _integer_differentials(side: str, m: Representation,
     return term_dims, d, [BlockMap(plan, nm, mm, max(bm, bn)).matrix() for plan in plans]
 
 
-def _ext_differentials(side: str, m: Representation,
-                       n: Representation) -> tuple[tuple[int, ...], list[Mat]]:
-    """The term dims and the rational differentials of the ``side`` complex,
-    unchecked, so they make no ``ExtComplex``."""
-    term_dims, d, diffs = _integer_differentials(side, m, n)
-    return term_dims, list(_rational(d, diffs))
-
-
 def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtComplex:
     term_dims, d, diffs = _integer_differentials(side, m, n)
     _check_composition(diffs, side)
-    return ExtComplex(side, term_dims, differentials=None, integral=(d, tuple(diffs)))
+    cx = object.__new__(ExtComplex)  # checked above: skip the public constructor
+    cx.__dict__.update(side=side, term_dims=term_dims, integral=(d, tuple(diffs)))
+    return cx
 
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
@@ -227,13 +225,14 @@ def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
     """The cohomology dimensions of ``cx``: term dims minus the ranks of the
     differentials into and out of each term.
 
-    A checked complex (``cx.integral``) is ranked from the top differential
-    down, with clearing: ``d_i`` is eliminated without its rows at the pivot
-    columns P of ``d_{i+1}``.  The check at build proved ``d_{i+1} . d_i = 0``
-    over Z, so every echelon row of ``d_{i+1}``, over Q or GF(p), annihilates
-    ``d_i``.  On the columns P those rows are triangular with nonzero
-    pivots, whichever side they pivot on, so the rows of ``d_i`` at P are
-    combinations of its other rows, and its rank is unchanged.
+    Every complex was checked when it was made, so its integer differentials
+    (``cx.integral``) are ranked from the top down, with clearing: ``d_i`` is
+    eliminated without its rows at the pivot columns P of ``d_{i+1}``.  The
+    check proved ``d_{i+1} . d_i = 0`` over Z, so every echelon row of
+    ``d_{i+1}``, over Q or GF(p), annihilates ``d_i``.  On the columns P
+    those rows are triangular with nonzero pivots, whichever side they pivot
+    on, so the rows of ``d_i`` at P are combinations of its other rows, and
+    its rank is unchanged.
 
     The top differential, ranked first, takes trailing pivots: its echelon
     row at c ends at c, so row c of the next differential is a combination
@@ -244,19 +243,19 @@ def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
     work.  Every other differential keeps leading pivots and row order; the
     rows they clear are combinations of rows after them, the rank is still
     exact, but the work is not bounded that way (trailing pivots there
-    measured slower on thick points).  Supplied differentials, which
-    nothing checked, and prime mode when p divides D (refused by the first
-    such entry met) are ranked in full, d0 first.
+    measured slower on thick points).  Only prime mode when p divides D is
+    ranked in full, d0 first, on the rational differentials, so that the
+    first entry met whose denominator p divides is the one refused.
     """
-    d, diffs = cx.integral or (1, None)
-    if diffs is None or isinstance(scalars, PrimeScalars) and d % scalars.p == 0:
+    d, diffs = cx.integral
+    if isinstance(scalars, PrimeScalars) and d % scalars.p == 0:
         ranks = [rank(m, scalars) for m in cx.differentials]
     else:
-        ranks, cleared = [], set()
+        ranks, skip = [], set()
         for m in reversed(diffs):
             pivots = set()
-            ranks.append(rank(m, scalars, skip=cleared, pivots=pivots, trailing=not ranks))
-            cleared = pivots
+            ranks.append(rank(m, scalars, skip=skip, pivots=pivots, trailing=not ranks))
+            skip = pivots
         ranks.reverse()
     ranks.append(0)
     out = []
@@ -264,8 +263,8 @@ def ext_dims_of(cx: ExtComplex, scalars: Scalars = RATIONAL) -> ExtDims:
     for i, t in enumerate(cx.term_dims):
         out.append(t - ranks[i] - prev)
         prev = ranks[i]
-    # On the cleared path this guards only the clearing bookkeeping: the check
-    # at build proved d.d = 0, so the true ranks give no negative dimension.
+    # This guards only the rank kernels and the clearing bookkeeping: the
+    # check when made proved d.d = 0, so true ranks give no negative dimension.
     if any(e < 0 for e in out):
         raise InternalCheckError(f"negative cohomology dimension {out}; rank backend broken")
     return tuple(out)

@@ -16,6 +16,7 @@ from localp2.characters import (
     DetCharacter,
     _combine,
     _complex_char,
+    _net_blocks,
     char_diff,
     expand_extension,
     format_form,
@@ -171,10 +172,10 @@ def test_square_root_identity():
 def test_square_root_degree_parts_are_exact_negatives():
     # raw term characters: degree 1 and degree 2 are exact negatives, so the
     # alternating total is twice the degree-2 part; degrees 0 and 3 are trivial
-    deg0 = _complex_char(_Y_LAYOUT[:1], 0, None, None)
-    raw_deg1 = -_complex_char(_Y_LAYOUT[1:2], 0, None, None)  # layout carries parity -1
-    raw_deg2 = _complex_char(_Y_LAYOUT[2:3], 0, None, None)
-    deg3 = -_complex_char(_Y_LAYOUT[3:], 0, None, None)
+    deg0 = _complex_char(_net_blocks(_Y_LAYOUT[:1]), 0, None, None)
+    raw_deg1 = -_complex_char(_net_blocks(_Y_LAYOUT[1:2]), 0, None, None)  # parity -1
+    raw_deg2 = _complex_char(_net_blocks(_Y_LAYOUT[2:3]), 0, None, None)
+    deg3 = -_complex_char(_net_blocks(_Y_LAYOUT[3:]), 0, None, None)
     assert deg0.is_zero() and deg3.is_zero()
     assert raw_deg1 == -raw_deg2
     assert raw_deg2 == ori_char(0)
@@ -209,33 +210,20 @@ def test_character_refuses_a_key_that_is_not_flat(key):
         DetCharacter({(None, 0, None, 1): 3, key: 1})
 
 
-def test_net_table_follows_the_layout_object(monkeypatch):
-    # The net table is found by the layout's identity: a replaced layout is
-    # read on the next call, the original again once restored, and a layout
-    # made after an earlier one is freed (so its id may be reused) gets its own.
-    from localp2 import characters
-
-    def scaled(layout, factor):
-        # Built from lists, each tuple has its exact size from the start, so
-        # CPython tends to hand a freed layout's memory, and its id, to the next.
-        return tuple([(parity, tuple([(slots, factor * mult) for slots, mult in blocks]))
-                      for parity, blocks in layout])
-
-    original, exact = characters._Y_LAYOUT, full_complex_char(0, "1", "3")
-    monkeypatch.setattr(characters, "_Y_LAYOUT", scaled(original, 2))
-    assert full_complex_char(0, "1", "3") == exact.scale(2)
-    monkeypatch.setattr(characters, "_Y_LAYOUT", original)
-    assert full_complex_char(0, "1", "3") == exact
-    for factor in range(1, 80):
-        assert _complex_char(scaled(original, factor), 0, "1", "3") == exact.scale(factor)
+def test_character_refuses_a_constant_key_with_a_variable_branch():
+    # Such a key would be a second constant of its symbol: D0^(2) would read
+    # 2, not 3, in ``forms`` and ``evaluate``.
+    with pytest.raises(InputError, match="constant key has variable branch None"):
+        DetCharacter({("2", 0, "1", None): 1, ("2", 0, None, None): 2})
+    assert DetCharacter({("2", 0, None, None): 3}).evaluate({}) == {("2", 0): 3}
 
 
 def test_cocycle_mixed_character_niceties():
     # full mixed character = sum of the two half characters (the duality that
     # makes the square root multiplicative)
     full = full_complex_char(0, "1", "3")
-    half = _complex_char(_Y_LAYOUT[2:], 0, "1", "3")  # degrees 2 and 3 alone
-    assert half + _complex_char(_Y_LAYOUT[2:], 0, "3", "1") == full
+    half = _complex_char(_net_blocks(_Y_LAYOUT[2:]), 0, "1", "3")  # degrees 2 and 3 alone
+    assert half + _complex_char(_net_blocks(_Y_LAYOUT[2:]), 0, "3", "1") == full
     # the half character alone is the wrong right-hand side
     lhs = expand_extension(ori_char(0, "2")) - ori_char(0, "1") - ori_char(0, "3")
     assert lhs != half
@@ -286,8 +274,8 @@ def test_verifiers_fail_on_corrupted_layout(monkeypatch):
 
     parity, blocks = characters._Y_LAYOUT[1]
     corrupted = (parity, (((1, 0), 2),) + blocks[1:])  # multiplicity 2 instead of 3
-    monkeypatch.setattr(characters, "_Y_LAYOUT",
-                        characters._Y_LAYOUT[:1] + (corrupted,) + characters._Y_LAYOUT[2:])
+    layout = characters._Y_LAYOUT[:1] + (corrupted,) + characters._Y_LAYOUT[2:]
+    monkeypatch.setattr(characters, "_Y_NET", _net_blocks(layout))
     for verify in (verify_square_root, verify_cocycle):
         rep = verify(-3, 3)
         assert rep["status"] == "fail" and rep["diff"]
@@ -299,7 +287,8 @@ def test_theorem4_fails_on_corrupted_plane_layout(monkeypatch):
 
     parity, _ = characters._P2_LAYOUT[2]
     corrupted = (parity, (((2, 0), 2),))  # multiplicity 2 instead of 3
-    monkeypatch.setattr(characters, "_P2_LAYOUT", characters._P2_LAYOUT[:2] + (corrupted,))
+    layout = characters._P2_LAYOUT[:2] + (corrupted,)
+    monkeypatch.setattr(characters, "_P2_NET", _net_blocks(layout))
     rep = verify_theorem4()
     assert rep["status"] == "fail" and rep["diff"]
 
@@ -433,9 +422,9 @@ def _two_pass_substitute(coeffs, symbol_map, variable_map):
 BRANCHES = [None, "2", "3"]
 flat_vars = st.tuples(st.sampled_from(BRANCHES), st.integers(0, 2))
 # (symbol, variable) spelled as one flat key; a variable index None is the
-# constant term, with any variable branch.
+# constant term, whose variable branch is None too.
 flat_keys = st.tuples(flat_vars, st.sampled_from(BRANCHES), st.one_of(st.none(), st.integers(0, 2))
-                      ).map(lambda svk: svk[0] + svk[1:])
+                      ).map(lambda svk: svk[0] + (svk[1:] if svk[2] is not None else (None, None)))
 flat_chars = st.dictionaries(flat_keys, st.integers(-4, 4), max_size=20)
 
 
@@ -476,8 +465,8 @@ def test_complex_char_is_the_sum_of_its_degree_slices(layout, heart, branch_m, b
     # must give the same character.
     total = DetCharacter()
     for i in range(len(layout)):
-        total = total + _complex_char(layout[i:i + 1], heart, branch_m, branch_n)
-    whole = _complex_char(layout, heart, branch_m, branch_n)
+        total = total + _complex_char(_net_blocks(layout[i:i + 1]), heart, branch_m, branch_n)
+    whole = _complex_char(_net_blocks(layout), heart, branch_m, branch_n)
     assert whole == total and all(whole.coeffs.values())
 
 

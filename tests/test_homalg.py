@@ -17,9 +17,10 @@ from localp2.homalg import (
     PLAN_MEMO_SIZE,
     ExtComplex,
     _check_composition,
-    _ext_differentials,
     _ext_plans,
     _ext_terms,
+    _integer_differentials,
+    _rational,
     build_ext_complex_P2,
     build_ext_complex_Y,
     euler_form_P2,
@@ -593,7 +594,8 @@ def test_memoized_assembly_matches_a_dense_term_by_term_reference(side_presentat
     term_dims, *reference = _dense_reference(side, m, n)
     _ext_plans.cache_clear()
     for _ in range(2):
-        dims, diffs = _ext_differentials(side, m, n)
+        dims, d, scaled = _integer_differentials(side, m, n)
+        diffs = _rational(d, scaled)
         assert dims == term_dims and [d.data for d in diffs] == reference
         assert all(v for d in diffs for row in d.sparse for v in row.values())
     info = _ext_plans.cache_info()
@@ -677,31 +679,49 @@ def test_rational_differentials_are_read_from_the_integer_complex():
     objs = golden_objects()
     m, n = direct_sum(objs["pt_mix"], objs["s0"]), objs["line1"]
     cx = build_ext_complex_Y(m, n)
-    dims, diffs = _ext_differentials("y", m, n)
-    assert cx.term_dims == dims and cx.differentials == tuple(diffs)
-    assert all(d.entry_bound is None for d in diffs)
-    assert any(type(v) is Fraction for d in diffs for row in d.sparse for v in row.values())
-    # Supplied matrices replace the integer complex: the kernels read them.
-    zeros = tuple(Mat.zeros(d.rows, d.cols) for d in diffs)
-    supplied = replace(cx, differentials=zeros)
-    assert supplied.differentials == zeros and ext_dims_of(supplied) == dims
-    assert ext_dims_of(replace(cx, differentials=cx.differentials)) == ext_dims_of(cx)
-    with pytest.raises(ScalarModeError):
-        ext_dims_of(replace(cx, differentials=(Mat.from_rows([[Fraction(1, PRIME.p)]]),)), PRIME)
+    dims, d, scaled = _integer_differentials("y", m, n)
+    assert cx.term_dims == dims and cx.integral == (d, tuple(scaled)) and d > 1
+    diffs = cx.differentials
+    assert diffs == _rational(d, scaled) and diffs is cx.differentials
+    assert all(x.entry_bound is None for x in diffs)
+    assert any(type(v) is Fraction for x in diffs for row in x.sparse for v in row.values())
+    # Supplied matrices are scaled over their own denominator and checked:
+    # the same matrices give the same complex, zeros the term dims.
+    again = replace(cx, differentials=diffs)
+    assert again == cx and hash(again) == hash(cx) and again.differentials == diffs
+    assert ext_dims_of(again) == ext_dims_of(cx) and ext_dims_of(again, PRIME) == ext_dims_of(cx)
+    zeros = replace(cx, differentials=tuple(Mat.zeros(x.rows, x.cols) for x in diffs))
+    assert zeros.integral[0] == 1 and ext_dims_of(zeros) == dims
+    # A 1/p entry makes p | D: refused in prime mode, ranked over Q.
+    p = PRIME.p
+    tiny = ExtComplex("p2", (1, 1, 1), (Mat.from_rows([[Fraction(1, p)]]), Mat.zeros(1, 1)))
+    assert tiny.integral == (p, (Mat.from_rows([[1]]), Mat.zeros(1, 1)))
+    assert ext_dims_of(tiny) == (0, 0, 1)
+    with pytest.raises(ScalarModeError, match=f"entry 1/{p} "):
+        ext_dims_of(tiny, PRIME)
     integral = build_ext_complex_Y(objs["line1"], objs["line2"])
-    assert all(d.entry_bound == 1 for d in integral.differentials)
+    assert all(x.entry_bound == 1 for x in integral.differentials)
 
 
-def test_supplied_differentials_are_ranked_in_full():
-    # Not a complex (d1 . d0 = 1): nothing checked it, so nothing is cleared,
-    # and the ranks (1, 1) give a negative dimension.  Clearing d0 on the
-    # pivot of d1 would have given (1, 0, 0).
+def test_supplied_differentials_are_checked_when_made():
+    # Not complexes (d1 . d0 = 1): refused when made, so nothing ranks them.
+    # Ranked with clearing, the first would give (1, 0, 0) and the second,
+    # whose ranks (1, 1) cancel its term dims, (0, 0, 0).
     one = Mat.from_rows([[1]])
-    cx = ExtComplex("p2", (1, 1, 1), differentials=(one, one))
-    assert cx.integral is None
-    for scalars in (RATIONAL, PRIME):
-        with pytest.raises(InternalCheckError, match=r"negative cohomology dimension \[0, -1, 0\]"):
-            ext_dims_of(cx, scalars)
+    d0, d1 = Mat.from_rows([[1], [0]]), Mat.from_rows([[1, 0]])
+    for dims, diffs in (((1, 1, 1), (one, one)), ((1, 2, 1), (d0, d1))):
+        with pytest.raises(InternalCheckError, match=r"^P2 complex: d1 \. d0 != 0$"):
+            ExtComplex("p2", dims, diffs)
+    good = ExtComplex("p2", (1, 2, 1), (d0, Mat.from_rows([[0, 1]])))
+    assert ext_dims_of(good) == ext_dims_of(good, PRIME) == (0, 0, 0)
+    with pytest.raises(InternalCheckError, match=r"^P2 complex: d1 \. d0 != 0$"):
+        replace(good, differentials=(d0, d1))
+    # Differentials must chain the term dims, in count and in shape.
+    for diffs in ((one,), (one, one, one), (one, Mat.zeros(2, 1))):
+        with pytest.raises(ShapeError, match="do not chain the term dims"):
+            ExtComplex("p2", (1, 1, 1), diffs)
+    with pytest.raises(ShapeError):
+        replace(good, differentials=(d0,))
 
 
 def test_self_ext_of_o4_eliminates_only_the_rows_left_by_clearing(monkeypatch):
@@ -723,6 +743,11 @@ def test_self_ext_of_o4_eliminates_only_the_rows_left_by_clearing(monkeypatch):
         assert seen == [(361, 0, True, 360), (900, 360, False, 540), (900, 540, False, 360)]
 
 
+def dims_from_ranks(term_dims, ranks) -> tuple[int, ...]:
+    # Each term's dim minus the ranks of the differentials out of and into it.
+    return tuple(t - r - q for t, r, q in zip(term_dims, list(ranks) + [0], [0] + list(ranks)))
+
+
 def _pivots(m, scalars) -> set:
     pivots = set()
     rank(m, scalars, pivots=pivots)
@@ -738,8 +763,9 @@ def test_clearing_keeps_every_rank_and_dimension(m, n, scalars):
         diffs = cx.integral[1]
         for d, above in zip(diffs, diffs[1:]):
             assert rank(d, scalars, skip=_pivots(above, scalars)) == rank(d, scalars)
-        # A supplied copy of the same matrices is ranked in full.
-        assert ext_dims_of(cx, scalars) == ext_dims_of(replace(cx, differentials=diffs), scalars)
+        # The witness: each rational differential ranked in full.
+        full = [rank(d, scalars) for d in cx.differentials]
+        assert ext_dims_of(cx, scalars) == dims_from_ranks(cx.term_dims, full)
 
 
 def test_trailing_top_pivots_clear_only_rows_that_elimination_zeroes():
