@@ -50,6 +50,7 @@ from typing import Callable, Mapping
 
 from .errors import InputError, MissingVariableError
 from .homalg import EXT_TABLES
+from .linalg import MAX_DIM
 
 Branch = str | None
 Var = tuple[Branch, int]
@@ -332,9 +333,13 @@ def _report(identity: str, window: tuple[int, int], diff: list[dict], witness: d
 
 
 def require_hearts(n_min: int, n_max: int, pairs: bool = False) -> None:
-    """Refuse a range with no heart (with ``pairs``: no adjacent pair); it would pass unchecked."""
+    """Refuse a range with no heart (with ``pairs``: no adjacent pair), which
+    would pass unchecked, and one of more than ``MAX_DIM`` hearts."""
     if n_max < n_min or (pairs and n_max == n_min):
         raise InputError(f"need n_max {'>' if pairs else '>='} n_min, got [{n_min}, {n_max}]")
+    if n_max - n_min >= MAX_DIM:
+        raise InputError(f"the range [{n_min}, {n_max}] spans {n_max - n_min + 1} hearts, more "
+                         f"than the size bound {MAX_DIM}")
 
 
 def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:

@@ -207,9 +207,7 @@ def cmd_window(args) -> int:
     up, down = windows.window_membership(rep, "up"), windows.window_membership(rep, "down")
     wv = windows.certified_window(rep, up, down)
     if args.extend:
-        lo, hi = args.extend
-        wv = windows.extend_window(wv, hi)
-        wv = windows.extend_window(wv, lo)
+        wv = windows.extend_window(wv, *args.extend)
     payload = wv.to_dict()
     payload["recursion_violations"] = windows.recursion_violations(wv)
     payload["membership"] = {"up": up.to_dict(), "down": down.to_dict()}

@@ -97,8 +97,7 @@ def _twist_ext_invariance(before: homalg.ExtDims, up_m: Representation, up_n: Re
 def _window_cell(m: Representation) -> dict:
     wv = windows.window_vector(m)
     lo, hi = wv.span()
-    extended = windows.extend_window(wv, hi + 2)
-    extended = windows.extend_window(extended, lo - 2)
+    extended = windows.extend_window(wv, hi + 2, lo - 2)
     bad = windows.recursion_violations(extended)
     return {"_ok": not bad, "window": extended.to_dict(), "violations": bad}
 

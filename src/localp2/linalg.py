@@ -2,9 +2,10 @@
 
 Every homology dimension in this package is an exact rank; no floating point
 anywhere.  Matrices store sparse rows, and one elimination routine
-(``_echelon``) row-reduces them over Q or over GF(p).  It backs ``rank`` in
-both modes and ``nullspace``, the one solver: kernels are all the twists and
-``hom_space`` need.  ``rank`` can leave out given rows, hand back its pivot
+(``_echelon``), forward elimination with no back-substitution, row-reduces
+them over Q or over GF(p).  It backs ``rank`` in both modes and
+``nullspace``, the one solver: kernels are all the twists and ``hom_space``
+need.  ``rank`` can leave out given rows, hand back its pivot
 columns and pivot at each row's last column instead of its first, which is
 how ``homalg`` clears the rows of an Ext differential that the next one shows
 to be redundant.  The prime-field mode computes ranks
@@ -43,9 +44,10 @@ a ``Fraction`` even when integral, which compares, hashes and prints exactly
 as the integer does.  The hazard of ``int`` entries is true division:
 ``1 / 2`` is a float.  Elimination inverts no pivot: one other than ±1 is
 cleared by cross-multiplying, so a matrix of ints is eliminated on ints
-alone, and only ``nullspace`` divides its pivot rows by their pivots,
-through ``Fraction``, at the end.  ``cleared`` scales a matrix to ints, which is how ``homalg``
-assembles each Ext complex once, as integer matrices over one denominator.
+alone.  Only ``nullspace`` divides, each kernel vector by its entry at its
+free column, as an ``int`` when exact and through ``Fraction`` otherwise.
+``cleared`` scales a matrix to ints, which is how ``homalg`` assembles each
+Ext complex once, as integer matrices over one denominator.
 """
 
 from __future__ import annotations
@@ -276,24 +278,19 @@ def cleared(m: Mat, d: int) -> Mat:
                                      for row in m.sparse))
 
 
-def _in_range(m: Mat, p: int) -> bool:
-    """Whether ``m``'s own rows are its field rows: over Q, or over GF(p) when
-    ``m.entry_bound`` shows every entry is a nonzero int in [-p//2, p//2]."""
-    return not p or (m.entry_bound is not None and m.entry_bound <= p // 2)
-
-
 def _field_rows(m: Mat, p: int, skip: Container[int] = ()) -> list[dict]:
     """The nonzero rows of ``m`` whose indices are not in ``skip``, over GF(p)
     when p is nonzero, else over Q.
 
-    When ``_in_range`` holds these are the matrix's own row dicts, not copies:
-    ``_echelon`` copies a row before it writes it.  Otherwise each row is
-    converted into a new dict of symmetric residues in [-p//2, p//2], which
-    ``_echelon`` may write as it stands: an int already in that range is kept
-    as it is, so 0/±1 entries are never reduced.
+    Over Q, or over GF(p) when ``m.entry_bound`` shows every entry is a
+    nonzero int in [-p//2, p//2], these are the matrix's own row dicts, not
+    copies: ``_echelon`` copies a row before it writes it.  Otherwise each row
+    is converted into a new dict of symmetric residues in [-p//2, p//2]: an
+    int already in that range is kept as it is, so 0/±1 entries are never
+    reduced.
     """
     rows = [row for i, row in enumerate(m.sparse) if i not in skip] if skip else m.sparse
-    if _in_range(m, p):
+    if not p or (m.entry_bound is not None and m.entry_bound <= p // 2):
         return [row for row in rows if row]
     h = p // 2
     lo = -h
@@ -321,8 +318,7 @@ def _field_rows(m: Mat, p: int, skip: Container[int] = ()) -> list[dict]:
     return out
 
 
-def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False,
-             trailing: bool = False) -> dict[int, dict]:
+def _echelon(rows: list[dict], p: int, *, trailing: bool = False) -> dict[int, dict]:
     """Row-reduce sparse rows over Q (p = 0, int or Fraction values) or GF(p)
     (symmetric residues in [-p//2, p//2], as ``_field_rows`` makes them).
 
@@ -338,30 +334,23 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False,
     eliminated with no ``Fraction``.  Over GF(p) a value is reduced only when
     it leaves the symmetric range, and 0 is the only residue of a multiple
     of p.  Zeros are dropped, one loop per field.  Returns {pivot column:
-    row}, its size is the rank.  With ``reduced`` (over Q, leading pivots
-    only) each pivot row is divided by its pivot after forward elimination
-    and back-substituted into the reduced row echelon form, which is unique:
-    each row only at the pivot columns it holds.
-    No input row is written unless ``owned`` says the caller handed them over:
-    a row is copied just before it is first reduced, and a row that becomes a
-    pivot unreduced is stored as it is, or as a copy with ``reduced``, whose
-    back-substitution writes pivot rows.  So the input rows may be a
-    ``Mat``'s own, and a returned pivot row may be one of them.
+    row}, its size is the rank.
+    No input row is written: a row is copied just before it is first reduced,
+    and a row that becomes a pivot unreduced is stored as it is.  So the input
+    rows may be a ``Mat``'s own, and a returned pivot row may be one of them.
     """
     pivots: dict[int, dict] = {}
     side = max if trailing else min
     h = p // 2
     lo = -h
     for row in rows:
-        mine = owned
+        mine = False
         while row:
             c = side(row)
             prow = pivots.get(c)
             if prow is None:
                 if row[c] == -1:
                     row = {j: -x for j, x in row.items()}
-                elif reduced and not mine:
-                    row = dict(row)
                 pivots[c] = row
                 break
             if not mine:
@@ -401,22 +390,6 @@ def _echelon(rows: list[dict], p: int, reduced: bool, owned: bool = False,
                     if d != 1 or g != 1:
                         for j, x in row.items():
                             row[j] = x.numerator * (d // x.denominator) // g
-    if reduced:
-        # Right to left: the pivot rows right of c are monic and reduced already,
-        # so each is zero at every other pivot column, and clearing one pivot
-        # column of ``prow`` touches no other.
-        for c in sorted(pivots, reverse=True):
-            prow, v = pivots[c], pivots[c][c]
-            if v != 1:
-                prow = pivots[c] = {j: Fraction(x, v) if x % v else x // v for j, x in prow.items()}
-            for k in [k for k in prow if k != c and k in pivots]:
-                f, get = prow[k], prow.get
-                for j, v in pivots[k].items():
-                    x = get(j, 0) - f * v
-                    if x:
-                        prow[j] = x
-                    else:
-                        del prow[j]
     return pivots
 
 
@@ -432,7 +405,7 @@ def rank(m: Mat, scalars: Scalars = RATIONAL, *, skip: Container[int] = (),
     reduced.  The rank is the same either way.
     """
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
-    found = _echelon(_field_rows(m, p, skip), p, False, not _in_range(m, p), trailing)
+    found = _echelon(_field_rows(m, p, skip), p, trailing=trailing)
     if pivots is not None:
         pivots.update(found)
     return len(found)
@@ -443,22 +416,38 @@ def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
     Returns the basis and the free columns; the basis restricted to the free
     rows is the identity, so a kernel vector's coordinates are its entries there.
+
+    The columns of ``m`` are eliminated in order, as rows with trailing
+    pivots, column f extended by a record: entry 1 at key ``f - m.cols``,
+    below every row index of ``m``, so a row's entries at row indices are
+    cleared before its record is reached.  A record only takes in pivot rows
+    whose pivot is a row index, so it holds f and earlier pivot columns, and
+    f's key is its largest.  Column f is free exactly when its row reduces to
+    its record; that record is a kernel vector, nonzero at f and zero at every
+    other free column, and divided by its entry at f it is the vector of the
+    reduced row echelon form, entry for entry.
     """
-    pivots = _echelon(_field_rows(m, 0), 0, True)
-    free = tuple(c for c in range(m.cols) if c not in pivots)
-    index = {f: i for i, f in enumerate(free)}
-    out: list[Row] = [{} for _ in range(m.cols)]
-    for f, i in index.items():
-        out[f][i] = 1
-    for c, prow in pivots.items():
-        out[c] = {index[j]: -v for j, v in prow.items() if j != c}
-    return Mat(m.cols, len(free), tuple(out)), free
+    n = m.cols
+    columns: list[Row] = [{f - n: 1} for f in range(n)]
+    for i, row in enumerate(m.sparse):
+        for j, x in row.items():
+            columns[j][i] = x
+    pivots = _echelon(columns, 0, trailing=True)
+    free = tuple(c + n for c in pivots if c < 0)
+    out: list[Row] = [{} for _ in range(n)]
+    for i, f in enumerate(free):
+        record = pivots[f - n]
+        v = record[f - n]
+        for k, x in record.items():
+            out[k + n][i] = Fraction(x, v) if x % v else x // v
+    return Mat(n, len(free), tuple(out)), free
 
 
 # The largest dimension of a vector space the package allocates: every entry
 # of a record's ``dims`` and both terms of every BlockMap (the Ext terms, the
-# intertwiner systems behind ``hom_space``).  Larger requests are input errors,
-# refused before anything is allocated.
+# intertwiner systems behind ``hom_space``).  It also bounds the slots of an
+# extended window and the hearts of a verified range.  Larger requests are
+# input errors, refused before anything is allocated.
 MAX_DIM = 100_000
 
 Term = tuple[int, int, int, bool, int]  # (out block, in block, arrow, left, sign)

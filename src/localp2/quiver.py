@@ -442,17 +442,17 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
         raise HeartMismatchError(f"hom across hearts {m.heart} != {n.heart}")
     system = intertwiner_matrix(m, n)
     kernel, _ = nullspace(system)
+    # A kernel vector is phi flattened block by block, each block row-major:
+    # entry k is entry (i, j) of block b.
+    shapes = [(n.dims[v], m.dims[v]) for v in VERTICES]
+    where = [(b, i, j) for b, (r, c) in enumerate(shapes) for i in range(r) for j in range(c)]
     basis = []
-    for col in range(kernel.cols):
-        vec = kernel.column(col)
-        blocks = []
-        off = 0
-        for v in VERTICES:
-            r, c = n.dims[v], m.dims[v]
-            blocks.append(Mat.from_rows([vec[off + i * c: off + (i + 1) * c] for i in range(r)],
-                                        cols=c))
-            off += r * c
-        basis.append(tuple(blocks))
+    for vec in kernel.transpose().sparse:
+        blocks = [[{} for _ in range(r)] for r, _ in shapes]
+        for k, x in vec.items():
+            b, i, j = where[k]
+            blocks[b][i][j] = x
+        basis.append(tuple(Mat(r, c, tuple(rows)) for (r, c), rows in zip(shapes, blocks)))
     return HomSpace(kernel.cols, tuple(basis))
 
 

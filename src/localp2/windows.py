@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .linalg import Mat, Row, hstack, nullspace, product_is_zero, rank, vstack
+from .linalg import MAX_DIM, Mat, Row, hstack, nullspace, product_is_zero, rank, vstack
 from .quiver import CYCLES, Representation, representation, require_valid
 
 
@@ -231,8 +231,10 @@ def certified_window(rep: Representation, up: MembershipReport,
     return WindowVector.make(n, values, values.keys())
 
 
-def extend_window(wv: WindowVector, k: int) -> WindowVector:
-    """Fill h_k (and anything between) by the 4-term recursion; extrapolated slots stay uncertified."""
+def extend_window(wv: WindowVector, *targets: int) -> WindowVector:
+    """Fill h_k for every target k (and anything between) by the 4-term
+    recursion; extrapolated slots stay uncertified.  A window that would span
+    more than ``MAX_DIM`` slots is refused (``InputError``) before any is filled."""
     values = dict(wv.values)
     lo, hi = wv.span()
     if hi - lo < 2:
@@ -240,10 +242,14 @@ def extend_window(wv: WindowVector, k: int) -> WindowVector:
     for m in range(lo, hi + 1):
         if m not in values:
             raise InputError(f"window has a gap at {m}; cannot extrapolate")
-    while k < lo:
+    first, last = min(lo, *targets), max(hi, *targets)
+    if last - first >= MAX_DIM:
+        raise InputError(f"a window on [{first}, {last}] spans {last - first + 1} slots, more "
+                         f"than the size bound {MAX_DIM}")
+    while first < lo:
         values[lo - 1] = 3 * values[lo] - 3 * values[lo + 1] + values[lo + 2]
         lo -= 1
-    while k > hi:
+    while last > hi:
         values[hi + 1] = values[hi - 2] - 3 * values[hi - 1] + 3 * values[hi]
         hi += 1
     return WindowVector.make(wv.base, values, wv.certified)

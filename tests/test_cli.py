@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from localp2 import characters, corpus, homalg, windows
 from localp2.cli import VERIFY_IDENTITIES, build_parser, main
 from localp2.errors import InputError, LocalP2Error
-from localp2.linalg import Mat, PrimeScalars
+from localp2.linalg import MAX_DIM, Mat, PrimeScalars
 from localp2.quiver import (
     ARROW_ORDER,
     dumps_rep,
@@ -207,6 +207,30 @@ def test_corpus_refuses_a_window_without_a_pair_of_hearts(capsys, lo, hi):
     assert run(capsys, "verify", "theorem3", "--range", str(lo), str(hi))[2] == stderr
     with pytest.raises(InputError, match="need n_max > n_min"):
         corpus.RunConfig(window=(lo, hi))
+
+
+def test_spans_beyond_the_size_bound_are_refused_before_any_loop(tmp_path, capsys):
+    # One window slot or one heart per step: a span of MAX_DIM passes, one
+    # more is refused, and a span of 10**8 is refused as fast.
+    pf = tmp_path / "pf.json"
+    run(capsys, "mk", "pushforward", "1", "-o", str(pf))
+    wv = windows.window_vector(pushforward_module(1))
+    assert wv.span() == (-1, 3)
+    assert windows.extend_window(wv, MAX_DIM - 2, -1).span() == (-1, MAX_DIM - 2)
+    with pytest.raises(InputError, match="spans 100001 slots"):
+        windows.extend_window(wv, 3, MAX_DIM - 1)
+    characters.require_hearts(1, MAX_DIM, pairs=True)
+    with pytest.raises(InputError, match="spans 100001 hearts"):
+        characters.require_hearts(0, MAX_DIM)
+    start = time.perf_counter()
+    for argv, what in ((("window", str(pf), "--extend", "-100000000", "0"), "slots"),
+                       (("window", str(pf), "--extend", "0", str(MAX_DIM - 1)), "slots"),
+                       (("verify", "theorem3", "--range", "-100000000", "100000000"), "hearts"),
+                       (("verify", "cocycle", "--range", "0", str(MAX_DIM)), "hearts"),
+                       (("corpus", "--range", "0", str(MAX_DIM)), "hearts")):
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 2 and stdout == "" and f"{what}, more than the size bound" in stderr
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("mode, cells", [((), 172), (("--mode", "prime", "2147483659"), 173)])

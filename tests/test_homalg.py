@@ -787,11 +787,11 @@ def test_trailing_top_pivots_clear_only_rows_that_elimination_zeroes():
                 top, below = cx.integral[1][-1], cx.integral[1][-2]
                 for scalars in (RATIONAL, PRIME):
                     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
-                    full = _echelon(_field_rows(below, p), p, False)
+                    full = _echelon(_field_rows(below, p), p)
                     for trailing in (True, False):
                         pivots = set()
                         rank(top, scalars, pivots=pivots, trailing=trailing)
-                        same = _echelon(_field_rows(below, p, pivots), p, False) == full
+                        same = _echelon(_field_rows(below, p, pivots), p) == full
                         assert same or not trailing, (m.label, n.label, cx.side, scalars)
                         changed += not same
                     cases += 1

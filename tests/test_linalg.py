@@ -19,6 +19,7 @@ from localp2.linalg import (
     BlockPlan,
     Mat,
     PrimeScalars,
+    Row,
     _echelon,
     _field_rows,
     block_diag,
@@ -194,7 +195,7 @@ def test_prime_residues_are_nonzero_and_symmetric(rows):
     m = Mat.from_rows(rows)
     field_rows = _field_rows(m, _P)
     values = [x for row in field_rows for x in row.values()]
-    pivots = _echelon(field_rows, _P, False)
+    pivots = _echelon(field_rows, _P)
     values += [x for row in pivots.values() for x in row.values()]
     assert all(type(x) is int and x and -_H <= x <= _H for x in values)
 
@@ -207,7 +208,7 @@ def test_trailing_pivots_keep_the_rank_and_end_their_rows(rows, scalars):
     p = scalars.p if isinstance(scalars, PrimeScalars) else 0
     trailing = set()
     assert rank(m, scalars, pivots=trailing, trailing=True) == rank(m, scalars)
-    found = _echelon(_field_rows(m, p), p, False, trailing=True)
+    found = _echelon(_field_rows(m, p), p, trailing=True)
     assert set(found) == trailing and all(max(row) == c for c, row in found.items())
     # They are the leading pivots of the matrix with its columns reversed.
     flipped = set()
@@ -418,8 +419,9 @@ def test_operations_on_int_matrices_produce_exact_scalars():
 @given(_matrices(st.integers(-3, 3)))
 def test_int_entries_eliminate_like_fraction_entries(rows):
     # Entries in -3..3 give pivots other than ±1. Elimination clears them by
-    # cross-multiplying and inverts none; only ``nullspace`` divides its pivot
-    # rows at the end, and that quotient must be a Fraction, not a float.
+    # cross-multiplying and inverts none; only ``nullspace`` divides, each
+    # kernel vector by its entry at its free column, and that quotient must be
+    # a Fraction, not a float.
     m, f = Mat.from_rows(rows), _as_fractions(rows)
     assert rank(m) == rank(f) and rank(m, PRIME) == rank(f, PRIME) == rank(m)
     (ns, free), (ns_f, free_f) = nullspace(m), nullspace(f)
@@ -453,8 +455,8 @@ def _dense(rows: list[list], ncols: int) -> Mat:
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(_matrices(st.integers(-3, 3)), small_fraction_matrices))
 def test_elimination_matches_dense_gauss_jordan(rows):
-    # nullspace reads the sparse back-substitution; its basis and free columns
-    # must equal what the dense reference gives.
+    # nullspace reads its basis off the forward elimination; the basis and
+    # free columns must equal what the dense reference gives.
     m = Mat.from_rows(rows)
     nc = m.cols
     ref, piv = _gauss_jordan(rows, nc)
@@ -465,6 +467,68 @@ def test_elimination_matches_dense_gauss_jordan(rows):
         for row, c in zip(ref, piv):
             kernel[c][i] = -row[f]
     assert nullspace(m) == (_dense(kernel, len(free)), tuple(free))
+
+
+def _rref_kernel(m: Mat) -> tuple[tuple[Row, ...], tuple[int, ...]]:
+    # Reference: the kernel read off the reduced row echelon form.  The
+    # forward pivot rows are divided by their pivots and back-substituted
+    # right to left; kernel vector i is 1 at free column i and minus pivot
+    # row c's entry there at each pivot column c.
+    pivots = _echelon(_field_rows(m, 0), 0)
+    for c in sorted(pivots, reverse=True):
+        v = pivots[c][c]
+        prow = pivots[c] = {j: Fraction(x, v) if x % v else x // v for j, x in pivots[c].items()}
+        for k in [k for k in prow if k != c and k in pivots]:
+            f, get = prow[k], prow.get
+            for j, w in pivots[k].items():
+                x = get(j, 0) - f * w
+                if x:
+                    prow[j] = x
+                else:
+                    del prow[j]
+    free = tuple(c for c in range(m.cols) if c not in pivots)
+    index = {f: i for i, f in enumerate(free)}
+    out: list[Row] = [{index[f]: 1} if f in index else {} for f in range(m.cols)]
+    for c, prow in pivots.items():
+        out[c] = {index[j]: -v for j, v in prow.items() if j != c}
+    return tuple(out), free
+
+
+# Row 0 of this kernel is an integral Fraction after the back-substitution
+# (-2/3 - 4/3) and the int -2 when read off a column record.
+_INTEGRAL_QUOTIENT = [[0, 0, 1, 0, -3, 0], [-1, Fraction(1, 2), 2, 1, Fraction(-2, 3), 0],
+                      [0, Fraction(1, 2), 0, 0, 0, 1], [0, 0, 0, 1, 5, 1]]
+
+# 0..4 rows and 0..5 columns, most entries 0, some Fractions.
+_kernel_matrices = st.tuples(st.integers(0, 4), st.integers(0, 5)).flatmap(
+    lambda s: st.lists(
+        st.lists(st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)),
+                 min_size=s[1], max_size=s[1]),
+        min_size=s[0], max_size=s[0]).map(lambda rows: Mat.from_rows(rows, cols=s[1])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_matrices)
+@example(Mat.from_rows(_INTEGRAL_QUOTIENT))
+@example(Mat.zeros(0, 3))
+@example(Mat.zeros(3, 0))
+@example(Mat.from_rows([[0, 2, 0], [0, 0, 0]]))
+def test_nullspace_matches_the_reduced_echelon_kernel(m):
+    kernel, free = nullspace(m)
+    ref, ref_free = _rref_kernel(m)
+    assert free == ref_free and (kernel.rows, kernel.cols) == (m.cols, len(free))
+    for row, ref_row in zip(kernel.sparse, ref, strict=True):
+        assert row == ref_row
+        assert {j: str(x) for j, x in row.items()} == {j: str(x) for j, x in ref_row.items()}
+        assert all(type(x) is int or x.denominator != 1 for x in row.values())
+
+
+def test_nullspace_stores_integral_quotients_as_ints():
+    m = Mat.from_rows(_INTEGRAL_QUOTIENT)
+    ref, _ = _rref_kernel(m)
+    kernel, free = nullspace(m)
+    assert free == (4, 5) and kernel.sparse[0] == ref[0] == {0: Fraction(1, 3), 1: -2}
+    assert type(ref[0][1]) is Fraction and type(kernel.sparse[0][1]) is int
 
 
 # Factors a (r x k) and b (k x c) with 0..3 rows, inner dimension and
@@ -534,8 +598,7 @@ def _bounded(m: Mat) -> Mat:
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(_matrices(st.integers(-3, 3)), edge_matrices, small_fraction_matrices))
-# Row 1 is reduced by row 0, which is stored as it is; with ``reduced`` the
-# back-substitution then writes row 0.
+# Row 1 is reduced by row 0, which is stored as it is.
 @example([[1, 2], [1, 3]])
 @example([[1, 1], [0, 1]])
 def test_rank_and_nullspace_write_no_input_row(rows):

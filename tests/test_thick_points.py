@@ -13,7 +13,7 @@ import pytest
 from localp2.corpus import standard_corpus
 from localp2.homalg import build_ext_complex_P2, build_ext_complex_Y, ext_dims_of, ext_dims_Y
 from localp2.linalg import RATIONAL, Mat, PrimeScalars, rank
-from localp2.quiver import check_relations, direct_sum, hom_space, p2_restrict
+from localp2.quiver import ARROW_ORDER, arrow, check_relations, direct_sum, hom_space, p2_restrict
 from oracles import ext_thick_point_self_Y
 from test_homalg import dims_from_ranks
 from thick_points import extension, generic_class, thick_point
@@ -57,6 +57,22 @@ def test_thick_point_self_ext_matches_the_hilbert_scheme_oracle(scalars):
             e = extension(PT, e, generic_class(PT, e))
         assert e.dims == (k, k, k)
         assert ext_dims_Y(e, e, scalars) == ext_thick_point_self_Y(k)
+
+
+def test_hom_space_of_a_thick_point_is_its_endomorphism_ring():
+    # End(O_Z) = O_Z has dimension k: k independent intertwiners of E with itself.
+    e = thick_point(5, PT)
+    entries = [x for mat in e.matrices.values() for row in mat.sparse for x in row.values()]
+    assert all(type(x) is int or x.denominator != 1 for x in entries)
+    hs = hom_space(e, e)
+    assert hs.dim == len(hs.basis) == ext_thick_point_self_Y(5)[0] == 5
+    for blocks in hs.basis:
+        assert [(b.rows, b.cols) for b in blocks] == [(5, 5)] * 3
+        for name in ARROW_ORDER:
+            a = arrow(name)
+            assert blocks[a.source] @ e.matrices[name] == e.matrices[name] @ blocks[a.target]
+    flat = [[x for b in blocks for row in b.data for x in row] for blocks in hs.basis]
+    assert rank(Mat.from_rows(flat)) == 5
 
 
 @pytest.mark.parametrize("scalars", [RATIONAL, PRIME], ids=["rational", "prime"])

@@ -15,7 +15,7 @@ is (k, 3k, 3k, k) (``oracles.ext_thick_point_self_Y``).
 from __future__ import annotations
 
 from localp2.homalg import build_ext_complex_Y
-from localp2.linalg import Mat, nullspace, rank
+from localp2.linalg import Mat, nullspace, rank, scalar
 from localp2.quiver import ARROW_ORDER, arrow, check_relations, representation
 
 
@@ -40,7 +40,8 @@ def ext1_basis(m, n) -> list[list]:
 def extension(m, n, xi, label: str | None = None):
     """The module E_a = [[N_a, xi_a], [0, M_a]] of the term-1 vector ``xi``;
     refused with ``AssertionError`` when ``xi`` does not fill term 1 or E
-    violates a relation."""
+    violates a relation.  Entries are stored as ``Mat.from_rows`` stores
+    them, ints where integral."""
     assert m.heart == n.heart
     mats, off = {}, 0
     for name in ARROW_ORDER:
@@ -49,7 +50,8 @@ def extension(m, n, xi, label: str | None = None):
         block = xi[off:off + rows * cols]
         off += rows * cols
         top = [{**n.matrices[name].sparse[i],
-                **{shift + j: x for j, x in enumerate(block[i * cols:(i + 1) * cols]) if x}}
+                **{shift + j: scalar(x) for j, x in enumerate(block[i * cols:(i + 1) * cols])
+                    if x}}
                for i in range(rows)]
         bottom = [{shift + j: x for j, x in row.items()} for row in m.matrices[name].sparse]
         mats[name] = Mat(rows + m.dims[a.source], shift + cols, tuple(top + bottom))
