@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Container, Sequence, Union
+from typing import ClassVar, Container, Sequence, Union
 
 from .errors import InputError, ScalarModeError, ShapeError
 
@@ -79,13 +79,13 @@ def scalar(x) -> Scalar:
 
 @dataclass(frozen=True)
 class RationalScalars:
-    name: str = "rational"
+    name: ClassVar[str] = "rational"
 
 
 @dataclass(frozen=True)
 class PrimeScalars:
     p: int
-    name: str = "prime"
+    name: ClassVar[str] = "prime"
 
     def __post_init__(self):
         if self.p <= 2**30:
@@ -238,26 +238,6 @@ def product_is_zero(a: Mat, b: Mat) -> bool:
                     key = base + j
                     acc[key] = get(key, 0) + v * w
     return not any(acc.values())
-
-
-def hstack(mats: Sequence[Mat]) -> Mat:
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeError("hstack: row counts differ")
-    offsets, off = [], 0
-    for m in mats:
-        offsets.append(off)
-        off += m.cols
-    out: list[Row] = []
-    for parts in zip(*(m.sparse for m in mats)):
-        if not any(parts):
-            out.append(parts[0])
-            continue
-        acc: Row = {}
-        for o, part in zip(offsets, parts):
-            acc.update((o + j, v) for j, v in part.items())
-        out.append(acc)
-    return Mat(rows, off, tuple(out))
 
 
 def vstack(mats: Sequence[Mat]) -> Mat:
@@ -445,9 +425,10 @@ def nullspace(m: Mat) -> tuple[Mat, tuple[int, ...]]:
 
 # The largest dimension of a vector space the package allocates: every entry
 # of a record's ``dims`` and both terms of every BlockMap (the Ext terms, the
-# intertwiner systems behind ``hom_space``).  It also bounds the slots of an
-# extended window and the hearts of a verified range.  Larger requests are
-# input errors, refused before anything is allocated.
+# intertwiner systems behind ``hom_space``, and the Koszul terms of twists and
+# membership tests, three times slot 1 or 2 of the module).  It also bounds the
+# slots of an extended window and the hearts of a verified range.  Larger
+# requests are input errors, refused before anything is allocated.
 MAX_DIM = 100_000
 
 Term = tuple[int, int, int, bool, int]  # (out block, in block, arrow, left, sign)

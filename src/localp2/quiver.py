@@ -97,9 +97,9 @@ def _build_epsilon(potential: Terms) -> dict[tuple[int, int, int], int]:
 
 _EPSILON = _build_epsilon(POTENTIAL)
 # The sign table: the six (i, j, k, sign) with sign = epsilon(i, j, k) nonzero,
-# in lexicographic order.  The Ext differentials (``homalg``) and the Koszul
-# maps (``windows``) are read off it; arrow a_i is ARROW_ORDER[i - 1], b_j is
-# ARROW_ORDER[j + 2] and c_k is ARROW_ORDER[k + 5].
+# in lexicographic order.  The Ext differentials (``homalg``), and with them
+# the Koszul maps of ``windows``, are read off it; arrow a_i is
+# ARROW_ORDER[i - 1], b_j is ARROW_ORDER[j + 2] and c_k is ARROW_ORDER[k + 5].
 CYCLES = tuple(sorted(key + (e,) for key, e in _EPSILON.items()))
 
 

@@ -1,12 +1,13 @@
 """Window vectors, heart-membership tests, and the twist functors.
 
-A module of heart n can be re-presented in heart n+1 exactly when the
+A module M of heart n can be re-presented in heart n+1 exactly when the
 representation-level Koszul sequence is exact there: the assembled row map
 kappa1 = (A1 A2 A3) must be onto the bottom slot and the signed skew map
 kappa2 in the B's must fill its kernel.  The new top space is ker(kappa2).
-The skew map is read off the sign table of the potential (``quiver.CYCLES``),
-and each twist builds its Koszul maps once for both its membership check and
-the new space.
+These maps are the top two differentials of the Ext complex RHom(S_0, M)
+(``koszul_maps``), so they come from the one assembler of every map read
+off the sign table, with its size preflight and its d.d = 0 check.  Each
+twist builds them once for both its membership check and the new space.
 
 The down direction is the up direction seen through the transpose module
 M^v (``_dual``: slots reversed, a_i and b_i swapped, every matrix
@@ -22,60 +23,45 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .linalg import MAX_DIM, Mat, Row, hstack, nullspace, product_is_zero, rank, vstack
-from .quiver import CYCLES, Representation, representation, require_valid
+from .homalg import build_ext_complex_Y
+from .linalg import MAX_DIM, Mat, nullspace, rank, vstack
+from .quiver import Representation, representation, require_valid, simple_module
 
 
-def _skew(rep: Representation, family: str) -> Mat:
-    """Signed skew 3x3 block matrix: block (i, j) = sum_k eps(i, k, j) * X_k.
-
-    Read off the sign table: each off-diagonal block has exactly one term, so
-    the nonzero rows of X_k are copied, signed, into place and nothing cancels.
-    Only those rows are allocated; the others share one empty row.
-    """
-    mats = [rep.matrices[f"{family}{k}"] for k in (1, 2, 3)]
-    rows, cols = mats[0].rows, mats[0].cols
-    filled = [[(r, row) for r, row in enumerate(m.sparse) if row] for m in mats]
-    empty: Row = {}
-    out = [empty] * (3 * rows)
-    for i, k, j, e in CYCLES:
-        roff, coff = (i - 1) * rows, (j - 1) * cols
-        for r, row in filled[k - 1]:
-            if out[roff + r] is empty:
-                out[roff + r] = {}
-            out[roff + r].update((coff + c, e * v) for c, v in row.items())
-    return Mat(3 * rows, 3 * cols, tuple(out))
+# Every twist and membership test of a heart reads the same S_0, so it is
+# built once per heart, in a bounded memo; a module is immutable, so one S_0
+# serves every caller.
+@lru_cache(maxsize=64)
+def _simple0(heart: int) -> Representation:
+    return simple_module(0, heart)
 
 
 def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
-    """(kappa1, kappa2): the row map in the A's and the skew block map in the B's.
+    """(kappa1, kappa2): d2 and d1 of the Ext complex RHom(S_0, M), S_0 the
+    simple module at vertex 0 of M's heart.
 
-    kappa1 . kappa2 = 0 is a consequence of the relations and is asserted by
-    ``product_is_zero``, which never builds the product.
+    Its terms are M_0, M_2^3, M_1^3 and M_0, and its differentials, read off
+    the sign table, are d0 = -(C1; C2; C3), d1 = kappa2, the skew block map in
+    the B's with block (i, j) = sum_k eps(i, k, j) * B_k, and d2 = kappa1 =
+    (A1 A2 A3).  The builder checks d.d = 0: d1 . d0 = 0 says that M obeys
+    its relations rel_a_i, and d2 . d1 = 0 its relations rel_c_k, so a record
+    that breaks one is refused (``InternalCheckError``).  A term above
+    ``MAX_DIM``, as 3 dim M_1 or 3 dim M_2 can be, is refused before anything
+    is allocated (``InputError``).
     """
-    mats = rep.matrices
-    kappa1 = hstack([mats["a1"], mats["a2"], mats["a3"]])
-    kappa2 = _skew(rep, "b")
-    if not product_is_zero(kappa1, kappa2):
-        raise InternalCheckError("kappa1 . kappa2 != 0; relations must be broken")
+    _, kappa2, kappa1 = build_ext_complex_Y(_simple0(rep.heart), rep).differentials
     return kappa1, kappa2
 
 
-def _dual(rep: Representation, label: str | None = None,
-          families: str = "abc") -> Representation:
-    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T.
-
-    Only the arrows of ``families`` are transposed and the others act by
-    zero: with "ab" the result carries just the Koszul maps of M^v, which is
-    all a membership test reads.
-    """
+def _dual(rep: Representation, label: str | None = None) -> Representation:
+    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T."""
     mats = rep.matrices
     swap = {"a": "b", "b": "a", "c": "c"}
-    dual = {name: mats[swap[name[0]] + name[1]].transpose()
-            for name in mats if name[0] in families}
+    dual = {name: mats[swap[name[0]] + name[1]].transpose() for name in mats}
     return representation(-rep.heart - 2, rep.dims[::-1], dual, label)
 
 
@@ -123,7 +109,7 @@ def window_membership(rep: Representation, direction: str) -> MembershipReport:
     if direction not in _NAMES:
         raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
     if direction == "down":
-        rep = _dual(rep, families="ab")
+        rep = _dual(rep)
     return _membership(rep, *koszul_maps(rep), direction)
 
 

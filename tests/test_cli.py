@@ -534,20 +534,30 @@ def test_huge_decimal_exponent_is_refused_quickly(tmp_path, capsys):
 
 
 def test_window_of_a_zero_record_at_the_size_bound_is_quick(tmp_path, capsys):
-    # Nine zero matrices between 100000-dimensional slots: each Koszul map is
-    # built once per direction from the nonzero rows of the arrow matrices.
+    # The Koszul terms of a record of dims (h0, h1, h2) are (h0, 3h2, 3h1, h0),
+    # so the size bound caps h1 and h2 at MAX_DIM // 3 = 33333.  Nine zero
+    # matrices between 33333-dimensional slots pass; one more is refused by
+    # `window` and `twist` before any Koszul map is allocated.
     path = tmp_path / "rec.json"
-    path.write_text(json.dumps({"heart": 0, "dims": [100000] * 3, "matrices": {}}))
+    path.write_text(json.dumps({"heart": 0, "dims": [33333] * 3, "matrices": {}}))
     start = time.perf_counter()
     code, stdout, _ = run(capsys, "window", str(path))
     assert time.perf_counter() - start < 2.0
     assert code == 0 and stdout == (
-        "base=0 values={'0': 100000, '1': 100000, '2': 100000}\n"
+        "base=0 values={'0': 33333, '1': 33333, '2': 33333}\n"
         "certified=[0, 1, 2] violations=[]\n"
-        "membership up: ok=False ranks={'kappa1_rank': 0, 'kappa1_target': 100000, "
-        "'kappa2_rank': 0, 'kappa2_required': 200000, 'kernel_dim': 300000}\n"
-        "membership down: ok=False ranks={'nu_rank': 0, 'nu_required': 100000, "
-        "'mu_rank': 0, 'mu_required': 200000, 'cokernel_dim': 300000}\n")
+        "membership up: ok=False ranks={'kappa1_rank': 0, 'kappa1_target': 33333, "
+        "'kappa2_rank': 0, 'kappa2_required': 66666, 'kernel_dim': 99999}\n"
+        "membership down: ok=False ranks={'nu_rank': 0, 'nu_required': 33333, "
+        "'mu_rank': 0, 'mu_required': 66666, 'cokernel_dim': 99999}\n")
+    for dim in (33334, 100000):
+        path.write_text(json.dumps({"heart": 0, "dims": [dim] * 3, "matrices": {}}))
+        for argv in (("window", str(path)), ("twist", str(path), "up")):
+            start = time.perf_counter()
+            code, stdout, stderr = run(capsys, *argv)
+            assert time.perf_counter() - start < 2.0
+            assert (code, stdout) == (2, ""), (dim, argv)
+            assert f"exceed the size bound {MAX_DIM}" in stderr
 
 
 def test_entries_of_4300_digits_round_trip_bit_exactly(tmp_path, capsys):

@@ -19,11 +19,11 @@ from localp2.linalg import (
     BlockPlan,
     Mat,
     PrimeScalars,
+    RationalScalars,
     Row,
     _echelon,
     _field_rows,
     block_diag,
-    hstack,
     nullspace,
     product_is_zero,
     rank,
@@ -239,10 +239,19 @@ def test_prime_scalars_accepts_primes():
         assert PrimeScalars(p).p == p
 
 
+def test_scalar_names_are_constants():
+    # The corpus report prints ``name``; it is a class constant, which no
+    # constructor takes.
+    assert (RATIONAL.name, PRIME.name) == ("rational", "prime")
+    for make in (lambda: RationalScalars("q"), lambda: RationalScalars(name="q"),
+                 lambda: PrimeScalars(2**31 + 11, "q"), lambda: PrimeScalars(2**31 + 11, name="q")):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_stacking_and_shape_errors():
     a = Mat.from_rows([[1, 2]])
     b = Mat.from_rows([[3, 4]])
-    assert hstack([a, b]).cols == 4
     assert vstack([a, b]).rows == 2
     assert block_diag(a, b).data[1][2] == 3
     with pytest.raises(ShapeError):

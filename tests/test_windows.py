@@ -10,7 +10,7 @@ import pytest
 from localp2.characters import koszul_rewrite, ori_char
 from localp2.corpus import standard_corpus
 from localp2.errors import InputError, InternalCheckError, MembershipError
-from localp2.homalg import ext_dims_Y
+from localp2.homalg import build_ext_complex_Y, ext_dims_Y
 from localp2.linalg import Mat, rank
 from localp2.quiver import (
     check_relations,
@@ -36,6 +36,7 @@ from localp2.windows import (
     window_membership,
     window_vector,
 )
+from thick_points import thick_point
 
 
 def test_koszul_map_examples():
@@ -56,12 +57,26 @@ def test_koszul_map_examples():
 
 def test_koszul_maps_refuse_broken_relations():
     # ``representation`` skips ``require_valid``: moving a1 off the point
-    # (0:1:2) breaks a_i b_j = a_j b_i, so kappa1 . kappa2 != 0.
+    # (0:1:2) breaks a_i b_j = a_j b_i, so kappa1 . kappa2 = d2 . d1 != 0.
     pt = point_module((0, 1, 2), 1, 0)
     broken = representation(0, pt.dims, {**pt.matrices, "a1": Mat.from_rows([[2]])})
     assert not check_relations(broken).ok
-    with pytest.raises(InternalCheckError, match=r"kappa1 \. kappa2 != 0; relations must be broken"):
+    with pytest.raises(InternalCheckError, match=r"Y complex: d2 \. d1 != 0"):
         koszul_maps(broken)
+
+
+def test_a_record_with_broken_c_relations_is_refused():
+    # Moving c1 off the point keeps every relation in the a and b arrows, so
+    # kappa1 . kappa2 = 0, but breaks rel_a2, rel_a3, rel_b2 and rel_b3:
+    # d1 . d0 of RHom(S_0, M), and of RHom(S_0, M^v) for the down test.
+    pt = point_module((0, 1, 2), 1, 0)
+    broken = representation(0, pt.dims, {**pt.matrices, "c1": Mat.from_rows([[5]])})
+    assert check_relations(broken).violated == ("rel_a2", "rel_a3", "rel_b2", "rel_b3")
+    for refuse in (lambda: window_membership(broken, "up"),
+                   lambda: window_membership(broken, "down"), lambda: twist_up(broken),
+                   lambda: twist_down(broken)):
+        with pytest.raises(InternalCheckError, match=r"Y complex: d1 \. d0 != 0"):
+            refuse()
 
 
 def _dense_koszul_maps(rep):
@@ -88,9 +103,10 @@ def _dense_transpose(m, sign=1):
 def _sign_table_reps():
     pt_mix = standard_corpus()["pt_mix"]
     frac = point_module((0, 2, 3), "-7/3", 0)  # a3 = b3 = 3/2
+    thick = thick_point(4, pt_mix)  # a generic module, none of the constructors above
     return [pt_mix, frac, *(pushforward_module(d, 0) for d in range(4)), simple_module(1, 0),
             direct_sum(frac, pushforward_module(2, 0)), twist_up(pushforward_module(2, 0)),
-            point_module((1, 1, 1), 1, 0), zero_module(0)]
+            point_module((1, 1, 1), 1, 0), zero_module(0), thick, twist_up(thick)]
 
 
 def test_koszul_maps_match_the_sign_table():
@@ -105,6 +121,18 @@ def test_koszul_maps_match_the_sign_table():
         assert (mu @ nu).is_zero() and (kappa1 @ kappa2).is_zero(), rep.label
     frac = point_module((0, 2, 3), "-7/3", 0)
     assert any(type(v) is Fraction for row in koszul_maps(frac)[1].sparse for v in row.values())
+
+
+def test_koszul_complex_d0_is_the_negated_c_stack():
+    # d0 of RHom(S_0, M) maps M_0 to M_2^3 by -(C1; C2; C3); for M^v the c's
+    # are the transposed c's of M.
+    for rep in _sign_table_reps():
+        for m in (rep, _dual(rep)):
+            x = {name: mat.data for name, mat in m.matrices.items()}
+            negated = Mat.from_rows([[-v for v in row] for k in (1, 2, 3) for row in x[f"c{k}"]],
+                                    cols=m.dims[0])
+            d0 = build_ext_complex_Y(simple_module(0, m.heart), m).differentials[0]
+            assert d0 == negated, m.label
 
 
 def test_down_maps_compose_to_zero():
