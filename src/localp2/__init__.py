@@ -69,7 +69,7 @@ _LAZY_MODULES = {
     "windows": (
         "WindowVector",
         "extend_window",
-        "koszul_maps",
+        "koszul_complex",
         "recursion_violations",
         "twist_down",
         "twist_up",

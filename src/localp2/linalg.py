@@ -240,13 +240,6 @@ def product_is_zero(a: Mat, b: Mat) -> bool:
     return not any(acc.values())
 
 
-def vstack(mats: Sequence[Mat]) -> Mat:
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeError("vstack: column counts differ")
-    return Mat(sum(m.rows for m in mats), cols, tuple(row for m in mats for row in m.sparse))
-
-
 def block_diag(a: Mat, b: Mat) -> Mat:
     shifted = tuple({a.cols + j: v for j, v in row.items()} for row in b.sparse)
     return Mat(a.rows + b.rows, a.cols + b.cols, a.sparse + shifted)

@@ -1,22 +1,21 @@
 """Window vectors, heart-membership tests, and the twist functors.
 
-A module M of heart n can be re-presented in heart n+1 exactly when the
-representation-level Koszul sequence is exact there: the assembled row map
-kappa1 = (A1 A2 A3) must be onto the bottom slot and the signed skew map
-kappa2 in the B's must fill its kernel.  The new top space is ker(kappa2).
-These maps are the top two differentials of the Ext complex RHom(S_0, M)
-(``koszul_maps``), so they come from the one assembler of every map read
-off the sign table, with its size preflight and its d.d = 0 check.  Each
-twist builds them once for both its membership check and the new space.
+Sliding a window one heart is a tilt at a simple module, so membership is Ext
+vanishing against the simples S_v of M's heart: M moves up exactly when
+Ext^2(S_0, M) = Ext^3(S_0, M) = 0, and down exactly when Ext^2(M, S_2) =
+Ext^3(M, S_2) = 0.  ``koszul_complex`` builds the complex of a direction and
+``_membership`` reads its ranks off ``ext_dims_of``.  RHom(S_0, M) has terms
+(M_0, M_2^3, M_1^3, M_0), d0 = -(C1; C2; C3), d1 = kappa2, the skew map in the
+B's, and d2 = kappa1 = (A1 A2 A3); RHom(M, S_2) has terms (M_2, M_0^3, M_1^3,
+M_2), d1 = mu^T, mu the skew map in the A's, and d2 = -nu^T, nu = (B1; B2; B3).
+``twist_up`` reads the new top space ker(kappa2), and the new c's as the
+coordinates of -d0 a_k in it, off the complex that decided its membership.
 
-The down direction is the up direction seen through the transpose module
-M^v (``_dual``: slots reversed, a_i and b_i swapped, every matrix
-transposed, heart n -> -n-2), which is a module because the sign table is
-antisymmetric.  Its Koszul maps are (nu^T, -mu^T), with nu = (B1; B2; B3) and
-mu the skew map in the A's, so down-membership is the up-test of M^v and the
-down twist is the dual of the up twist of M^v.  Relation validity is asserted
-as a postcondition on every twist (a failure is an internal error, not bad
-input).
+``twist_down`` is the dual of the up twist of the transpose module M^v
+(``_dual``: slots reversed, a_i and b_i swapped, every matrix transposed,
+heart n -> -n-2), a module because the sign table is antisymmetric; the
+up-test of M^v is the down-test of M.  Relation validity is asserted as a
+postcondition on every twist (a failure is an internal error, not bad input).
 """
 
 from __future__ import annotations
@@ -27,34 +26,17 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
-from .homalg import build_ext_complex_Y
-from .linalg import MAX_DIM, Mat, nullspace, rank, vstack
+from .homalg import ExtComplex, build_ext_complex_Y, ext_dims_of
+from .linalg import MAX_DIM, Mat, nullspace, scalar
 from .quiver import Representation, representation, require_valid, simple_module
 
 
-# Every twist and membership test of a heart reads the same S_0, so it is
-# built once per heart, in a bounded memo; a module is immutable, so one S_0
-# serves every caller.
+# Every twist and membership test of a heart reads the same simples, so each
+# is built once per (vertex, heart), in a bounded memo; a module is
+# immutable, so one S_v serves every caller.
 @lru_cache(maxsize=64)
-def _simple0(heart: int) -> Representation:
-    return simple_module(0, heart)
-
-
-def koszul_maps(rep: Representation) -> tuple[Mat, Mat]:
-    """(kappa1, kappa2): d2 and d1 of the Ext complex RHom(S_0, M), S_0 the
-    simple module at vertex 0 of M's heart.
-
-    Its terms are M_0, M_2^3, M_1^3 and M_0, and its differentials, read off
-    the sign table, are d0 = -(C1; C2; C3), d1 = kappa2, the skew block map in
-    the B's with block (i, j) = sum_k eps(i, k, j) * B_k, and d2 = kappa1 =
-    (A1 A2 A3).  The builder checks d.d = 0: d1 . d0 = 0 says that M obeys
-    its relations rel_a_i, and d2 . d1 = 0 its relations rel_c_k, so a record
-    that breaks one is refused (``InternalCheckError``).  A term above
-    ``MAX_DIM``, as 3 dim M_1 or 3 dim M_2 can be, is refused before anything
-    is allocated (``InputError``).
-    """
-    _, kappa2, kappa1 = build_ext_complex_Y(_simple0(rep.heart), rep).differentials
-    return kappa1, kappa2
+def _simple(vertex: int, heart: int) -> Representation:
+    return simple_module(vertex, heart)
 
 
 def _dual(rep: Representation, label: str | None = None) -> Representation:
@@ -77,9 +59,9 @@ class MembershipReport:
                 "ranks": dict(self.ranks), "reason": self.reason}
 
 
-# The up-test's rank names and failure texts, and the names they take when
-# the test runs on M^v for the down direction: kappa1 of M^v is nu^T, and
-# kappa2 of M^v is -mu^T.
+# Each direction's rank names and failure texts: for "up" the ranks of
+# kappa1 = d2 and kappa2 = d1 of RHom(S_0, M), for "down" those of nu = d2
+# and mu = d1 of RHom(M, S_2).
 _NAMES = {
     "up": ("kappa1_rank", "kappa1_target", "kappa2_rank", "kappa2_required", "kernel_dim",
            "kappa1 not surjective", "im(kappa2) != ker(kappa1)"),
@@ -88,45 +70,63 @@ _NAMES = {
 }
 
 
-def _membership(rep: Representation, kappa1: Mat, kappa2: Mat,
-                direction: str) -> MembershipReport:
-    """The up-test of ``rep`` (of M^v for "down"), reported under the names of ``direction``."""
-    r1_name, h0_name, r2_name, req_name, dim_name, fail1, fail2 = _NAMES[direction]
-    h0, h1, h2 = rep.dims
-    r1, r2 = rank(kappa1), rank(kappa2)
-    ranks = {r1_name: r1, h0_name: h0, r2_name: r2, req_name: 3 * h1 - h0,
-             dim_name: 3 * h2 - r2}
+def koszul_complex(rep: Representation, direction: str = "up") -> ExtComplex:
+    """The Ext complex deciding membership in ``direction``: RHom(S_0, M) for
+    "up", RHom(M, S_2) for "down", S_v the simple at vertex v of M's heart.
+
+    The builder checks d.d = 0, which M's relations imply, and refuses a record
+    that fails it (``InternalCheckError``); a term above ``MAX_DIM`` is refused
+    before anything is allocated (``InputError``).
+    """
+    if direction == "up":
+        return build_ext_complex_Y(_simple(0, rep.heart), rep)
+    if direction == "down":
+        return build_ext_complex_Y(rep, _simple(2, rep.heart))
+    raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
+
+
+def _membership(cx: ExtComplex, direction: str) -> MembershipReport:
+    """The membership report of a Koszul complex, under the names of ``direction``.
+
+    With terms t and Ext dims e, d2 has rank t3 - e3 and d1 rank t2 - rank(d2) -
+    e2, so the test passes exactly when e2 = e3 = 0.  ``twist_down`` passes
+    RHom(S_0, M^v), whose terms and ranks are those of RHom(M, S_2).
+    """
+    r1_name, t3_name, r2_name, req_name, dim_name, fail1, fail2 = _NAMES[direction]
+    _, t1, t2, t3 = cx.term_dims
+    _, _, e2, e3 = ext_dims_of(cx)
+    r1 = t3 - e3
+    r2 = t2 - r1 - e2
+    ranks = {r1_name: r1, t3_name: t3, r2_name: r2, req_name: t2 - t3, dim_name: t1 - r2}
     reasons = []
-    if r1 != h0:
-        reasons.append(f"{fail1}: rank {r1} < {h0}")
-    if r2 != 3 * h1 - h0:
-        reasons.append(f"{fail2}: rank {r2} != {3 * h1 - h0}")
+    if r1 != t3:
+        reasons.append(f"{fail1}: rank {r1} < {t3}")
+    if r2 != t2 - t3:
+        reasons.append(f"{fail2}: rank {r2} != {t2 - t3}")
     return MembershipReport(direction, not reasons, ranks, "; ".join(reasons) or None)
 
 
 def window_membership(rep: Representation, direction: str) -> MembershipReport:
     """Exactness diagnostics for sliding the window one slot up or down."""
-    if direction not in _NAMES:
-        raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
-    if direction == "down":
-        rep = _dual(rep)
-    return _membership(rep, *koszul_maps(rep), direction)
+    return _membership(koszul_complex(rep, direction), direction)
 
 
 def _twist(rep: Representation, direction: str, heart: int,
            label: str | None) -> Representation:
-    """The module one heart up, whose new top space is ker(kappa2).
+    """The module one heart up, read off RHom(S_0, M): the new top space is
+    ker(kappa2), and the new c_k the coordinates of -d0 a_k in it.
 
     For "down", ``rep`` is M^v; ``heart`` is the heart the caller moves to,
     named in a refusal.
     """
-    kappa1, kappa2 = koszul_maps(rep)
-    membership = _membership(rep, kappa1, kappa2, direction)
+    cx = koszul_complex(rep)
+    membership = _membership(cx, direction)
     if not membership.ok:
         raise MembershipError(f"not a heart-{heart} module: {membership.reason}",
                               membership.to_dict())
     h0, h1, h2 = rep.dims
     mats = rep.matrices
+    d0, kappa2, _ = cx.differentials
     kernel, free = nullspace(kappa2)
     new_top = kernel.cols
     if h0 != 3 * h1 - 3 * h2 + new_top:
@@ -138,16 +138,16 @@ def _twist(rep: Representation, direction: str, heart: int,
         new_mats[f"a{i}"] = mats[f"b{i}"]
     for j in (1, 2, 3):
         new_mats[f"b{j}"] = Mat(h2, new_top, kernel.sparse[(j - 1) * h2: j * h2])
-    # The c-composites c_j a_k for j = 1, 2, 3 are one product with the stacked c's.
-    c_stack = vstack([mats[f"c{j}"] for j in (1, 2, 3)])
     for k in (1, 2, 3):
-        # The kernel basis is the identity at its free rows, so a vector of the
-        # kernel has its coordinates there.
-        stacked = c_stack @ mats[f"a{k}"]
-        coords = Mat(new_top, h1, tuple(stacked.sparse[f] for f in free))
-        if kernel @ coords != stacked:
+        # d0 a_k stacks the c-composites -c_j a_k for j = 1, 2, 3.  The kernel
+        # basis is the identity at its free rows, so a vector of the kernel
+        # has its coordinates there; only those rows are negated.
+        stacked = d0 @ mats[f"a{k}"]
+        rows = tuple(stacked.sparse[f] for f in free)
+        if kernel @ Mat(new_top, h1, rows) != stacked:
             raise InternalCheckError(f"twist_{direction}: c-composites left the kernel")
-        new_mats[f"c{k}"] = coords
+        new_mats[f"c{k}"] = Mat(new_top, h1, tuple({j: scalar(-v) for j, v in row.items()}
+                                                   for row in rows))
     return representation(rep.heart + 1, (h1, h2, new_top), new_mats, label)
 
 

@@ -459,7 +459,7 @@ PACKAGE_NAMES = (
     "BEILINSON", "JACOBI", "Representation", "check_relations", "cyclic_derivative",
     "direct_sum", "dumps_rep", "epsilon", "hom_space", "loads_rep", "p2_restrict",
     "point_module", "pushforward_module", "simple_module", "zero_module",
-    "WindowVector", "extend_window", "koszul_maps", "recursion_violations", "twist_down",
+    "WindowVector", "extend_window", "koszul_complex", "recursion_violations", "twist_down",
     "twist_up", "window_membership", "window_vector",
     "characters", "windows",
 )

@@ -28,7 +28,6 @@ from localp2.linalg import (
     product_is_zero,
     rank,
     term_table,
-    vstack,
 )
 
 PRIME = PrimeScalars(2**31 + 11)
@@ -252,7 +251,6 @@ def test_scalar_names_are_constants():
 def test_stacking_and_shape_errors():
     a = Mat.from_rows([[1, 2]])
     b = Mat.from_rows([[3, 4]])
-    assert vstack([a, b]).rows == 2
     assert block_diag(a, b).data[1][2] == 3
     with pytest.raises(ShapeError):
         a @ a

@@ -29,7 +29,7 @@ from localp2.windows import (
     _dual,
     _membership,
     extend_window,
-    koszul_maps,
+    koszul_complex,
     recursion_violations,
     twist_down,
     twist_up,
@@ -39,19 +39,24 @@ from localp2.windows import (
 from thick_points import thick_point
 
 
+def _koszul_maps(rep):
+    _, kappa2, kappa1 = koszul_complex(rep).differentials
+    return kappa1, kappa2
+
+
 def test_koszul_map_examples():
     pt = point_module((1, 1, 1), 1, 0)
-    k1, k2 = koszul_maps(pt)
+    k1, k2 = _koszul_maps(pt)
     assert (k1.rows, k1.cols) == (1, 3)
     assert rank(k2) == 2  # nonzero skew 3x3 has rank 2
     assert (k1 @ k2).is_zero()
 
     s0 = simple_module(0, 0)
-    k1, _ = koszul_maps(s0)
+    k1, _ = _koszul_maps(s0)
     assert (k1.rows, k1.cols) == (1, 0) or k1.is_zero()
 
     line = pushforward_module(1, 0)
-    k1, _ = koszul_maps(line)
+    k1, _ = _koszul_maps(line)
     assert rank(k1) == 3  # the linear forms span
 
 
@@ -62,7 +67,7 @@ def test_koszul_maps_refuse_broken_relations():
     broken = representation(0, pt.dims, {**pt.matrices, "a1": Mat.from_rows([[2]])})
     assert not check_relations(broken).ok
     with pytest.raises(InternalCheckError, match=r"Y complex: d2 \. d1 != 0"):
-        koszul_maps(broken)
+        koszul_complex(broken)
 
 
 def test_a_record_with_broken_c_relations_is_refused():
@@ -112,15 +117,18 @@ def _sign_table_reps():
 def test_koszul_maps_match_the_sign_table():
     # A global sign flip of kappa2 or mu keeps every rank and kernel, so the
     # twist and rank tests cannot see it; this compares every entry.  The
-    # down direction reads the Koszul maps of the dual module, (nu^T, -mu^T).
+    # down twist reads the Koszul maps of the dual module, (nu^T, -mu^T).
     for rep in _sign_table_reps():
         up, (nu, mu) = _dense_koszul_maps(rep)
-        assert koszul_maps(rep) == up, rep.label
-        kappa1, kappa2 = koszul_maps(_dual(rep))
+        assert _koszul_maps(rep) == up, rep.label
+        kappa1, kappa2 = _koszul_maps(_dual(rep))
         assert (kappa1, kappa2) == (_dense_transpose(nu), _dense_transpose(mu, -1)), rep.label
         assert (mu @ nu).is_zero() and (kappa1 @ kappa2).is_zero(), rep.label
+        # RHom(M, S_2), which down-membership ranks, has d2 = -nu^T and d1 = mu^T.
+        _, d1, d2 = koszul_complex(rep, "down").differentials
+        assert (d2, d1) == (_dense_transpose(nu, -1), _dense_transpose(mu)), rep.label
     frac = point_module((0, 2, 3), "-7/3", 0)
-    assert any(type(v) is Fraction for row in koszul_maps(frac)[1].sparse for v in row.values())
+    assert any(type(v) is Fraction for row in _koszul_maps(frac)[1].sparse for v in row.values())
 
 
 def test_koszul_complex_d0_is_the_negated_c_stack():
@@ -139,7 +147,7 @@ def test_down_maps_compose_to_zero():
     # The down maps (nu, mu) are read off the dual module's Koszul maps,
     # (nu^T, -mu^T); their composite mu . nu must vanish.
     for rep in (point_module((1, 1, 1), 1, 0), pushforward_module(2, 0)):
-        kappa1, kappa2 = koszul_maps(_dual(rep))
+        kappa1, kappa2 = _koszul_maps(_dual(rep))
         nu, mu = _dense_transpose(kappa1), _dense_transpose(kappa2, -1)
         assert (mu @ nu).is_zero(), rep.label
         assert (kappa1 @ kappa2).is_zero(), rep.label
@@ -153,15 +161,45 @@ def test_dual_is_an_involution():
         assert _dual(dual, rep.label) == rep, rep.label
 
 
-def test_down_membership_reads_only_the_koszul_arrows():
-    # Down-membership transposes only the a and b arrows; its report must be
-    # the up-test of the whole dual module, c arrows included.
+def test_down_membership_equals_the_up_test_of_the_dual():
+    # Down-membership reads RHom(M, S_2); ``twist_down`` refuses by the up
+    # test of M^v under the down names.  The two reports must be equal.
     reps = _sign_table_reps() + [simple_module(v, 0) for v in (0, 2)] + \
         [pushforward_module(3, n) for n in range(4)]
     for rep in reps:
-        full = _dual(rep)
-        assert window_membership(rep, "down") == _membership(full, *koszul_maps(full), "down"), \
+        assert window_membership(rep, "down") == _membership(koszul_complex(_dual(rep)), "down"), \
             rep.label
+
+
+def _equivalence_modules():
+    objs = standard_corpus()
+    thick = thick_point(4, objs["pt_mix"])
+    return [*objs.values(),
+            *(pushforward_module(d, n) for d in range(6) for n in range(d + 1)),
+            *(point_module((1, 2, 3), Fraction(1, 3), n) for n in (-1, 0, 2)),
+            thick, twist_up(thick), direct_sum(objs["pt_e0"], objs["line1"])]
+
+
+def test_membership_is_ext_vanishing_against_the_simples():
+    # Each report against references that bypass ``_membership``: its ranks
+    # are those of the dense Koszul maps, it passes exactly when Ext^2 and
+    # Ext^3 against the simple vanish, and its new slot is h - ext^0 + ext^1.
+    modules = _equivalence_modules()
+    assert len(modules) == 36
+    for rep in modules:
+        (kappa1, kappa2), (nu, mu) = _dense_koszul_maps(rep)
+        h0, _, h2 = rep.dims
+        e = ext_dims_Y(simple_module(0, rep.heart), rep)
+        up = window_membership(rep, "up")
+        assert (up.ranks["kappa1_rank"], up.ranks["kappa2_rank"]) == \
+            (rank(kappa1), rank(kappa2)), rep.label
+        assert up.ok == (e[2:] == (0, 0)), rep.label
+        assert up.ranks["kernel_dim"] == h0 - e[0] + e[1], rep.label
+        e = ext_dims_Y(rep, simple_module(2, rep.heart))
+        down = window_membership(rep, "down")
+        assert (down.ranks["nu_rank"], down.ranks["mu_rank"]) == (rank(nu), rank(mu)), rep.label
+        assert down.ok == (e[2:] == (0, 0)), rep.label
+        assert down.ranks["cokernel_dim"] == h2 - e[0] + e[1], rep.label
 
 
 def test_membership_pushforwards():
@@ -266,11 +304,16 @@ def test_twist_round_trips():
 
 
 def test_twists_produce_exact_scalars():
-    for m in (pushforward_module(3, 0), point_module((0, 1, 2), Fraction(1, 2), 0)):
+    # An entry is an int when integral, else a Fraction: the c-composites of
+    # the point (1:2:3) at t = 1/2 multiply halves into whole numbers.
+    for m in (pushforward_module(3, 0), point_module((0, 1, 2), Fraction(1, 2), 0),
+              point_module((1, 2, 3), "1/2", 0)):
         up = twist_up(m)
-        for rep in (up, twist_up(up), twist_down(up), twist_down(twist_down(twist_up(up)))):
+        for rep in (up, twist_up(up), twist_down(up), twist_down(twist_down(twist_up(up))),
+                    twist_down(m)):
             values = [v for mat in rep.matrices.values() for row in mat.data for v in row]
-            assert all(type(v) in (int, Fraction) for v in values), rep.label
+            assert all(type(v) is int or type(v) is Fraction and v.denominator > 1
+                       for v in values), rep.label
 
 
 def test_ext_profiles_invariant_under_simultaneous_twist():
