@@ -21,6 +21,7 @@ from localp2.quiver import (
     simple_module,
 )
 from localp2.windows import twist_down, twist_up
+from thick_points import thick_point
 
 GOLDEN = Path(__file__).parent / "data" / "golden_twists.json"
 
@@ -28,11 +29,18 @@ GOLDEN = Path(__file__).parent / "data" / "golden_twists.json"
 def golden_objects() -> dict:
     objs = {f"O({d}) heart={n}": pushforward_module(d, n) for d in range(1, 5)
             for n in range(d + 1)}
-    objs["pt_mix"] = standard_corpus()["pt_mix"]
+    corpus = standard_corpus()
+    objs["pt_mix"] = corpus["pt_mix"]
     objs["frac_point"] = point_module((0, 2, 3), "-7/3", 1)
     objs["point+O(2)"] = direct_sum(point_module((1, 2, 3), 4, 0), pushforward_module(2, 0))
     objs["s0"] = simple_module(0, 0)
     objs["s2"] = simple_module(2, 0)
+    # Modules that are not bricks: their c's and kernels are not those of a
+    # point or a line bundle.
+    objs["thick4 pt_mix"] = thick_point(4, corpus["pt_mix"])
+    objs["twist_up(thick4 pt_mix)"] = twist_up(objs["thick4 pt_mix"])
+    objs["thick3 pt_diag"] = thick_point(3, corpus["pt_diag"])
+    objs["pt_e0+line1"] = direct_sum(corpus["pt_e0"], corpus["line1"])
     return objs
 
 
