@@ -362,8 +362,10 @@ def verify_theorem3(n_min: int = -8, n_max: int = 8) -> dict:
     return _report("theorem3", (n_min, n_max), [], witness)
 
 
-def verify_theorem4() -> dict:
-    """The plane-side determinant character equals the heart-0 window character."""
+def verify_theorem4(n_min: int = 0, n_max: int = 0) -> dict:
+    """The plane-side determinant character equals the heart-0 window character;
+    the range is checked as the other identities check theirs, and not used."""
+    require_hearts(n_min, n_max)
     lhs = geometric_char(0)
     rhs = ori_char(0)
     diff = char_diff(lhs, rhs)
@@ -404,7 +406,7 @@ def verify_cocycle(n_min: int = -8, n_max: int = 8) -> dict:
 # wrapper installed on a module attribute sees every call.
 IDENTITIES: dict[str, Callable[[int, int], dict]] = {
     "theorem3": lambda lo, hi: verify_theorem3(lo, hi),
-    "theorem4": lambda lo, hi: verify_theorem4(),
+    "theorem4": lambda lo, hi: verify_theorem4(lo, hi),
     "square-root": lambda lo, hi: verify_square_root(lo, hi),
     "cocycle": lambda lo, hi: verify_cocycle(lo, hi),
 }

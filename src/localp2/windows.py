@@ -7,15 +7,18 @@ Ext^3(M, S_2) = 0.  ``koszul_complex`` builds the complex of a direction and
 ``_membership`` reads its ranks off ``ext_dims_of``.  RHom(S_0, M) has terms
 (M_0, M_2^3, M_1^3, M_0), d0 = -(C1; C2; C3), d1 = kappa2, the skew map in the
 B's, and d2 = kappa1 = (A1 A2 A3); RHom(M, S_2) has terms (M_2, M_0^3, M_1^3,
-M_2), d1 = mu^T, mu the skew map in the A's, and d2 = -nu^T, nu = (B1; B2; B3).
-``twist_up`` reads the new top space ker(kappa2), and the new c's as the
-coordinates of -d0 a_k in it, off the complex that decided its membership.
+M_2), d0 = (C1^T; C2^T; C3^T), d1 = mu^T, mu the skew map in the A's, and
+d2 = -nu^T, nu = (B1; B2; B3).
 
-``twist_down`` is the dual of the up twist of the transpose module M^v
-(``_dual``: slots reversed, a_i and b_i swapped, every matrix transposed,
-heart n -> -n-2), a module because the sign table is antisymmetric; the
-up-test of M^v is the down-test of M.  Relation validity is asserted as a
-postcondition on every twist (a failure is an internal error, not bad input).
+Each twist reads the complex that decided its membership.  ``twist_up`` takes
+the new top space ker(kappa2), and the new c's as the coordinates of -d0 a_k in
+it; ``twist_down`` takes the new bottom space ker(mu^T), and the new c's as the
+transposed coordinates of d0 b_k^T in it.  RHom(M, S_2) is entry for entry the
+negative of RHom(S_0, M^v), M^v the transpose module in heart -n-2 (slots
+reversed, a_i and b_i swapped, every matrix transposed), so ``twist_down`` is
+the dual of the up twist of M^v, entry for entry.  Relation validity is
+asserted as a postcondition on every twist (a failure is an internal error,
+not bad input).
 """
 
 from __future__ import annotations
@@ -37,14 +40,6 @@ from .quiver import Representation, representation, require_valid, simple_module
 @lru_cache(maxsize=64)
 def _simple(vertex: int, heart: int) -> Representation:
     return simple_module(vertex, heart)
-
-
-def _dual(rep: Representation, label: str | None = None) -> Representation:
-    """The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T, c_k -> c_k^T."""
-    mats = rep.matrices
-    swap = {"a": "b", "b": "a", "c": "c"}
-    dual = {name: mats[swap[name[0]] + name[1]].transpose() for name in mats}
-    return representation(-rep.heart - 2, rep.dims[::-1], dual, label)
 
 
 @dataclass(frozen=True)
@@ -89,8 +84,7 @@ def _membership(cx: ExtComplex, direction: str) -> MembershipReport:
     """The membership report of a Koszul complex, under the names of ``direction``.
 
     With terms t and Ext dims e, d2 has rank t3 - e3 and d1 rank t2 - rank(d2) -
-    e2, so the test passes exactly when e2 = e3 = 0.  ``twist_down`` passes
-    RHom(S_0, M^v), whose terms and ranks are those of RHom(M, S_2).
+    e2, so the test passes exactly when e2 = e3 = 0.
     """
     r1_name, t3_name, r2_name, req_name, dim_name, fail1, fail2 = _NAMES[direction]
     _, t1, t2, t3 = cx.term_dims
@@ -111,59 +105,56 @@ def window_membership(rep: Representation, direction: str) -> MembershipReport:
     return _membership(koszul_complex(rep, direction), direction)
 
 
-def _twist(rep: Representation, direction: str, heart: int,
-           label: str | None) -> Representation:
-    """The module one heart up, read off RHom(S_0, M): the new top space is
-    ker(kappa2), and the new c_k the coordinates of -d0 a_k in it.
-
-    For "down", ``rep`` is M^v; ``heart`` is the heart the caller moves to,
-    named in a refusal.
-    """
-    cx = koszul_complex(rep)
+def _twist(rep: Representation, direction: str) -> Representation:
+    """The module one heart up or down, read off the complex that decided its
+    membership, as the module docstring describes."""
+    up = direction == "up"
+    heart = rep.heart + (1 if up else -1)
+    cx = koszul_complex(rep, direction)
     membership = _membership(cx, direction)
     if not membership.ok:
         raise MembershipError(f"not a heart-{heart} module: {membership.reason}",
                               membership.to_dict())
-    h0, h1, h2 = rep.dims
+    lo, mid, hi = rep.dims if up else rep.dims[::-1]
     mats = rep.matrices
-    d0, kappa2, _ = cx.differentials
-    kernel, free = nullspace(kappa2)
-    new_top = kernel.cols
-    if h0 != 3 * h1 - 3 * h2 + new_top:
+    d0, d1, _ = cx.differentials
+    kernel, free = nullspace(d1)
+    outer = kernel.cols
+    if lo != 3 * mid - 3 * hi + outer:
         raise InternalCheckError(f"twist_{direction}: kernel dimension breaks the window "
                                  "recursion")
 
+    sign = -1 if up else 1
     new_mats: dict[str, Mat] = {}
-    for i in (1, 2, 3):
-        new_mats[f"a{i}"] = mats[f"b{i}"]
-    for j in (1, 2, 3):
-        new_mats[f"b{j}"] = Mat(h2, new_top, kernel.sparse[(j - 1) * h2: j * h2])
     for k in (1, 2, 3):
-        # d0 a_k stacks the c-composites -c_j a_k for j = 1, 2, 3.  The kernel
-        # basis is the identity at its free rows, so a vector of the kernel
-        # has its coordinates there; only those rows are negated.
-        stacked = d0 @ mats[f"a{k}"]
+        block = Mat(hi, outer, kernel.sparse[(k - 1) * hi: k * hi])
+        # Up, d0 a_k stacks the c-composites -c_j a_k for j = 1, 2, 3; down,
+        # d0 b_k^T stacks c_j^T b_k^T.  The kernel basis is the identity at
+        # its free rows, so a vector of the kernel has its coordinates there.
+        stacked = d0 @ (mats[f"a{k}"] if up else mats[f"b{k}"].transpose())
         rows = tuple(stacked.sparse[f] for f in free)
-        if kernel @ Mat(new_top, h1, rows) != stacked:
+        if kernel @ Mat(outer, mid, rows) != stacked:
             raise InternalCheckError(f"twist_{direction}: c-composites left the kernel")
-        new_mats[f"c{k}"] = Mat(new_top, h1, tuple({j: scalar(-v) for j, v in row.items()}
-                                                   for row in rows))
-    return representation(rep.heart + 1, (h1, h2, new_top), new_mats, label)
+        coords = Mat(outer, mid, tuple({j: scalar(sign * v) for j, v in row.items()}
+                                       for row in rows))
+        if up:
+            new_mats.update({f"a{k}": mats[f"b{k}"], f"b{k}": block, f"c{k}": coords})
+        else:
+            new_mats.update({f"a{k}": block.transpose(), f"b{k}": mats[f"a{k}"],
+                             f"c{k}": coords.transpose()})
+    dims = (mid, hi, outer) if up else (outer, hi, mid)
+    return representation(heart, dims, new_mats, f"twist_{direction}({rep.label})")
 
 
 def twist_up(rep: Representation) -> Representation:
     """Re-present the module in heart n+1; the new top space is ker(kappa2)."""
-    out = _twist(rep, "up", rep.heart + 1, f"twist_up({rep.label})")
-    return require_valid(out, "twist_up")
+    return require_valid(_twist(rep, "up"), "twist_up")
 
 
 def twist_down(rep: Representation) -> Representation:
-    """Re-present the module in heart n-1: the dual of the up twist of M^v.
-
-    The new bottom space is coker(mu), the dual of ker(-mu^T).
-    """
-    out = _dual(_twist(_dual(rep), "down", rep.heart - 1, None), f"twist_down({rep.label})")
-    return require_valid(out, "twist_down")
+    """Re-present the module in heart n-1; the new bottom space is ker(mu^T),
+    the dual of coker(mu)."""
+    return require_valid(_twist(rep, "down"), "twist_down")
 
 
 @dataclass(frozen=True)

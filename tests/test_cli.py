@@ -180,13 +180,15 @@ def test_verify_commands_pass(capsys):
     assert payload["version"]
 
 
-@pytest.mark.parametrize("identity", ["square-root", "cocycle"])
+@pytest.mark.parametrize("identity", ["square-root", "cocycle", "theorem4"])
 def test_verify_refuses_a_reversed_range(capsys, identity):
     code, stdout, stderr = run(capsys, "verify", identity, "--range", "5", "2")
     assert code == 2 and stdout == ""
     assert stderr == "error: need n_max >= n_min, got [5, 2]\n"
+    # theorem4 is an identity of heart 0, whatever range it is given.
+    window = "[0, 0]" if identity == "theorem4" else "[5, 5]"
     code, stdout, _ = run(capsys, "verify", identity, "--range", "5", "5")
-    assert code == 0 and stdout.startswith(f"{identity}: pass on window [5, 5]")
+    assert code == 0 and stdout.startswith(f"{identity}: pass on window {window}")
 
 
 def test_corpus_cli_smoke(capsys):

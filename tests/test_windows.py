@@ -26,7 +26,6 @@ from localp2.quiver import (
 )
 from localp2.windows import (
     WindowVector,
-    _dual,
     _membership,
     extend_window,
     koszul_complex,
@@ -37,6 +36,16 @@ from localp2.windows import (
     window_vector,
 )
 from thick_points import thick_point
+
+
+def _dual(rep, label=None):
+    # The transpose module M^v in heart -n-2: slots reversed, a_i <-> b_i^T,
+    # c_k -> c_k^T.  It is a module because the sign table is antisymmetric,
+    # and its up test is the down test of M.
+    mats = rep.matrices
+    swap = {"a": "b", "b": "a", "c": "c"}
+    dual = {name: mats[swap[name[0]] + name[1]].transpose() for name in mats}
+    return representation(-rep.heart - 2, rep.dims[::-1], dual, label)
 
 
 def _koszul_maps(rep):
@@ -73,7 +82,8 @@ def test_koszul_maps_refuse_broken_relations():
 def test_a_record_with_broken_c_relations_is_refused():
     # Moving c1 off the point keeps every relation in the a and b arrows, so
     # kappa1 . kappa2 = 0, but breaks rel_a2, rel_a3, rel_b2 and rel_b3:
-    # d1 . d0 of RHom(S_0, M), and of RHom(S_0, M^v) for the down test.
+    # d1 . d0 of RHom(S_0, M) for the up test, and of RHom(M, S_2) for the
+    # down test.
     pt = point_module((0, 1, 2), 1, 0)
     broken = representation(0, pt.dims, {**pt.matrices, "c1": Mat.from_rows([[5]])})
     assert check_relations(broken).violated == ("rel_a2", "rel_a3", "rel_b2", "rel_b3")
@@ -117,7 +127,7 @@ def _sign_table_reps():
 def test_koszul_maps_match_the_sign_table():
     # A global sign flip of kappa2 or mu keeps every rank and kernel, so the
     # twist and rank tests cannot see it; this compares every entry.  The
-    # down twist reads the Koszul maps of the dual module, (nu^T, -mu^T).
+    # Koszul maps of the dual module are (nu^T, -mu^T).
     for rep in _sign_table_reps():
         up, (nu, mu) = _dense_koszul_maps(rep)
         assert _koszul_maps(rep) == up, rep.label
@@ -162,8 +172,8 @@ def test_dual_is_an_involution():
 
 
 def test_down_membership_equals_the_up_test_of_the_dual():
-    # Down-membership reads RHom(M, S_2); ``twist_down`` refuses by the up
-    # test of M^v under the down names.  The two reports must be equal.
+    # Down-membership reads RHom(M, S_2); the up test of M^v, under the down
+    # names, is the same test.  The two reports must be equal.
     reps = _sign_table_reps() + [simple_module(v, 0) for v in (0, 2)] + \
         [pushforward_module(3, n) for n in range(4)]
     for rep in reps:
@@ -200,6 +210,49 @@ def test_membership_is_ext_vanishing_against_the_simples():
         assert (down.ranks["nu_rank"], down.ranks["mu_rank"]) == (rank(nu), rank(mu)), rep.label
         assert down.ok == (e[2:] == (0, 0)), rep.label
         assert down.ranks["cokernel_dim"] == h2 - e[0] + e[1], rep.label
+
+
+def _entry_types(rep):
+    return {name: [type(v) for row in mat.sparse for v in row.values()]
+            for name, mat in rep.matrices.items()}
+
+
+def _dual_route_modules():
+    objs = standard_corpus()
+    return _sign_table_reps() + _equivalence_modules() + \
+        [thick_point(3, objs["pt_diag"]), thick_point(5, objs["pt_mix"])]
+
+
+def test_down_complex_is_the_negated_complex_of_the_dual():
+    # RHom(M, S_2) = -RHom(S_0, M^v) in every differential, so their d1 have
+    # one kernel basis and ``twist_down`` needs no transposed module.
+    for rep in _dual_route_modules():
+        down, dual = koszul_complex(rep, "down"), koszul_complex(_dual(rep))
+        assert down.term_dims == dual.term_dims, rep.label
+        for d, e in zip(down.differentials, dual.differentials, strict=True):
+            assert d == Mat.from_rows([[-v for v in row] for row in e.data], cols=e.cols), \
+                rep.label
+
+
+def test_twist_down_is_the_dual_of_the_up_twist_of_the_dual():
+    # ``twist_down`` reads RHom(M, S_2); the reference route is the dual of
+    # the up twist of M^v.  The two agree in value, label and entry types, for
+    # each module and its down twist, and refuse the same modules.
+    checked = 0
+    for rep in _dual_route_modules():
+        for _ in range(2):
+            try:
+                down = twist_down(rep)
+            except MembershipError as exc:
+                assert exc.report == window_membership(rep, "down").to_dict(), rep.label
+                with pytest.raises(MembershipError):
+                    twist_up(_dual(rep))
+                break
+            via_dual = _dual(twist_up(_dual(rep)), f"twist_down({rep.label})")
+            assert down == via_dual and down.label == via_dual.label, rep.label
+            assert _entry_types(down) == _entry_types(via_dual), rep.label
+            rep, checked = down, checked + 1
+    assert checked >= 90
 
 
 def test_membership_pushforwards():
