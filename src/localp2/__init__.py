@@ -34,8 +34,6 @@ from .homalg import (
 )
 from .linalg import RATIONAL, Mat, PrimeScalars, RationalScalars, rank
 from .quiver import (
-    BEILINSON,
-    JACOBI,
     Representation,
     check_relations,
     cyclic_derivative,

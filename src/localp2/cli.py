@@ -23,7 +23,6 @@ from . import __version__, homalg
 from .errors import InputError, InternalCheckError, LocalP2Error, MembershipError
 from .linalg import RATIONAL, PrimeScalars, Scalar, Scalars
 from .quiver import (
-    JACOBI,
     Representation,
     check_relations,
     direct_sum,
@@ -98,7 +97,7 @@ def _load(path: str) -> Representation:
 
 def _load_y(path: str) -> Representation:
     rep = _load(path)
-    if rep.presentation is not JACOBI:
+    if rep.heart is None:
         raise InputError(f"{path} holds a plane-side record; a heart is required here")
     return rep
 
@@ -146,7 +145,7 @@ def cmd_ext(args) -> int:
         m, n = _load_y(args.file_m), _load_y(args.file_n)
     else:
         m, n = (_load(p) for p in (args.file_m, args.file_n))
-        m, n = (p2_restrict(r) if r.presentation is JACOBI else r for r in (m, n))
+        m, n = (r if r.heart is None else p2_restrict(r) for r in (m, n))
     report = homalg.ext_report(m, n, args.side, scalars)
     report.update(_meta())
     if args.format == "json":

@@ -12,7 +12,8 @@ its blocks for all module dims.  Per (side, dims of M, dims of N) the tables
 are only laid out as ``BlockPlan``s, in a memo bounded by ``PLAN_MEMO_SIZE``
 entries, so a complex whose dims were seen before pays only for its entries:
 each nonzero arrow entry is written where its terms put it.  The 3-fold side
-takes two ``JACOBI`` modules, the plane side two modules of one presentation.
+takes two modules with a heart, the plane side two plane modules (``heart``
+None) or two modules with a heart, read through their a and b arrows.
 
 Every ``ExtComplex`` holds integer matrices over one denominator D
 (``ExtComplex.integral``) whose ``d.d = 0`` was checked when it was made:
@@ -48,10 +49,8 @@ from .linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, Scalars, 
                      product_is_zero, rank, term_table)
 from .quiver import (
     ARROW_SPACE,
-    BEILINSON,
     CYCLES,
-    D0_TABLES,
-    JACOBI,
+    D0_TERMS,
     VERTEX_SPACE,
     VERTICES,
     Representation,
@@ -118,7 +117,9 @@ _RELATION_SPACE = tuple((f"r_c{k}", 0, 2) for k in (1, 2, 3))
 # with N or right with M, sign), read off the sign table; arrow a_i has index
 # i - 1, b_j j + 2 and c_k k + 5.  Y d1 is the Leibniz linearization of the
 # nine 2-term relations: the component indexed by an arrow is the derivative
-# of its relation.  Y d2 is the signed dual of d0.  P2 d1 linearizes the three
+# of its relation.  Y d2 is the signed dual of d0.  P2 d0 is the intertwiner
+# system of ``quiver`` (``D0_TERMS``, which ``hom_space`` reads too) on the a
+# and b arrows, its first twelve terms, and P2 d1 linearizes the three
 # c-derivative relations.  Each is checked once, here, by ``term_table``: the
 # cycles (i, j, k) are the permutations of (1, 2, 3), so any two of their
 # indices fix the third and no (out, in) block pair repeats.
@@ -130,20 +131,19 @@ _Y_D1 = term_table(_DUAL_SPACE, ARROW_SPACE, ARROW_SPACE,
 _Y_D2 = term_table(VERTEX_SPACE, _DUAL_SPACE, ARROW_SPACE,
                    [term for x, (_, src, tgt) in enumerate(ARROW_SPACE)
                     for term in ((src, x, x, True, 1), (tgt, x, x, False, -1))])
+_P2_D0 = term_table(ARROW_SPACE[:6], VERTEX_SPACE, ARROW_SPACE[:6], D0_TERMS[:12])
 _P2_D1 = term_table(_RELATION_SPACE, ARROW_SPACE[:6], ARROW_SPACE[:6],
                     [term for i, j, k, e in CYCLES
                      for term in ((k - 1, j + 2, i - 1, True, e), (k - 1, i - 1, j + 2, False, e))])
 
 # One table per side: the term spaces in cohomological degree 0, 1, ..., then
-# the term tables of the differentials d0, d1, ...  d0 is the intertwiner
-# system of ``quiver`` (``D0_TERMS``, which ``hom_space`` reads too); the plane
-# side takes its first twelve terms, those of the a and b arrows.  The 3-fold
-# side ends with its degree-0 space again.  The character layouts of
+# the term tables of the differentials d0, d1, ...  The 3-fold side ends with
+# its degree-0 space again.  The character layouts of
 # ``characters`` are derived from these spaces.
 EXT_TABLES = {
     "y": ((VERTEX_SPACE, ARROW_SPACE, _DUAL_SPACE, VERTEX_SPACE),
-          (D0_TABLES[JACOBI], _Y_D1, _Y_D2)),
-    "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], _RELATION_SPACE), (D0_TABLES[BEILINSON], _P2_D1)),
+          (D0_TERMS, _Y_D1, _Y_D2)),
+    "p2": ((VERTEX_SPACE, ARROW_SPACE[:6], _RELATION_SPACE), (_P2_D0, _P2_D1)),
 }
 
 
@@ -173,10 +173,10 @@ def _ext_plans(side: str, m_dims: tuple[int, ...],
     return tuple(sum(r * c for _, r, c in blocks) for blocks in terms), plans
 
 
-def d0_plan(presentation, m_dims: tuple[int, ...], n_dims: tuple[int, ...]) -> BlockPlan:
+def d0_plan(plane: bool, m_dims: tuple[int, ...], n_dims: tuple[int, ...]) -> BlockPlan:
     """The plan of d0, the intertwiner system of ``quiver.intertwiner_matrix``,
-    for modules of ``presentation`` with these dims, from the memo."""
-    return _ext_plans("y" if presentation is JACOBI else "p2", m_dims, n_dims)[1][0]
+    for plane modules (``plane``) or modules with a heart of these dims, from the memo."""
+    return _ext_plans("p2" if plane else "y", m_dims, n_dims)[1][0]
 
 
 def _integer_differentials(side: str, m: Representation,
@@ -199,9 +199,9 @@ def _build_ext_complex(side: str, m: Representation, n: Representation) -> ExtCo
 
 def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
     """The 4-term complex whose cohomology is Ext^*(m, n) on the 3-fold side,
-    between two modules of ``JACOBI`` (``InputError`` otherwise)."""
-    if m.presentation is not JACOBI or n.presentation is not JACOBI:
-        raise InputError("the 3-fold side needs two modules of the Jacobi presentation")
+    between two modules with a heart (``InputError`` otherwise)."""
+    if m.heart is None or n.heart is None:
+        raise InputError("the 3-fold side needs two modules with a heart, not plane modules")
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
     return _build_ext_complex("y", m, n)
@@ -209,13 +209,13 @@ def build_ext_complex_Y(m: Representation, n: Representation) -> ExtComplex:
 
 def build_ext_complex_P2(m: Representation, n: Representation) -> ExtComplex:
     """The 3-term complex computing Ext^0..Ext^2 on the plane side, between two
-    modules of one presentation (``InputError`` otherwise).  Two ``JACOBI``
-    modules are read through their a and b arrows, as their restrictions, and
-    must share a heart (``HeartMismatchError``), as on the 3-fold side; their
-    ``p2_restrict`` images, which forget the heart, need not."""
-    if m.presentation is not n.presentation:
-        raise InputError(f"the plane side needs modules of one presentation, got "
-                         f"{m.presentation.name} and {n.presentation.name}")
+    plane modules or two modules with a heart (``InputError`` otherwise).  Two
+    modules with a heart are read through their a and b arrows, as their
+    restrictions, and must share it (``HeartMismatchError``), as on the
+    3-fold side; their ``p2_restrict`` images, which forget the heart, need not."""
+    if (m.heart is None) != (n.heart is None):
+        raise InputError(f"the plane side needs two plane modules or two modules with a "
+                         f"heart, got hearts {m.heart} and {n.heart}")
     if m.heart != n.heart:
         raise HeartMismatchError(f"ext across hearts {m.heart} != {n.heart}")
     return _build_ext_complex("p2", m, n)

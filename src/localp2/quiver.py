@@ -1,9 +1,10 @@
-"""The two fixed algebra presentations and their finite-dimensional representations.
+"""The local-plane quiver with potential and its finite-dimensional representations.
 
-One class, ``Representation``, holds a module of either presentation: the
-local-plane Jacobi algebra (``JACOBI``, nine arrows, a heart) or the plane
-algebra (``BEILINSON``, the six a and b arrows, no heart).  Its matrices are a
-read-only mapping in the presentation's arrow order with every arrow present.
+One class, ``Representation``, holds a module of the Jacobi algebra, with
+nine arrows and a heart, or of the plane algebra, its quotient by the c
+arrows, with the six a and b arrows (``PLANE_ARROWS``) and ``heart`` None.
+Its matrices are a read-only mapping in arrow order with every arrow of its
+algebra present.
 
 Vertices 0, 1, 2 of the cyclic quiver label the window slots heart, heart+1,
 heart+2.  Arrow matrices act by precomposition, so an arrow u -> w carries a
@@ -120,61 +121,32 @@ def cyclic_derivative(potential: Terms, arrow_name: str) -> Terms:
     return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
-class QuiverPresentation:
-    """A fixed presentation: arrows, a potential (possibly empty), and relations."""
-
-    name: str
-    arrows: tuple[Arrow, ...]
-    potential: Terms
-    relations: tuple[tuple[str, Terms], ...]
-
-
-def _validate_presentation(pres: QuiverPresentation) -> QuiverPresentation:
-    for _, word in pres.potential:
+def _validated_relations(potential: Terms) -> tuple[tuple[str, Terms], ...]:
+    """The cyclic derivatives of ``potential``, one per arrow in arrow order,
+    after checking that every potential term is a cycle and every relation is
+    homogeneous."""
+    for _, word in potential:
         src, tgt = word_endpoints(word)
         if src != tgt:
             raise InternalCheckError(f"potential term {word} is not a cycle")
-    for label, terms in pres.relations:
+    relations = tuple((f"rel_{name}", cyclic_derivative(potential, name)) for name in ARROW_ORDER)
+    for label, terms in relations:
         ends = {word_endpoints(word) for _, word in terms}
         if len(ends) > 1:
             raise InternalCheckError(f"relation {label} is not homogeneous: {ends}")
-    return pres
+    return relations
 
 
-def _relation_label(arrow_name: str) -> str:
-    return f"rel_{arrow_name}"
+# The Jacobi algebra has every arrow and the nine relations.  The plane
+# algebra (Beilinson's) is its quotient by the c arrows: the a and b arrows,
+# with the three c-derivative relations, RELATIONS[6:], as its relations.
+RELATIONS = _validated_relations(POTENTIAL)
+PLANE_ARROWS = _ARROWS[:6]
 
-
-JACOBI = _validate_presentation(
-    QuiverPresentation(
-        name="local-p2",
-        arrows=_ARROWS,
-        potential=POTENTIAL,
-        relations=tuple(
-            (_relation_label(name), cyclic_derivative(POTENTIAL, name)) for name in ARROW_ORDER
-        ),
-    )
-)
-
-# The plane presentation drops the c arrows; the three former c-derivative
-# relations become its relation generators.
-BEILINSON = _validate_presentation(
-    QuiverPresentation(
-        name="beilinson-p2",
-        arrows=tuple(a for a in _ARROWS if not a.name.startswith("c")),
-        potential=(),
-        relations=tuple(
-            (_relation_label(f"c{k}"), cyclic_derivative(POTENTIAL, f"c{k}")) for k in (1, 2, 3)
-        ),
-    )
-)
-
-assert len(JACOBI.arrows) == 9 and len(JACOBI.relations) == 9
-assert len(BEILINSON.arrows) == 6 and len(BEILINSON.relations) == 3
+assert len(RELATIONS) == 9 and all(a.name[0] != "c" for a in PLANE_ARROWS)
 # check_relations reads every relation as two paths of two arrows with opposite unit signs.
 assert all(len(t) == 2 and {t[0][0], t[1][0]} == {1, -1} and len(t[0][1]) == len(t[1][1]) == 2
-           for p in (JACOBI, BEILINSON) for _, t in p.relations)
+           for _, t in RELATIONS)
 
 
 def matrix_shape(arrow_name: str, dims: Sequence[int]) -> tuple[int, int]:
@@ -190,11 +162,10 @@ class RelationCheck(NamedTuple):
 
 @dataclass(frozen=True)
 class Representation:
-    """A finite-dimensional module of ``presentation``: ``JACOBI`` in a heart, or
-    ``BEILINSON`` with ``heart`` None.  ``matrices`` maps every arrow of the
-    presentation, in its arrow order, to its matrix and is read-only."""
+    """A finite-dimensional module of the Jacobi algebra in a heart, or of the
+    plane algebra when ``heart`` is None.  ``matrices`` maps every arrow of
+    its algebra, in arrow order, to its matrix and is read-only."""
 
-    presentation: QuiverPresentation
     heart: int | None
     dims: tuple[int, int, int]
     matrices: Mapping[str, Mat]
@@ -222,10 +193,10 @@ class Representation:
         return memo[d]
 
 
-def _coerce_matrices(pres: QuiverPresentation, dims: Sequence[int],
+def _coerce_matrices(arrows: Sequence[Arrow], dims: Sequence[int],
                      matrices: Mapping[str, Mat]) -> Mapping[str, Mat]:
     out = {}
-    for a in pres.arrows:
+    for a in arrows:
         shape = dims[a.source], dims[a.target]
         m = matrices.get(a.name)
         if m is None:
@@ -251,24 +222,27 @@ def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
 
 
 def representation(heart: int | None, dims: Sequence[int],
-                   matrices: Mapping[str, Mat] | None = None, label: str | None = None,
-                   presentation: QuiverPresentation = JACOBI) -> Representation:
-    """A module of ``presentation``; missing arrows act by zero, and the plane side has no heart."""
+                   matrices: Mapping[str, Mat] | None = None,
+                   label: str | None = None) -> Representation:
+    """A module in ``heart``, or a plane module when ``heart`` is None, whose
+    arrows are then the a and b arrows alone; missing arrows act by zero."""
     dims = _dims(dims)
-    heart = int(heart) if presentation is JACOBI else None
-    return Representation(presentation, heart, dims,
-                          _coerce_matrices(presentation, dims, matrices or {}), label)
+    heart = None if heart is None else int(heart)
+    arrows = _ARROWS if heart is not None else PLANE_ARROWS
+    return Representation(heart, dims, _coerce_matrices(arrows, dims, matrices or {}), label)
 
 
 def check_relations(rep: Representation) -> RelationCheck:
-    """Evaluate every defining relation of the module's presentation exactly.
+    """Evaluate every defining relation of the module's algebra exactly: the
+    nine of ``RELATIONS``, or the last three for a plane module.
 
     A relation says that two paths of two arrows agree; the word (u, v)
     traverses v first and acts by M_v @ M_u, and a product with a zero factor
     is zero at once.
     """
     mats = rep.matrices
-    violated = tuple(lab for lab, ((_, (u1, v1)), (_, (u2, v2))) in rep.presentation.relations
+    relations = RELATIONS if rep.heart is not None else RELATIONS[6:]
+    violated = tuple(lab for lab, ((_, (u1, v1)), (_, (u2, v2))) in relations
                      if mats[v1] @ mats[u1] != mats[v2] @ mats[u2])
     return RelationCheck(not violated, violated)
 
@@ -384,13 +358,13 @@ def direct_sum(a: Representation, b: Representation, label: str | None = None) -
     mats = {name: block_diag(m, b.matrices[name]) for name, m in a.matrices.items()}
     if label is None:
         label = f"({a.label}) + ({b.label})"
-    return representation(a.heart, dims, mats, label, a.presentation)
+    return representation(a.heart, dims, mats, label)
 
 
 def p2_restrict(rep: Representation) -> Representation:
     """Forget the c-action; dims and a, b matrices are kept exactly."""
-    mats = {a.name: rep.matrices[a.name] for a in BEILINSON.arrows}
-    return representation(None, rep.dims, mats, rep.label, BEILINSON)
+    mats = {a.name: rep.matrices[a.name] for a in PLANE_ARROWS}
+    return representation(None, rep.dims, mats, rep.label)
 
 
 # ---------------------------------------------------------------------------
@@ -403,31 +377,29 @@ def p2_restrict(rep: Representation) -> Representation:
 # (out block, in block, arrow, left with N or right with M, sign), two per
 # arrow in arrow order, so the plane side, whose arrows are the first six,
 # takes the first twelve.  It is also the d0 of both Ext complexes
-# (``homalg.EXT_TABLES``).  Each table is checked once, here, by
-# ``term_table``: an arrow's source and target differ, so no (out, in) block
-# pair repeats.
+# (``homalg.EXT_TABLES``).  It is checked once, here, by ``term_table``: an
+# arrow's source and target differ, so no (out, in) block pair repeats.
 VERTEX_SPACE = tuple((f"v{v}", v, v) for v in VERTICES)
 ARROW_SPACE = tuple((a.name, a.source, a.target) for a in _ARROWS)
 D0_TERMS = term_table(ARROW_SPACE, VERTEX_SPACE, ARROW_SPACE,
                       [term for x, a in enumerate(_ARROWS)
                        for term in ((x, a.source, x, False, 1), (x, a.target, x, True, -1))])
-D0_TABLES = {JACOBI: D0_TERMS,
-             BEILINSON: term_table(ARROW_SPACE[:6], VERTEX_SPACE, ARROW_SPACE[:6], D0_TERMS[:12])}
 
 
 def intertwiner_matrix(m: Representation, n: Representation) -> Mat:
     """Constraint matrix of phi_src . alpha_M - alpha_N . phi_tgt over the arrows of m and n,
-    two modules of one presentation (``InputError`` otherwise).
+    two modules with a heart or two plane modules (``InputError`` otherwise).
 
-    It is d0 of the Ext complex of that presentation, so its compiled plan is
+    It is d0 of the Ext complex of their algebra, so its compiled plan is
     read from the plan memo of ``homalg`` (imported here, since ``homalg``
     imports this module)."""
     from .homalg import d0_plan
 
-    if m.presentation is not n.presentation:
-        raise InputError(f"intertwiners need modules of one presentation, got "
-                         f"{m.presentation.name} and {n.presentation.name}")
-    return BlockMap(d0_plan(m.presentation, m.dims, n.dims), tuple(n.matrices.values()),
+    plane = m.heart is None
+    if plane != (n.heart is None):
+        raise InputError(f"intertwiners need two modules with a heart or two plane modules, "
+                         f"got hearts {m.heart} and {n.heart}")
+    return BlockMap(d0_plan(plane, m.dims, n.dims), tuple(n.matrices.values()),
                     tuple(m.matrices.values())).matrix()
 
 
@@ -518,7 +490,7 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
 
 def rep_to_dict(rep: Representation) -> dict:
     out: dict = {}
-    if rep.presentation is JACOBI:
+    if rep.heart is not None:
         out["heart"] = rep.heart
     out["dims"] = list(rep.dims)
     out["matrices"] = _matrices_to_json(rep.matrices)
@@ -544,12 +516,11 @@ def rep_from_dict(data: Mapping) -> Representation:
         raise InputError(f"matrices must map arrow names to entry lists, got {raw!r}")
     # The matrix shapes are read off the dims, so they are checked first.
     dims = _dims(dims)
-    pres = JACOBI if "heart" in data else BEILINSON
     # An unknown name is refused by matrix_shape, a c arrow of a plane record
     # by representation.
     mats = {name: _matrix_from_json(name, raw[name], dims) for name in raw}
-    heart = _json_int(data["heart"], "heart") if pres is JACOBI else None
-    return representation(heart, dims, mats, label, pres)
+    heart = _json_int(data["heart"], "heart") if "heart" in data else None
+    return representation(heart, dims, mats, label)
 
 
 def dumps_rep(rep: Representation) -> str:

@@ -458,7 +458,7 @@ PACKAGE_NAMES = (
     "euler_form_Y", "ext_dims_P2", "ext_dims_Y", "ext_report", "verify_cy3_duality",
     "verify_pushforward_triangle",
     "RATIONAL", "Mat", "PrimeScalars", "RationalScalars", "rank",
-    "BEILINSON", "JACOBI", "Representation", "check_relations", "cyclic_derivative",
+    "Representation", "check_relations", "cyclic_derivative",
     "direct_sum", "dumps_rep", "epsilon", "hom_space", "loads_rep", "p2_restrict",
     "point_module", "pushforward_module", "simple_module", "zero_module",
     "WindowVector", "extend_window", "koszul_complex", "recursion_violations", "twist_down",

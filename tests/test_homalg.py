@@ -35,10 +35,11 @@ from localp2.homalg import (
 from localp2.linalg import (RATIONAL, BlockMap, BlockPlan, Mat, PrimeScalars, _echelon, _field_rows,
                             rank, term_table)
 from localp2.quiver import (
+    ARROW_ORDER,
     ARROW_SPACE,
-    BEILINSON,
-    D0_TABLES,
-    JACOBI,
+    D0_TERMS,
+    PLANE_ARROWS,
+    arrow,
     check_relations,
     direct_sum,
     hom_space,
@@ -327,8 +328,7 @@ def _shipped_tables() -> list:
 def test_shipped_term_tables_are_write_once():
     assert [len(t) for t in EXT_TABLES["y"][1]] == [18, 36, 18]
     assert [len(t) for t in EXT_TABLES["p2"][1]] == [12, 12]
-    assert (EXT_TABLES["y"][1][0], EXT_TABLES["p2"][1][0]) == (D0_TABLES[JACOBI],
-                                                               D0_TABLES[BEILINSON])
+    assert (EXT_TABLES["y"][1][0], EXT_TABLES["p2"][1][0]) == (D0_TERMS, D0_TERMS[:12])
     for out_space, in_space, arrows, table in _shipped_tables():
         assert type(table) is tuple and term_table(out_space, in_space, arrows, table) == table
         assert len({(o, i) for o, i, *_ in table}) == len(table)
@@ -404,28 +404,28 @@ def test_cy3_self_duality_of_the_y_tables():
 
 def test_ext_and_intertwiners_refuse_modules_of_mixed_presentations():
     # Nothing in BlockMap checks a matrix's shape, so the builders check that
-    # the modules' presentations are the ones their plans are laid out for.
+    # the modules' algebras are the ones their plans are laid out for.
     line = pushforward_module(1, 0)
     plane = p2_restrict(line)
     for m, n in ((plane, plane), (plane, line), (line, plane)):
         with pytest.raises(InputError, match="3-fold side needs two modules"):
             build_ext_complex_Y(m, n)
     for m, n in ((plane, line), (line, plane)):
-        with pytest.raises(InputError, match="modules of one presentation"):
+        with pytest.raises(InputError, match="two modules with a heart or two plane modules"):
             intertwiner_matrix(m, n)
-    # O(1) has no c-blocks (dim N_2 = 0), so both presentations give one system.
+    # O(1) has no c-blocks (dim N_2 = 0), so both algebras give one system.
     assert intertwiner_matrix(plane, plane) == intertwiner_matrix(line, line)
 
 
 def test_plane_side_refuses_modules_of_mixed_presentations():
-    # Two JACOBI modules are read through their a and b arrows, as their
-    # restrictions; one of each is refused, as intertwiner_matrix refuses it.
+    # Two modules with a heart are read through their a and b arrows, as their
+    # restrictions; one of each kind is refused, as intertwiner_matrix refuses it.
     line = pushforward_module(2, 0)
     plane = p2_restrict(line)
     for m, n in ((line, plane), (plane, line)):
-        with pytest.raises(InputError, match="plane side needs modules of one presentation"):
+        with pytest.raises(InputError, match="plane side needs two plane modules or two"):
             build_ext_complex_P2(m, n)
-        with pytest.raises(InputError, match="plane side needs modules of one presentation"):
+        with pytest.raises(InputError, match="plane side needs two plane modules or two"):
             ext_dims_P2(m, n)
     assert build_ext_complex_P2(line, line).integral == build_ext_complex_P2(plane, plane).integral
     assert ext_dims_P2(line, line) == ext_dims_P2(plane, plane) == (1, 0, 0)
@@ -573,24 +573,25 @@ _arrow_entries = st.one_of(st.integers(-2, 2),
 
 
 @st.composite
-def _modules_of(draw, presentation):
+def _modules_of(draw, heart, arrows):
     # Random dims 0..3 per slot and random arrow matrices: the relations need
     # not hold, since the differentials are compared before d.d = 0 is checked.
     dims = draw(st.tuples(*[st.integers(0, 3)] * 3))
     mats = {}
-    for a in presentation.arrows:
+    for a in arrows:
         r, c = dims[a.source], dims[a.target]
         rows = draw(st.lists(st.lists(_arrow_entries, min_size=c, max_size=c),
                              min_size=r, max_size=r))
         mats[a.name] = Mat.from_rows(rows, cols=c)
-    return representation(0, dims, mats, presentation=presentation)
+    return representation(heart, dims, mats)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([("y", JACOBI), ("p2", BEILINSON)]), st.data())
-def test_memoized_assembly_matches_a_dense_term_by_term_reference(side_presentation, data):
-    side, presentation = side_presentation
-    m, n = data.draw(_modules_of(presentation)), data.draw(_modules_of(presentation))
+@given(st.sampled_from([("y", 0, tuple(map(arrow, ARROW_ORDER))), ("p2", None, PLANE_ARROWS)]),
+       st.data())
+def test_memoized_assembly_matches_a_dense_term_by_term_reference(side_heart_arrows, data):
+    side, heart, arrows = side_heart_arrows
+    m, n = data.draw(_modules_of(heart, arrows)), data.draw(_modules_of(heart, arrows))
     term_dims, *reference = _dense_reference(side, m, n)
     _ext_plans.cache_clear()
     for _ in range(2):

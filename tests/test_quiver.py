@@ -1,4 +1,4 @@
-"""Presentations, cyclic derivatives, constructors, intertwiners, JSON round trips."""
+"""Relations, cyclic derivatives, constructors, intertwiners, JSON round trips."""
 
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from localp2.errors import HeartMismatchError, HeartRangeError, InputError, Shap
 from localp2.linalg import MAX_DIM, Mat, scalar
 from localp2.quiver import (
     ARROW_ORDER,
-    BEILINSON,
-    JACOBI,
+    PLANE_ARROWS,
     POTENTIAL,
+    RELATIONS,
     check_relations,
     cyclic_derivative,
     direct_sum,
@@ -68,12 +68,11 @@ def test_cyclic_derivative_edge_cases():
 
 
 def test_presentation_invariants():
-    assert len(JACOBI.arrows) == 9 and len(JACOBI.relations) == 9
-    assert len(BEILINSON.arrows) == 6 and len(BEILINSON.relations) == 3
+    assert len(RELATIONS) == 9 and [a.name for a in PLANE_ARROWS] == list(ARROW_ORDER[:6])
     for _, word in POTENTIAL:
         src, tgt = word_endpoints(word)
         assert src == tgt
-    for _, terms in JACOBI.relations:
+    for _, terms in RELATIONS:
         assert len({word_endpoints(w) for _, w in terms}) == 1
 
 
@@ -200,9 +199,9 @@ def test_relation_violation_detected():
 
 
 def _violated_reference(rep):
-    # Each relation of the presentation is the cyclic derivative of the
-    # potential by one arrow; evaluate it entry by entry on dense rows.
-    names = ARROW_ORDER if rep.presentation is JACOBI else ("c1", "c2", "c3")
+    # Each relation of the algebra is the cyclic derivative of the potential
+    # by one arrow; evaluate it entry by entry on dense rows.
+    names = ARROW_ORDER if rep.heart is not None else ("c1", "c2", "c3")
     violated = []
     for name in names:
         acc = {}
@@ -238,7 +237,7 @@ def _maybe_perturbed(draw):
         data = [list(row) for row in mats[a].data]
         data[r][c] += draw(st.sampled_from((-2, -1, 1, Fraction(1, 2))))
         mats[a] = Mat.from_rows(data)
-    return representation(rep.heart, rep.dims, mats, presentation=rep.presentation)
+    return representation(rep.heart, rep.dims, mats)
 
 
 @settings(max_examples=80, deadline=None)
@@ -303,11 +302,15 @@ def test_hom_space_identity_and_additivity():
 def test_p2_restrict_keeps_matrices():
     pt = point_module((1, 2, 3), 7, 0)
     res = p2_restrict(pt)
-    assert res.presentation is BEILINSON and res.heart is None
+    assert res.heart is None and tuple(res.matrices) == ARROW_ORDER[:6]
     assert res.dims == pt.dims
     for name in ("a1", "a2", "a3", "b1", "b2", "b3"):
         assert res.matrices[name] == pt.matrices[name]
     assert check_relations(res).ok
+    # A heart of None builds a plane module, which has no c arrows.
+    assert representation(None, pt.dims, dict(res.matrices), res.label) == res
+    with pytest.raises(InputError, match="unexpected arrow names"):
+        representation(None, pt.dims, dict(pt.matrices))
     line = p2_restrict(pushforward_module(1, 0))
     assert line.dims == (3, 1, 0)
     assert p2_restrict(simple_module(1, 0)).dims == (0, 1, 0)
