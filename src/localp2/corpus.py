@@ -183,7 +183,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
             return {"_ok": False, "reason": "up-twist of s0 unexpectedly allowed"}
         cells.append(_cell("twist-refused:s0", refused))
 
-    for a, b in (("pt_diag", "line1"), ("line1", "line2"), ("pt_e0", "pt_diag")):
+    for a, b in (("pt_e0", "line1"), ("line1", "line2"), ("line1", "pt_e0")):
         if a in objs and b in objs:
             cells.append(_cell(f"twist-ext-invariance:{a}|{b}",
                                lambda a=a, b=b: _twist_ext_invariance(

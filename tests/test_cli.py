@@ -241,6 +241,10 @@ def test_corpus_on_the_narrowest_window_keeps_every_cell(capsys, mode, cells):
     payload = json.loads(stdout)
     assert code == 0 and payload["passed"] is True and len(payload["cells"]) == cells
     assert payload["config"]["window"] == [3, 4]
+    # A twist-invariance cell that compares (0, 0, 0, 0) with itself tests nothing.
+    invariance = [c["detail"] for c in payload["cells"]
+                  if c["name"].startswith("twist-ext-invariance:")]
+    assert len(invariance) == 3 and all(any(d["before"]) for d in invariance)
 
 
 def test_corpus_deterministic_under_seed():
