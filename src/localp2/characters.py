@@ -37,9 +37,7 @@ The verifiers build and compare every heart of their range exactly; what is
 saved is per-key work.  Each operation makes one pass over its keys into one
 new dict, building each output key once (the cocycle's two differences are one
 sum); a result is copied only to drop a zero, and ``char_diff`` returns at
-once when the maps are equal.  Over hearts -256..256 (2 vCPUs, x86_64,
-CPython 3.11.7) a theorem3 pair, one rewrite and one comparison, takes about
-8 µs, and a cocycle heart about 21 µs.
+once when the maps are equal.
 """
 
 from __future__ import annotations

@@ -72,8 +72,10 @@ def _parse_dims(text: str) -> tuple[int, int, int]:
 
 
 def _parse_scalars(mode: list[str] | None) -> Scalars:
-    if not mode or mode[0] == "rational":
+    if not mode or mode == ["rational"]:
         return RATIONAL
+    if mode[0] == "rational":
+        raise InputError("usage: --mode rational")
     if mode[0] == "prime":
         if len(mode) != 2:
             raise InputError("usage: --mode prime <p>")
@@ -120,6 +122,8 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_mk(args) -> int:
+    if args.constructor != "sum" and len(args.args) != 1:
+        raise InputError(f"{args.constructor} takes one argument, got {len(args.args)}")
     if args.constructor == "point":
         rep = point_module(_parse_point(args.args[0]), parse_scalar(args.t, "--t"), args.heart)
     elif args.constructor == "pushforward":

@@ -516,11 +516,10 @@ class BlockMap:
     (``left``) or phi -> sign * phi @ right[k] from in-block ``i`` to
     out-block ``o``.  The matrices are not checked here: the builders tie
     their shapes to the dims the plan was laid out on (a module's matrices
-    fit its dims, and the two modules both have a heart or are both plane
-    modules).  One loop per side walks the plan's nonempty terms and the
-    nonzero entries of each matrix (``Mat.entries``, built once per matrix
-    and read again by every map over the same module; a zero matrix adds
-    nothing).  Since no block
+    fit its dims, and both modules are of one algebra).  One loop per
+    side walks the plan's nonempty terms and the nonzero entries of each
+    matrix (``Mat.entries``, built once per matrix and read again by every
+    map over the same module; a zero matrix adds nothing).  Since no block
     pair repeats, each entry is stored once as ``v`` or ``-v``, never summed,
     and is nonzero.  ``entry_bound``, when given, is an int at least every
     |entry| of ``left`` and ``right``, all ints, and ``matrix`` records it on

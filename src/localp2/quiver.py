@@ -362,7 +362,7 @@ def direct_sum(a: Representation, b: Representation, label: str | None = None) -
 
 
 def p2_restrict(rep: Representation) -> Representation:
-    """Forget the c-action; dims and a, b matrices are kept exactly."""
+    """Forget the c-action and the heart; dims and a, b matrices are kept exactly."""
     mats = {a.name: rep.matrices[a.name] for a in PLANE_ARROWS}
     return representation(None, rep.dims, mats, rep.label)
 

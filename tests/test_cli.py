@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import gc
 import io
@@ -393,6 +394,39 @@ def test_json_output_matches_golden(capsys, argv, golden):
     assert code == 0 and stdout == (DATA / golden).read_text()
 
 
+def _refuse_float(text):
+    raise AssertionError(f"JSON output holds the float {text}")
+
+
+@pytest.mark.parametrize("argv", [
+    ("ext", "PT", "LINE", "--format", "json"),
+    ("ext", "PT", "LINE", "--side", "p2", "--mode", "prime", "2147483659", "--format", "json"),
+    ("window", "PT", "--format", "json"),
+    ("orichar", "2", "--format", "json"),
+    ("orichar", "2", "--dims", "1,2,3", "--format", "json"),
+    *(("verify", name, "--format", "json") for name in IDENTITY_NAMES),
+    ("corpus", "--format", "json"),
+])
+def test_json_output_holds_no_float(tmp_path, capsys, argv):
+    # Rationals are written as fraction strings: no JSON number may parse as a float.
+    records = {"PT": point_module((0, 1, 2), "1/2", 0), "LINE": pushforward_module(1, 0)}
+    for name, rep in records.items():
+        (tmp_path / name).write_text(dumps_rep(rep))
+    argv = [str(tmp_path / a) if a in records else a for a in argv]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 0
+    json.loads(stdout, parse_float=_refuse_float, parse_constant=_refuse_float)
+
+
+def test_package_source_has_no_float_literal_or_float_name():
+    for path in sorted((SRC / "localp2").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.Constant)
+                        and isinstance(node.value, (float, complex))), where
+            assert not (isinstance(node, ast.Name) and node.id == "float"), where
+
+
 def _record(heart=0, dims=(1, 1, 1), a1=None):
     matrices = {} if a1 is None else {"a1": [a1]}
     return json.dumps({"heart": heart, "dims": list(dims), "matrices": matrices, "label": None})
@@ -431,6 +465,12 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
     (("mk", "point", "1e-4299:1e4299:0"), None),
     (("mk", "sum", "REC", "REC"), _record(dims=(1, 1, 0), a1="1e4300")),
     (("mk", "sum", "REC", "REC"), _record(dims=(1, 1, 0), a1="1e-4300")),
+    (("mk", "point", "1:0:0", "extra"), None),
+    (("mk", "pushforward", "2", "3"), None),
+    (("mk", "simple", "0", "1", "2"), None),
+    (("mk", "sum", "REC"), _record()),
+    (("ext", "REC", "REC", "--mode", "rational", "5"), _record()),
+    (("corpus", "--mode", "rational", "5"), None),
 ], ids=["pushforward-x", "simple-x", "point-t-abc", "point-t-1/0", "ext-composite-modulus",
         "corpus-composite-modulus", "heart-str", "heart-float", "heart-bool", "dims-float",
         "entry-1/0", "entry-abc", "matrices-list", "matrix-not-list", "entry-infinity",
@@ -439,7 +479,9 @@ def _record(heart=0, dims=(1, 1, 1), a1=None):
         "nested-too-deep", "not-utf8", "dims-above-bound", "term-dim-above-bound",
         "int-literal-5000-digits", "entry-exponent-5000000", "point-t-exponent-500000",
         "point-t-4301-digits", "point-normalized-8599-digits", "sum-entry-4301-digits",
-        "sum-entry-denominator-4301-digits"])
+        "sum-entry-denominator-4301-digits", "point-extra-argument", "pushforward-two-degrees",
+        "simple-three-vertices", "sum-one-file", "ext-rational-with-argument",
+        "corpus-rational-with-argument"])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, record):
     if record is not None:
         path = tmp_path / "rec.json"
