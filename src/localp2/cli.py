@@ -26,6 +26,7 @@ from .quiver import (
     Representation,
     check_relations,
     direct_sum,
+    dumps_json,
     dumps_rep,
     loads_rep,
     p2_restrict,
@@ -118,7 +119,7 @@ def _emit_rep(rep, out: str | None) -> None:
 
 
 def _print_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(dumps_json(payload) + "\n")
 
 
 def cmd_mk(args) -> int:

@@ -19,8 +19,15 @@ holds only such entries, so its rows are used as over Q, unread.
 The kernels allocate only what they read.  Elimination starts from the
 matrix's own rows (after a conversion into residues, when one is needed) and
 copies a row just before it first writes it, so an input ``Mat`` is never
-mutated.  ``product_is_zero`` answers whether ``a @ b`` vanishes without
-building the product: that is the ``d.d = 0`` check of every Ext complex.
+mutated.  One loop, ``sum_of_products_is_zero``, answers whether a signed
+sum of products ``a @ b`` vanishes without building a product: it sums
+their entries into one flat dict.  It serves the ``d.d = 0`` check of every
+Ext complex, one product (``product_is_zero``), and the relation check of
+every module (``quiver.check_relations``), two products per relation.
+``Mat`` is a frozen dataclass whose ``__init__`` writes its four fields
+once into the instance dict, as ``homalg.ExtComplex`` does, instead of one
+``object.__setattr__`` per field; assigning a field still raises
+``FrozenInstanceError``.
 
 ``BlockMap`` assembles the Ext differentials and intertwiner systems from
 term tables checked once, where they are defined (``term_table``, given the
@@ -56,7 +63,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import ClassVar, Container, Sequence, Union
+from typing import ClassVar, Container, Iterable, Sequence, Union
 
 from .errors import InputError, ScalarModeError, ShapeError
 
@@ -126,7 +133,7 @@ Scalars = Union[RationalScalars, PrimeScalars]
 RATIONAL = RationalScalars()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Mat:
     """Immutable sparse matrix over Q; the zero-row/zero-column cases keep their shape.
 
@@ -143,6 +150,15 @@ class Mat:
     cols: int
     sparse: tuple[Row, ...]
     entry_bound: int | None = None
+
+    def __init__(self, rows: int, cols: int, sparse: tuple[Row, ...],
+                 entry_bound: int | None = None):
+        # One write per field into the instance dict (see the module docstring).
+        d = self.__dict__
+        d["rows"] = rows
+        d["cols"] = cols
+        d["sparse"] = sparse
+        d["entry_bound"] = entry_bound
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -219,25 +235,51 @@ class Mat:
         return Mat(self.rows, other.cols, tuple(out))
 
 
-def product_is_zero(a: Mat, b: Mat) -> bool:
-    """Whether ``a @ b`` is zero, without building it.
+def sum_of_products_is_zero(terms: Iterable[tuple[int, Mat, Mat]]) -> bool:
+    """Whether the sum of ``sign * (a @ b)`` over the ``(sign, a, b)`` of
+    ``terms``, each sign 1 or -1, is zero, without building a product.
 
-    The product's entries are summed into one flat dict keyed
-    ``row * b.cols + column``; no row dict, filtered row or ``Mat`` is made.
+    The entries are summed into one flat dict keyed ``row * cols + column``;
+    no row dict, filtered row or ``Mat`` is made, and a term whose ``b`` is
+    zero adds nothing.  The dict holds the partial sum times the sign of the
+    last term added, and is negated where the sign changes, so the inner loop
+    only adds.  Raises ``ShapeError`` as ``a @ b`` does, or when two products
+    differ in shape.
+    """
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    shape = last = None
+    for sign, a, b in terms:
+        n = b.cols
+        if a.cols != b.rows:
+            raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{n}")
+        if shape is None:
+            shape, last = (a.rows, n), sign
+        elif shape != (a.rows, n):
+            raise ShapeError(f"sum of products: {shape[0]}x{shape[1]} + {a.rows}x{n}")
+        brows = b.sparse
+        if not any(brows):
+            continue
+        if sign != last:
+            for key, x in acc.items():
+                acc[key] = -x
+            last = sign
+        for i, row in enumerate(a.sparse):
+            if row:
+                base = i * n
+                for k, v in row.items():
+                    for j, w in brows[k].items():
+                        key = base + j
+                        acc[key] = get(key, 0) + v * w
+    return not any(acc.values())
+
+
+def product_is_zero(a: Mat, b: Mat) -> bool:
+    """Whether ``a @ b`` is zero, without building it (``sum_of_products_is_zero``).
+
     Raises ``ShapeError`` as ``a @ b`` does.
     """
-    if a.cols != b.rows:
-        raise ShapeError(f"matmul: {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
-    acc: dict[int, Scalar] = {}
-    get, brows, n = acc.get, b.sparse, b.cols
-    for i, row in enumerate(a.sparse):
-        if row:
-            base = i * n
-            for k, v in row.items():
-                for j, w in brows[k].items():
-                    key = base + j
-                    acc[key] = get(key, 0) + v * w
-    return not any(acc.values())
+    return sum_of_products_is_zero(((1, a, b),))
 
 
 def block_diag(a: Mat, b: Mat) -> Mat:

@@ -24,6 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _escape
 from math import lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
@@ -36,7 +37,7 @@ from .errors import (
     ShapeError,
 )
 from .linalg import (MAX_DIM, BlockMap, Mat, Scalar, block_diag, cleared, nullspace, scalar,
-                     term_table)
+                     sum_of_products_is_zero, term_table)
 
 VERTICES = (0, 1, 2)
 ARROW_ORDER = ("a1", "a2", "a3", "b1", "b2", "b3", "c1", "c2", "c3")
@@ -144,9 +145,8 @@ RELATIONS = _validated_relations(POTENTIAL)
 PLANE_ARROWS = _ARROWS[:6]
 
 assert len(RELATIONS) == 9 and all(a.name[0] != "c" for a in PLANE_ARROWS)
-# check_relations reads every relation as two paths of two arrows with opposite unit signs.
-assert all(len(t) == 2 and {t[0][0], t[1][0]} == {1, -1} and len(t[0][1]) == len(t[1][1]) == 2
-           for _, t in RELATIONS)
+# check_relations reads every relation as a sum of paths of two arrows with unit signs.
+assert all(sign in (1, -1) and len(word) == 2 for _, t in RELATIONS for sign, word in t)
 
 
 def matrix_shape(arrow_name: str, dims: Sequence[int]) -> tuple[int, int]:
@@ -212,8 +212,17 @@ def _coerce_matrices(arrows: Sequence[Arrow], dims: Sequence[int],
     return MappingProxyType(out)
 
 
+def _exact_int(value, what: str) -> int:
+    """``value`` when it is an int, else ``InputError``: the one check of every
+    heart, dims entry, degree and vertex, from a record or a library call.
+    int() would read "2" and truncate 1.5, and a bool is an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _dims(dims: Sequence[int]) -> tuple[int, int, int]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_exact_int(d, "dims entry") for d in dims)
     if len(dims) != 3 or any(d < 0 for d in dims):
         raise InputError(f"dims must be three nonnegative integers, got {dims}")
     if any(d > MAX_DIM for d in dims):
@@ -227,7 +236,7 @@ def representation(heart: int | None, dims: Sequence[int],
     """A module in ``heart``, or a plane module when ``heart`` is None, whose
     arrows are then the a and b arrows alone; missing arrows act by zero."""
     dims = _dims(dims)
-    heart = None if heart is None else int(heart)
+    heart = None if heart is None else _exact_int(heart, "heart")
     arrows = _ARROWS if heart is not None else PLANE_ARROWS
     return Representation(heart, dims, _coerce_matrices(arrows, dims, matrices or {}), label)
 
@@ -236,14 +245,14 @@ def check_relations(rep: Representation) -> RelationCheck:
     """Evaluate every defining relation of the module's algebra exactly: the
     nine of ``RELATIONS``, or the last three for a plane module.
 
-    A relation says that two paths of two arrows agree; the word (u, v)
-    traverses v first and acts by M_v @ M_u, and a product with a zero factor
-    is zero at once.
+    A relation is a signed sum of paths of two arrows; the word (u, v)
+    traverses v first and acts by M_v @ M_u.  The sum is tested by
+    ``sum_of_products_is_zero``, which builds no product.
     """
     mats = rep.matrices
     relations = RELATIONS if rep.heart is not None else RELATIONS[6:]
-    violated = tuple(lab for lab, ((_, (u1, v1)), (_, (u2, v2))) in relations
-                     if mats[v1] @ mats[u1] != mats[v2] @ mats[u2])
+    violated = tuple(lab for lab, terms in relations if not sum_of_products_is_zero(
+        [(sign, mats[v], mats[u]) for sign, (u, v) in terms]))
     return RelationCheck(not violated, violated)
 
 
@@ -315,6 +324,8 @@ def pushforward_module(d: int, heart: int = 0, label: str | None = None) -> Repr
     Valid window range is 0 <= heart <= d; outside it some slot acquires
     higher cohomology (or leaves the supported constructor range below 0).
     """
+    _exact_int(d, "degree")
+    _exact_int(heart, "heart")
     if d < 0:
         raise HeartRangeError(f"degree must be nonnegative, got {d}")
     if heart > d:
@@ -339,7 +350,7 @@ def pushforward_module(d: int, heart: int = 0, label: str | None = None) -> Repr
 
 
 def simple_module(vertex: int, heart: int = 0, label: str | None = None) -> Representation:
-    if vertex not in VERTICES:
+    if _exact_int(vertex, "vertex") not in VERTICES:
         raise InputError(f"vertex must be 0, 1 or 2, got {vertex}")
     dims = tuple(1 if v == vertex else 0 for v in VERTICES)
     if label is None:
@@ -498,16 +509,9 @@ def rep_to_dict(rep: Representation) -> dict:
     return out
 
 
-def _json_int(value, what: str) -> int:
-    # JSON integers only: int() would accept "2" and truncate 1.5, and bool is an int.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def rep_from_dict(data: Mapping) -> Representation:
     try:
-        dims = tuple(_json_int(x, "dims entry") for x in data["dims"])
+        dims = tuple(_exact_int(x, "dims entry") for x in data["dims"])
         raw = data["matrices"]
         label = data.get("label")
     except (KeyError, TypeError, ValueError) as exc:
@@ -519,12 +523,68 @@ def rep_from_dict(data: Mapping) -> Representation:
     # An unknown name is refused by matrix_shape, a c arrow of a plane record
     # by representation.
     mats = {name: _matrix_from_json(name, raw[name], dims) for name in raw}
-    heart = _json_int(data["heart"], "heart") if "heart" in data else None
+    heart = _exact_int(data["heart"], "heart") if "heart" in data else None
     return representation(heart, dims, mats, label)
 
 
+def dumps_json(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for a
+    payload of dicts with str keys, lists, tuples, strs, ints, bools and None.
+
+    Every report and record the package writes comes from here.  Anything
+    else, a float, a ``Fraction`` or a set among them, and any non-str key
+    raise ``TypeError``, so no float reaches an output.  The standard library
+    runs an indented dump through its pure-Python encoder; this writer makes
+    one list of chunks and joins it once, and escapes strings with the same
+    ``encode_basestring_ascii``.
+    """
+    chunks: list[str] = []
+    _write_json(obj, chunks.append, "\n")
+    return "".join(chunks)
+
+
+def _write_json(obj, write, newline: str) -> None:
+    t = type(obj)
+    if t is str:
+        write(_escape(obj))
+    elif t is int:
+        write(repr(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            write(sep + _escape(key) + ": ")
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            write("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            write(sep)
+            _write_json(value, write, inner)
+            sep = "," + inner
+        write(newline + "]")
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    else:
+        raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
 def dumps_rep(rep: Representation) -> str:
-    return json.dumps(rep_to_dict(rep), sort_keys=True, indent=2) + "\n"
+    return dumps_json(rep_to_dict(rep)) + "\n"
 
 
 def loads_rep(text: str) -> Representation:

@@ -23,7 +23,6 @@ not bad input).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Mapping
@@ -31,7 +30,7 @@ from typing import Mapping
 from .errors import InputError, InternalCheckError, MembershipError
 from .homalg import ExtComplex, build_ext_complex_Y, ext_dims_of
 from .linalg import MAX_DIM, Mat, nullspace, scalar
-from .quiver import Representation, representation, require_valid, simple_module
+from .quiver import Representation, dumps_json, representation, require_valid, simple_module
 
 
 # Every twist and membership test of a heart reads the same simples, so each
@@ -188,7 +187,7 @@ class WindowVector:
         }
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return dumps_json(self.to_dict()) + "\n"
 
 
 def window_vector(rep: Representation) -> WindowVector:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from copy import deepcopy
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,6 +27,7 @@ from localp2.linalg import (
     nullspace,
     product_is_zero,
     rank,
+    sum_of_products_is_zero,
     term_table,
 )
 
@@ -593,6 +594,85 @@ def test_product_is_zero_refuses_a_shape_mismatch_as_matmul_does():
         with pytest.raises(ShapeError) as via_test:
             product_is_zero(a, b)
         assert str(via_test.value) == str(via_matmul.value)
+
+
+# One to three signed products of one shape: a list of (sign, a, b) with
+# a (r x k_t) and b (k_t x c), each inner dimension drawn on its own.
+def _signed_products(shape):
+    r, c = shape
+
+    def term(k):
+        return st.tuples(
+            st.sampled_from((1, -1)),
+            st.lists(st.lists(_product_entries, min_size=k, max_size=k),
+                     min_size=r, max_size=r).map(lambda rows: Mat.from_rows(rows, cols=k)),
+            st.lists(st.lists(_product_entries, min_size=c, max_size=c),
+                     min_size=k, max_size=k).map(lambda rows: Mat.from_rows(rows, cols=c)))
+    return st.lists(st.integers(0, 3).flatmap(term), min_size=1, max_size=3)
+
+
+def _dense_sum(terms):
+    total: dict[tuple[int, int], Fraction] = {}
+    for sign, a, b in terms:
+        for i, row in enumerate((a @ b).data):
+            for j, x in enumerate(row):
+                total[i, j] = total.get((i, j), 0) + sign * x
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(_signed_products))
+# A relation that holds: p @ q - p @ q, and one that holds only with its signs.
+@example([(1, Mat.from_rows([[1, 2]]), Mat.from_rows([[1], [1]])),
+          (-1, Mat.from_rows([[1, 2]]), Mat.from_rows([[1], [1]]))])
+@example([(1, Mat.from_rows([[1]]), Mat.from_rows([[2]])),
+          (1, Mat.from_rows([[1]]), Mat.from_rows([[2]]))])
+# Signs that change twice, the middle product zero, cancelling over Q.
+@example([(1, Mat.from_rows([[Fraction(1, 2)]]), Mat.from_rows([[Fraction(2, 3)]])),
+          (-1, Mat.from_rows([[5]]), Mat.zeros(1, 1)),
+          (1, Mat.from_rows([[-1]]), Mat.from_rows([[Fraction(1, 3)]]))])
+def test_sum_of_products_is_zero_matches_the_dense_sum(terms):
+    assert sum_of_products_is_zero(terms) is not any(_dense_sum(terms).values())
+    if len(terms) == 1 and terms[0][0] == 1:
+        assert sum_of_products_is_zero(terms) is product_is_zero(*terms[0][1:])
+
+
+def test_sum_of_products_is_zero_refuses_mismatched_shapes():
+    with pytest.raises(ShapeError, match="matmul: 1x2 @ 1x1"):
+        sum_of_products_is_zero([(1, Mat.zeros(1, 1), Mat.zeros(1, 1)),
+                                 (1, Mat.zeros(1, 2), Mat.zeros(1, 1))])
+    with pytest.raises(ShapeError, match="sum of products: 1x1 \\+ 2x1"):
+        sum_of_products_is_zero([(1, Mat.zeros(1, 1), Mat.zeros(1, 1)),
+                                 (-1, Mat.zeros(2, 1), Mat.zeros(1, 1))])
+    assert sum_of_products_is_zero([])
+
+
+def test_mat_is_a_frozen_dataclass_written_once():
+    m = Mat.from_rows([[1, 0], [0, Fraction(1, 2)]])
+    for name in ("rows", "cols", "sparse", "entry_bound"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(m, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(m, name)
+    assert [f.name for f in fields(Mat)] == ["rows", "cols", "sparse", "entry_bound"]
+    assert vars(Mat(2, 3, ({}, {1: 4}))) == {"rows": 2, "cols": 3, "sparse": ({}, {1: 4}),
+                                              "entry_bound": None}
+    assert Mat(2, 3, ({}, {1: 4}), 4) == Mat(rows=2, cols=3, sparse=({}, {1: 4}), entry_bound=4)
+    assert repr(Mat(1, 2, ({1: 4},), 4)) == "Mat(rows=1, cols=2, sparse=({1: 4},), entry_bound=4)"
+    assert repr(Mat.zeros(0, 2)) == "Mat(rows=0, cols=2, sparse=(), entry_bound=None)"
+    # Equality and hash read shape and entries; entry_bound takes no part.
+    bounded = Mat(2, 2, m.sparse, 7)
+    assert bounded == m and hash(bounded) == hash(m)
+    assert m != Mat(2, 2, ({0: 1}, {1: Fraction(1, 3)}))
+    assert m != Mat(2, 3, m.sparse) and Mat.zeros(0, 2) != Mat.zeros(0, 3)
+    assert m.__eq__(m.sparse) is NotImplemented
+    assert hash(Mat.from_rows([[2]])) == hash(Mat.from_rows([[Fraction(4, 2)]]))
+    # dataclasses.replace builds through the same __init__ and keeps every other field.
+    again = replace(m, entry_bound=3)
+    assert (again.rows, again.cols, again.sparse, again.entry_bound) == (2, 2, m.sparse, 3)
+    assert replace(m).entry_bound is None and replace(m, cols=5).cols == 5
+    # entries is cached in the instance dict, next to the four fields.
+    assert m.entries == ((0, 0, 1), (1, 1, Fraction(1, 2))) and "entries" in vars(m)
 
 
 def _bounded(m: Mat) -> Mat:

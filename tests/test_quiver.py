@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import re
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from localp2.corpus import standard_corpus
 from localp2.errors import HeartMismatchError, HeartRangeError, InputError, ShapeError
 from localp2.linalg import MAX_DIM, Mat, scalar
+from localp2.windows import twist_up
 from localp2.quiver import (
     ARROW_ORDER,
     PLANE_ARROWS,
@@ -21,6 +23,7 @@ from localp2.quiver import (
     check_relations,
     cyclic_derivative,
     direct_sum,
+    dumps_json,
     dumps_rep,
     epsilon,
     h0,
@@ -245,6 +248,94 @@ def _maybe_perturbed(draw):
 def test_check_relations_matches_entrywise_cyclic_derivatives(rep):
     violated = _violated_reference(rep)
     assert check_relations(rep) == (not violated, violated)
+
+
+def _relation_products_differ(rep):
+    # The definition: relation (u1, v1) = (u2, v2) holds when M_v1 @ M_u1 == M_v2 @ M_u2.
+    mats = rep.matrices
+    relations = RELATIONS if rep.heart is not None else RELATIONS[6:]
+    return tuple(lab for lab, ((_, (u1, v1)), (_, (u2, v2))) in relations
+                 if mats[v1] @ mats[u1] != mats[v2] @ mats[u2])
+
+
+def test_check_relations_lists_the_relations_whose_products_differ():
+    reps = [*standard_corpus().values(), *(pushforward_module(d, 0) for d in range(4)),
+            twist_up(pushforward_module(2, 0))]
+    cases = 0
+    for rep in reps + [p2_restrict(rep) for rep in reps]:
+        variants = [rep]
+        # Each nonempty arrow in turn gets one entry changed by 1.
+        for name, m in rep.matrices.items():
+            if m.rows and m.cols:
+                data = [list(row) for row in m.data]
+                data[m.rows // 2][m.cols // 2] += 1
+                variants.append(representation(rep.heart, rep.dims,
+                                               {**rep.matrices, name: Mat.from_rows(data)}))
+        for variant in variants:
+            violated = _relation_products_differ(variant)
+            assert check_relations(variant) == (not violated, violated), variant.label
+            cases += bool(violated)
+    # The perturbed modules break relations; the modules themselves break none.
+    assert cases > 50 and all(check_relations(rep).ok for rep in reps)
+
+
+def test_library_constructors_refuse_non_int_hearts_and_dims():
+    for heart in (2.7, "3", True, False, Fraction(2), 2.0):
+        for build in (lambda h: representation(h, (0, 0, 0)),
+                      lambda h: simple_module(0, h),
+                      lambda h: point_module((1, 0, 0), 0, h),
+                      lambda h: pushforward_module(3, h),
+                      zero_module):
+            with pytest.raises(InputError, match=re.escape(f"heart must be an integer, got {heart!r}")):
+                build(heart)
+    for dims in ((1.0, 0, 0), (0, "1", 0), (0, 0, True)):
+        with pytest.raises(InputError, match="dims entry must be an integer"):
+            representation(0, dims)
+        with pytest.raises(InputError, match="dims entry must be an integer"):
+            representation(None, dims)
+    with pytest.raises(InputError, match="degree must be an integer, got 1.5"):
+        pushforward_module(1.5)
+    with pytest.raises(InputError, match="vertex must be an integer, got True"):
+        simple_module(True)
+    # ints are taken as they are, and a plane module still has no heart.
+    assert representation(2, (1, 0, 0)).heart == 2 and simple_module(0, -4).heart == -4
+    assert representation(None, (1, 0, 0)).heart is None
+
+
+# Strings with quotes, backslashes, control characters, non-ASCII and astral
+# characters and a lone surrogate; ints beyond 2**64.
+_json_text = st.text(st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f \u00e9\u20ac\u2028\ud800'),
+                               st.characters()), max_size=8)
+_json_scalars = st.one_of(st.none(), st.booleans(), _json_text,
+                          st.integers(), st.integers(-2**80, 2**80),
+                          st.sampled_from((2**64, -2**64 - 1, 10**40)))
+_json_payloads = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_json_text, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payloads)
+@example({})
+@example([])
+@example(())
+@example({"b": [], "a": {}, "": [[], {}, ()], "A": None})
+@example({"x": [True, False, None, 0, -1, 2**100], "\u00e9": "\\\"\n"})
+def test_dumps_json_matches_the_standard_library(payload):
+    assert dumps_json(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [
+    1.5, 0.0, float("nan"), Fraction(1, 2), Fraction(2), {1, 2}, frozenset(), b"x", object(),
+    {1: "int key"}, {(1, 2): "tuple key"}, {None: 0}, {True: 0}, {"ok": [1, {"deep": 2.5}]},
+    [Fraction(3)], ({"k": {0.5}},),
+])
+def test_dumps_json_refuses_every_other_type(bad):
+    with pytest.raises(TypeError):
+        dumps_json(bad)
 
 
 def test_shape_errors_are_distinct_from_relation_failures():
