@@ -569,8 +569,15 @@ def _write_json(obj, write, newline: str) -> None:
         inner = newline + "  "
         sep = "[" + inner
         for value in obj:
-            write(sep)
-            _write_json(value, write, inner)
+            # A record's entry lists hold thousands of strs: no call for each.
+            t = type(value)
+            if t is str:
+                write(sep + _escape(value))
+            elif t is int:
+                write(sep + repr(value))
+            else:
+                write(sep)
+                _write_json(value, write, inner)
             sep = "," + inner
         write(newline + "]")
     elif obj is None:
