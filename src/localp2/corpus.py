@@ -28,7 +28,6 @@ from .quiver import (
 class RunConfig:
     scalars: Scalars = RATIONAL
     seed: int = 0
-    sum_samples: int = 100
     window: tuple[int, int] = (-8, 8)
 
     def __post_init__(self):
@@ -53,6 +52,8 @@ def standard_corpus() -> dict[str, Representation]:
 
 # Ordered-pair stock for the exact CY3/Euler matrix (36 pairs).
 CORE_PAIR_NAMES = ("pt_e0", "pt_diag", "s0", "s1", "line1", "line2")
+# Number of seeded CY3 cells on pairs of direct sums per run.
+SUM_SAMPLES = 100
 # Small objects whose direct sums feed the seeded CY3 sampling.
 SUM_POOL_NAMES = ("pt_e0", "pt_e0_t1", "pt_diag", "pt_mix", "s0", "s1", "s2")
 # Self-pairs whose Ext profiles are compared against the two plane contributions.
@@ -161,7 +162,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
 
     pool = [n for n in SUM_POOL_NAMES if n in objs]
     rng = random.Random(config.seed)
-    for i in range(config.sum_samples):
+    for i in range(SUM_SAMPLES):
         na, nb = rng.choice(pool), rng.choice(pool)
         nc, nd = rng.choice(pool), rng.choice(pool)
         pair_cell(f"cy3-sum:{i}:{na}+{nb}|{nc}+{nd}", (na, nb), (nc, nd))
@@ -220,7 +221,7 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
             "scalars": scalars.name if not isinstance(scalars, PrimeScalars)
             else f"prime:{scalars.p}",
             "seed": config.seed,
-            "sum_samples": config.sum_samples,
+            "sum_samples": SUM_SAMPLES,
             "window": list(config.window),
         },
     }

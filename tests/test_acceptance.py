@@ -176,6 +176,6 @@ def test_criterion_11_mode_agreement():
             ok = ok and homalg.ext_dims_Y(m, n, PRIME) == homalg.ext_dims_Y(m, n)
     for i, (m, n) in enumerate(_seeded_sum_pairs(25)):
         ok = ok and homalg.ext_dims_Y(m, n, PRIME) == homalg.ext_dims_Y(m, n)
-    report = corpus.run_corpus(corpus.RunConfig(scalars=PRIME, sum_samples=25))
+    report = corpus.run_corpus(corpus.RunConfig(scalars=PRIME))
     ok = ok and report["passed"]
     _report(11, "prime-field mode agreement", ok)

@@ -258,7 +258,7 @@ def test_corpus_deterministic_under_seed():
 
 
 def test_corpus_prime_mode_has_agreement_cell():
-    rep = corpus.run_corpus(corpus.RunConfig(scalars=PrimeScalars(2147483659), sum_samples=5))
+    rep = corpus.run_corpus(corpus.RunConfig(scalars=PrimeScalars(2147483659)))
     assert rep["passed"]
     assert any(c["name"] == "mode-agreement" for c in rep["cells"])
 
@@ -269,7 +269,7 @@ def test_corpus_corrupted_fixture_fails_exactly_one_cell():
     mats = dict(line2.matrices)
     mats["a1"] = Mat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 0], [0, 0, 1], [1, 1, 0], [0, 0, 2]])
     objs["bad"] = representation(0, line2.dims, mats, "corrupted")
-    rep = corpus.run_corpus(corpus.RunConfig(sum_samples=5), objects=objs)
+    rep = corpus.run_corpus(corpus.RunConfig(), objects=objs)
     failing = [c["name"] for c in rep["cells"] if c["status"] != "pass"]
     assert failing == ["relations:bad"]
     assert rep["passed"] is False
@@ -282,9 +282,9 @@ def test_corpus_ext_error_fails_only_the_cells_that_read_it():
     prime = PrimeScalars(2147483659)
     objs = corpus.standard_corpus()
     objs["pt_diag"] = point_module((1, Fraction(1, prime.p), 1), 1, 0, label="pt_diag")
-    rational = corpus.run_corpus(corpus.RunConfig(sum_samples=8), objects=objs)
+    rational = corpus.run_corpus(corpus.RunConfig(), objects=objs)
     assert rational["passed"]
-    rep = corpus.run_corpus(corpus.RunConfig(scalars=prime, sum_samples=8), objects=objs)
+    rep = corpus.run_corpus(corpus.RunConfig(scalars=prime), objects=objs)
     cells = {c["name"]: c for c in rep["cells"]}
     assert len(cells) == len(rational["cells"]) + 1
 
