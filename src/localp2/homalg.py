@@ -344,7 +344,7 @@ def ext_report(m, n, side: str, scalars: Scalars = RATIONAL) -> dict:
         ext, cy3 = list(ext_dims_P2(m, n, scalars)), None
         euler = euler_form_P2(m.dims, n.dims)
     else:
-        raise InternalCheckError(f"unknown side {side!r}")
+        raise InputError(f"side must be 'y' or 'p2', got {side!r}")
     alt = sum((-1) ** i * e for i, e in enumerate(ext))
     if alt != euler:
         raise InternalCheckError(

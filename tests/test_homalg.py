@@ -301,6 +301,15 @@ def test_ext_report_record():
     assert rec["ext_dims"] == [1, 2, 1] and rec["cy3_ok"] is None
 
 
+@pytest.mark.parametrize("side", ["x", "Y", "", None])
+def test_ext_report_refuses_an_unknown_side_as_input(side):
+    # A caller's bad side is bad input (CLI exit 2), not an internal bug.
+    pt = point_module((1, 1, 1), 1, 0)
+    with pytest.raises(InputError, match=f"side must be 'y' or 'p2', got {side!r}") as info:
+        ext_report(pt, pt, side)
+    assert not isinstance(info.value, InternalCheckError)
+
+
 def test_ext_d0_is_the_intertwiner_system_of_hom_space():
     # Both complexes take d0 from the term table that ``hom_space`` reads, so
     # Ext^0 and Hom are computed from one matrix on either side.
