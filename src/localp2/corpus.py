@@ -10,7 +10,7 @@ import random
 from dataclasses import dataclass
 
 from . import characters, homalg, windows
-from .errors import LocalP2Error, MembershipError
+from .errors import InternalCheckError, LocalP2Error, MembershipError
 from .linalg import RATIONAL, PrimeScalars, Scalars
 from .quiver import (
     Representation,
@@ -65,10 +65,13 @@ ROUNDTRIP_NAMES = ("pt_e0", "pt_e0_t1", "pt_diag", "pt_mix", "line1")
 def _cell(name: str, fn) -> dict:
     try:
         detail = fn()
-        status = "pass" if detail.pop("_ok", True) else "fail"
-        return {"name": name, "status": status, "detail": detail}
     except LocalP2Error as exc:
         return {"name": name, "status": "fail", "detail": {"error": str(exc)}}
+    # Every cell states its verdict; one that does not is a bug in the corpus.
+    if "_ok" not in detail:
+        raise InternalCheckError(f"corpus cell {name} gave no verdict")
+    status = "pass" if detail.pop("_ok") else "fail"
+    return {"name": name, "status": status, "detail": detail}
 
 
 def _check_pair(m: Representation, n: Representation, fwd, bwd) -> dict:

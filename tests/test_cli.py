@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from localp2 import characters, corpus, homalg, windows
 from localp2.cli import VERIFY_IDENTITIES, build_parser, main
-from localp2.errors import InputError, LocalP2Error
+from localp2.errors import InputError, InternalCheckError, LocalP2Error
 from localp2.linalg import MAX_DIM, Mat, PrimeScalars
 from localp2.quiver import (
     ARROW_ORDER,
@@ -261,6 +261,19 @@ def test_corpus_prime_mode_has_agreement_cell():
     rep = corpus.run_corpus(corpus.RunConfig(scalars=PrimeScalars(2147483659)))
     assert rep["passed"]
     assert any(c["name"] == "mode-agreement" for c in rep["cells"])
+
+
+def test_corpus_cell_without_a_verdict_fails_the_run_loudly(monkeypatch, capsys):
+    # A cell function that forgets "_ok" is a bug in the corpus, not a pass.
+    with pytest.raises(InternalCheckError, match="corpus cell stub gave no verdict"):
+        corpus._cell("stub", lambda: {"detail": 1})
+    assert corpus._cell("stub", lambda: {"_ok": False, "x": 1}) == {
+        "name": "stub", "status": "fail", "detail": {"x": 1}}
+    monkeypatch.setattr(corpus, "_window_cell", lambda rep: {"violations": []})
+    with pytest.raises(InternalCheckError, match="corpus cell window:pt_e0 gave no verdict"):
+        corpus.run_corpus(corpus.RunConfig())
+    assert main(["corpus"]) == 3
+    assert "internal check failed: corpus cell window:pt_e0 gave no verdict" in capsys.readouterr().err
 
 
 def test_corpus_corrupted_fixture_fails_exactly_one_cell():
