@@ -596,6 +596,40 @@ def test_product_is_zero_refuses_a_shape_mismatch_as_matmul_does():
         assert str(via_test.value) == str(via_matmul.value)
 
 
+def _stored_exactly(m: Mat) -> bool:
+    # One sparse row per matrix row, no stored zero, no column out of range.
+    return len(m.sparse) == m.rows and all(
+        v and 0 <= j < m.cols for row in m.sparse for j, v in row.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_factors, st.booleans(), st.booleans())
+@example((Mat.zeros(0, 2), Mat.zeros(2, 3)), True, True)
+@example((Mat.from_rows([[1], [2]]), Mat.zeros(1, 0)), False, True)
+def test_product_with_a_zero_operand_is_the_zero_matrix_of_its_shape(factors, left, literal):
+    # The zero operand is Mat.zeros or a literal of zeros; the other is any matrix.
+    a, b = factors
+    rows, cols = (a.rows, a.cols) if left else (b.rows, b.cols)
+    zero = Mat.from_rows([[0] * cols] * rows, cols=cols) if literal else Mat.zeros(rows, cols)
+    product = zero @ b if left else a @ zero
+    assert product == Mat.zeros(a.rows, b.cols) and _stored_exactly(product)
+    assert (product.rows, product.cols) == (a.rows, b.cols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.lists(st.lists(_product_entries, min_size=s[1], max_size=s[1]),
+                       min_size=s[0], max_size=s[0]).map(lambda rows: Mat.from_rows(rows, cols=s[1]))))
+@example(Mat.zeros(0, 3))
+@example(Mat.zeros(3, 0))
+@example(Mat.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 0]]))
+def test_transpose_of_a_matrix_with_empty_rows_and_columns(m):
+    t = m.transpose()
+    assert (t.rows, t.cols) == (m.cols, m.rows) and _stored_exactly(t)
+    assert t.data == tuple(tuple(m.data[i][j] for i in range(m.rows)) for j in range(m.cols))
+    assert t.transpose() == m and t.transpose().data == m.data
+
+
 # One to three signed products of one shape: a list of (sign, a, b) with
 # a (r x k_t) and b (k_t x c), each inner dimension drawn on its own.
 def _signed_products(shape):
