@@ -273,7 +273,8 @@ def test_corpus_cell_without_a_verdict_fails_the_run_loudly(monkeypatch, capsys)
     with pytest.raises(InternalCheckError, match="corpus cell window:pt_e0 gave no verdict"):
         corpus.run_corpus(corpus.RunConfig())
     assert main(["corpus"]) == 3
-    assert "internal check failed: corpus cell window:pt_e0 gave no verdict" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal check failed: corpus cell window:pt_e0 gave no verdict" in err
 
 
 def test_corpus_corrupted_fixture_fails_exactly_one_cell():

@@ -619,7 +619,8 @@ def test_product_with_a_zero_operand_is_the_zero_matrix_of_its_shape(factors, le
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(
     lambda s: st.lists(st.lists(_product_entries, min_size=s[1], max_size=s[1]),
-                       min_size=s[0], max_size=s[0]).map(lambda rows: Mat.from_rows(rows, cols=s[1]))))
+                       min_size=s[0], max_size=s[0]).map(
+        lambda rows: Mat.from_rows(rows, cols=s[1]))))
 @example(Mat.zeros(0, 3))
 @example(Mat.zeros(3, 0))
 @example(Mat.from_rows([[0, 0, 0], [0, 2, 0], [0, 0, 0]]))
