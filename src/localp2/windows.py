@@ -24,12 +24,21 @@ not bad input).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import InputError, InternalCheckError, MembershipError
 from .homalg import ExtComplex, build_ext_complex_Y, ext_dims_of
 from .linalg import MAX_DIM, Mat, nullspace, scalar
 from .quiver import Representation, dumps_json, representation, require_valid, simple_module
+
+
+# Every twist and membership test of a heart reads the same simples, so each
+# is built once per (vertex, heart), in a bounded memo; a module is
+# immutable, so one S_v serves every caller.
+@lru_cache(maxsize=64)
+def _simple(vertex: int, heart: int) -> Representation:
+    return simple_module(vertex, heart)
 
 
 @dataclass(frozen=True)
@@ -64,9 +73,9 @@ def koszul_complex(rep: Representation, direction: str = "up") -> ExtComplex:
     before anything is allocated (``InputError``).
     """
     if direction == "up":
-        return build_ext_complex_Y(simple_module(0, rep.heart), rep)
+        return build_ext_complex_Y(_simple(0, rep.heart), rep)
     if direction == "down":
-        return build_ext_complex_Y(rep, simple_module(2, rep.heart))
+        return build_ext_complex_Y(rep, _simple(2, rep.heart))
     raise InputError(f"direction must be 'up' or 'down', got {direction!r}")
 
 
