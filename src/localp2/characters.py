@@ -159,6 +159,11 @@ def _fresh(coeffs: dict[Key, int]) -> DetCharacter:
     """
     if 0 in coeffs.values():
         coeffs = {k: c for k, c in coeffs.items() if c}
+    return _own(coeffs)
+
+
+def _own(coeffs: dict[Key, int]) -> DetCharacter:
+    """``_fresh`` for a dict known to hold no zero."""
     char = object.__new__(DetCharacter)
     char.__dict__["coeffs"] = coeffs
     return char
@@ -175,7 +180,7 @@ def _combine(char: DetCharacter, sign: int, *others: DetCharacter) -> DetCharact
                 out[k] = x
             else:
                 del out[k]
-    return _fresh(out)
+    return _own(out)
 
 
 def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
@@ -184,7 +189,7 @@ def ori_char(heart: int, branch: Branch = None) -> DetCharacter:
     D_n -> 3(h_{n+2} - h_{n+1}), and cyclically for D_{n+1} and D_{n+2}.
     """
     x, a, b, c = branch, heart, heart + 1, heart + 2
-    return _fresh({(x, a, x, c): 3, (x, a, x, b): -3, (x, b, x, a): 3, (x, b, x, c): -3,
+    return _own({(x, a, x, c): 3, (x, a, x, b): -3, (x, b, x, a): 3, (x, b, x, c): -3,
                  (x, c, x, b): 3, (x, c, x, a): -3})
 
 
