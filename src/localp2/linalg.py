@@ -198,10 +198,16 @@ class Mat:
         return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.sparse)))
 
     def transpose(self) -> "Mat":
-        out: list[Row] = [{} for _ in range(self.cols)]
+        # Only the rows that receive an entry are allocated; the others share
+        # one empty row, as in ``zeros``, and empty rows are skipped unread.
+        empty: Row = {}
+        out = [empty] * self.cols
         for i, row in enumerate(self.sparse):
-            for j, v in row.items():
-                out[j][i] = v
+            if row:
+                for j, v in row.items():
+                    if out[j] is empty:
+                        out[j] = {}
+                    out[j][i] = v
         return Mat(self.cols, self.rows, tuple(out))
 
     def is_zero(self) -> bool:
@@ -213,6 +219,8 @@ class Mat:
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        if self.is_zero() or other.is_zero():
+            return Mat.zeros(self.rows, other.cols)
         out = []
         for row in self.sparse:
             if not row:
