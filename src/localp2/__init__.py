@@ -4,9 +4,7 @@ The package computes Ext complexes between finite-dimensional modules of the
 quiver with potential attached to the total space of O(-3) on the projective
 plane, together with Euler pairings, determinant-line characters with their
 Koszul rewriting calculus, window membership tests and the twist functors
-moving a module between adjacent hearts.  All arithmetic is exact.  The
-names re-exported from ``characters`` and ``windows`` import their module on
-first access (PEP 562), so building modules and Ext loads neither.
+moving a module between adjacent hearts.  All arithmetic is exact.
 """
 
 __version__ = "0.1.0"

@@ -52,9 +52,8 @@ def standard_corpus() -> dict[str, Representation]:
 
 # Ordered-pair stock for the exact CY3/Euler matrix (36 pairs).
 CORE_PAIR_NAMES = ("pt_e0", "pt_diag", "s0", "s1", "line1", "line2")
-# Number of seeded CY3 cells on pairs of direct sums per run.
+# Seeded CY3 cells per run, and the small objects whose direct sums feed them.
 SUM_SAMPLES = 100
-# Small objects whose direct sums feed the seeded CY3 sampling.
 SUM_POOL_NAMES = ("pt_e0", "pt_e0_t1", "pt_diag", "pt_mix", "s0", "s1", "s2")
 # Self-pairs whose Ext profiles are compared against the two plane contributions.
 TRIANGLE_NAMES = ("pt_diag", "pt_e0_t1", "s0", "line1", "line2")
@@ -67,11 +66,9 @@ def _cell(name: str, fn) -> dict:
         detail = fn()
     except LocalP2Error as exc:
         return {"name": name, "status": "fail", "detail": {"error": str(exc)}}
-    # Every cell states its verdict; one that does not is a bug in the corpus.
     if "_ok" not in detail:
         raise InternalCheckError(f"corpus cell {name} gave no verdict")
-    status = "pass" if detail.pop("_ok") else "fail"
-    return {"name": name, "status": status, "detail": detail}
+    return {"name": name, "status": "pass" if detail.pop("_ok") else "fail", "detail": detail}
 
 
 def _check_pair(m: Representation, n: Representation, fwd, bwd) -> dict:

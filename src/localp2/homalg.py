@@ -19,11 +19,9 @@ Every ``ExtComplex`` holds integer matrices over one denominator D
 (``ExtComplex.integral``) whose ``d.d = 0`` was checked when it was made:
 (D d2)(D d1) = D^2 d2 d1 is zero exactly when d2 d1 is.  The builders
 assemble a complex once, over the lcm of the denominators of the arrow
-entries, and check it; a module's arrows times D
-(``Representation.arrows_over``) and their nonzero entries (``Mat.entries``)
-are made once per module.  Differentials supplied to ``ExtComplex`` are
-scaled over the lcm of their own denominators, refused unless their shapes
-chain the term dims, and checked the same way.  The rational matrices,
+entries, and check it; differentials supplied to ``ExtComplex`` are scaled
+over the lcm of their own denominators, refused unless their shapes chain
+the term dims, and checked the same way.  The rational matrices,
 ``ExtComplex.differentials``, are read back only when asked for.  Ranks
 read the integer matrices, since rank(D d) = rank(d) over Q and over GF(p)
 when p does not divide D, and run from the top differential down, with

@@ -213,9 +213,6 @@ class Mat:
     def is_zero(self) -> bool:
         return not any(self.sparse)
 
-    def column(self, j: int) -> tuple[Scalar, ...]:
-        return tuple(row.get(j, 0) for row in self.sparse)
-
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ShapeError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -15,10 +15,6 @@ pushforward modules.
 Path words are written in composition order: in the word (c3, b2, a1) the
 arrow a1 is traversed first.  Under the precomposition action a word acts by
 the product of its matrices taken in reversed order.
-
-Records are read by one scalar parser (``parse_scalar``), which bounds every
-value's digits before parsing, and every record and report is written by one
-writer (``dumps_json``), which refuses floats, ``Fraction``s and all non-JSON.
 """
 
 from __future__ import annotations

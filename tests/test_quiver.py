@@ -120,7 +120,7 @@ def test_pushforward_examples():
     assert line.dims == (3, 1, 0)
     # coordinate inclusions of the 1-dim space into the space of linear forms
     for i in (1, 2, 3):
-        col = line.matrices[f"a{i}"].column(0)
+        col = tuple(row[0] for row in line.matrices[f"a{i}"].data)
         assert col == tuple(Fraction(1 if j == i - 1 else 0) for j in range(3))
     assert pushforward_module(2, 0).dims == (6, 3, 1)
     assert pushforward_module(1, 1).dims == (1, 0, 0)

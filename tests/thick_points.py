@@ -29,7 +29,7 @@ def ext1_basis(m, n) -> list[list]:
     r = rank(Mat(len(kept), d1.cols, tuple(kept)))
     basis = []
     for j in range(kernel.cols):
-        vec = kernel.column(j)
+        vec = [row.get(j, 0) for row in kernel.sparse]
         trial = kept + [{i: x for i, x in enumerate(vec) if x}]
         if rank(Mat(len(trial), d1.cols, tuple(trial))) > r:
             kept, r = trial, r + 1
