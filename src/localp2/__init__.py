@@ -68,7 +68,6 @@ _LAZY_MODULES = {
         "WindowVector",
         "extend_window",
         "koszul_complex",
-        "recursion_violations",
         "twist_down",
         "twist_up",
         "window_membership",

@@ -213,14 +213,13 @@ def cmd_window(args) -> int:
     if args.extend:
         wv = windows.extend_window(wv, *args.extend)
     payload = wv.to_dict()
-    payload["recursion_violations"] = windows.recursion_violations(wv)
     payload["membership"] = {"up": up.to_dict(), "down": down.to_dict()}
     payload.update(_meta())
     if args.format == "json":
         _print_json(payload)
     else:
         print(f"base={payload['base']} values={payload['values']}")
-        print(f"certified={payload['certified']} violations={payload['recursion_violations']}")
+        print(f"certified={payload['certified']}")
         for direction in ("up", "down"):
             mem = payload["membership"][direction]
             print(f"membership {direction}: ok={mem['ok']} ranks={mem['ranks']}")
@@ -281,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("constructor", choices=("point", "pushforward", "simple", "sum"))
     p.add_argument("args", nargs="+",
                    help="point x0:x1:x2 | pushforward d | simple v | sum FILE FILE...")
-    p.add_argument("--t", default="0", help="fiber coordinate for point (fraction)")
+    p.add_argument("--t", default="0", help="fiber coordinate t, a fraction; negative: --t=-3/2")
     p.add_argument("--heart", type=int, default=0)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(fn=cmd_mk)

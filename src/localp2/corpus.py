@@ -95,12 +95,12 @@ def _twist_ext_invariance(before: homalg.ExtDims, up_m: Representation, up_n: Re
     return {"_ok": before == after, "before": list(before), "after": list(after)}
 
 
-def _window_cell(m: Representation) -> dict:
+def _window_cell(m: Representation, up: dict, down: dict) -> dict:
+    """The extended window of ``m``, judged by the CY3 records of (S_0, m) and (m, S_2)."""
     wv = windows.window_vector(m)
     lo, hi = wv.span()
-    extended = windows.extend_window(wv, hi + 2, lo - 2)
-    bad = windows.recursion_violations(extended)
-    return {"_ok": not bad, "window": extended.to_dict(), "violations": bad}
+    return {"_ok": up["passed"] and down["passed"], "up": up, "down": down,
+            "window": windows.extend_window(wv, hi + 2, lo - 2).to_dict()}
 
 
 def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = None) -> dict:
@@ -118,13 +118,13 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     # a corrupted fixture therefore fails exactly its own relation cell.
     objs = {name: rep for name, rep in objs.items() if checks[name].ok}
 
-    # Per-run memos keyed by object names: ``module`` takes a name, or a pair
-    # of names whose direct sum it builds once; ``ext`` computes each ordered
-    # pair once, and ``twisted`` each up-twist once, when a cell first reads
-    # it.  An error is not kept: every cell that reads a failing pair or a
-    # refused twist raises it again.  In prime mode ``ext`` also ranks the
-    # complex of each core pair over Q, for mode agreement, so that no
-    # complex is built twice and none is kept.
+    # Per-run memos keyed by object names: ``module`` takes a name, a pair of
+    # names whose direct sum it builds once, or a key of ``simple`` below;
+    # ``ext`` computes each ordered pair once, and ``twisted`` each up-twist
+    # once, when a cell first reads it.  An error is not kept: every cell that
+    # reads a failing pair or a refused twist raises it again.  In prime mode
+    # ``ext`` also ranks the complex of each core pair over Q, for mode
+    # agreement, so that no complex is built twice and none is kept.
     pair_names = [n for n in CORE_PAIR_NAMES if n in objs]
     prime = isinstance(scalars, PrimeScalars)
     modules: dict = dict(objs)
@@ -198,8 +198,22 @@ def run_corpus(config: RunConfig, objects: dict[str, Representation] | None = No
     for name in (n for n in TRIANGLE_NAMES if n in objs):
         cells.append(_cell(f"triangle:{name}", lambda name=name: triangle(name)))
 
-    for name, rep in objs.items():
-        cells.append(_cell(f"window:{name}", lambda rep=rep: _window_cell(rep)))
+    def simple(v: int, heart: int):
+        # The memo key of S_v in ``heart``: s<v> when that object is S_v (dims
+        # e_v leave every arrow zero), else (v, heart), whose module is built once.
+        key, rep = f"s{v}", objs.get(f"s{v}")
+        if rep is None or (rep.heart, rep.dims) != (heart, tuple(int(u == v) for u in range(3))):
+            key = (v, heart)
+            modules.setdefault(key, simple_module(v, heart, label=f"s{v}"))
+        return key
+
+    def window(name: str) -> dict:
+        s0, s2 = simple(0, objs[name].heart), simple(2, objs[name].heart)
+        return _window_cell(objs[name], homalg.cy3_record(ext(s0, name), ext(name, s0)),
+                            homalg.cy3_record(ext(name, s2), ext(s2, name)))
+
+    for name in objs:
+        cells.append(_cell(f"window:{name}", lambda name=name: window(name)))
 
     if prime:
         def agreement() -> dict:

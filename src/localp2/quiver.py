@@ -531,12 +531,12 @@ def dumps_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for a
     payload of dicts with str keys, lists, tuples, strs, ints, bools and None.
 
-    Every report and record the package writes comes from here.  Anything
-    else, a float, a ``Fraction`` or a set among them, and any non-str key
-    raise ``TypeError``, so no float reaches an output.  The standard library
-    runs an indented dump through its pure-Python encoder; this writer makes
-    one list of chunks and joins it once, and escapes strings with the same
-    ``encode_basestring_ascii``.
+    Every record and ``--format json`` report comes from here; the CLI writes its one-line
+    JSON (a refused twist's report, details in ``verify`` and ``corpus`` text) with
+    ``json.dumps``.  Anything else, a float, a ``Fraction`` or a set among them, and any
+    non-str key raise ``TypeError``, so no float reaches an output.  The standard library
+    runs an indented dump through its pure-Python encoder; this writer makes one list of
+    chunks and joins it once, and escapes strings with the same ``encode_basestring_ascii``.
     """
     chunks: list[str] = []
     _write_json(obj, chunks.append, "\n")

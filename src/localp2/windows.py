@@ -30,7 +30,7 @@ from typing import Mapping
 from .errors import InputError, InternalCheckError, MembershipError
 from .homalg import ExtComplex, build_ext_complex_Y, ext_dims_of
 from .linalg import MAX_DIM, Mat, nullspace, scalar
-from .quiver import Representation, dumps_json, representation, require_valid, simple_module
+from .quiver import Representation, representation, require_valid, simple_module
 
 
 # Every twist and membership test of a heart reads the same simples, so each
@@ -186,9 +186,6 @@ class WindowVector:
             "certified": sorted(self.certified),
         }
 
-    def dumps(self) -> str:
-        return dumps_json(self.to_dict()) + "\n"
-
 
 def window_vector(rep: Representation) -> WindowVector:
     """Window slots of the representation; adjacent slots are added when membership proves them."""
@@ -229,14 +226,3 @@ def extend_window(wv: WindowVector, *targets: int) -> WindowVector:
         values[hi + 1] = values[hi - 2] - 3 * values[hi - 1] + 3 * values[hi]
         hi += 1
     return WindowVector.make(wv.base, values, wv.certified)
-
-
-def recursion_violations(wv: WindowVector) -> list[int]:
-    """Indices k with four consecutive values where h_k != 3h_{k+1} - 3h_{k+2} + h_{k+3}."""
-    values = dict(wv.values)
-    out = []
-    for k in sorted(values):
-        if all(k + d in values for d in (1, 2, 3)):
-            if values[k] != 3 * values[k + 1] - 3 * values[k + 2] + values[k + 3]:
-                out.append(k)
-    return out

@@ -51,6 +51,19 @@ def test_mk_point_writes_file(tmp_path, capsys):
     assert loads_rep(out.read_text()) == point_module((1, 0, 0), 0, 0)
 
 
+def test_mk_point_takes_negative_values_after_an_equals_sign_or_a_double_dash(tmp_path, capsys):
+    # argparse reads a word that starts with "-" and is not a plain number as an
+    # option, so "--t -3/2" is refused; "--t=-3/2" and "-- -1:2:0" pass the value.
+    out = tmp_path / "pt.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["mk", "point", "1:1:1", "--t", "-3/2"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+    assert run(capsys, "mk", "point", "1:1:1", "--t=-3/2", "-o", str(out))[0] == 0
+    assert loads_rep(out.read_text()) == point_module((1, 1, 1), Fraction(-3, 2), 0)
+    assert run(capsys, "mk", "point", "--heart", "1", "-o", str(out), "--", "-1:2:0")[0] == 0
+    assert loads_rep(out.read_text()) == point_module((-1, 2, 0), 0, 1)
+
+
 def test_mk_pushforward_and_sum(tmp_path, capsys):
     pf = tmp_path / "pf.json"
     assert run(capsys, "mk", "pushforward", "1", "--heart", "0", "-o", str(pf))[0] == 0
@@ -160,7 +173,7 @@ def test_window_command(tmp_path, capsys):
     code, stdout, _ = run(capsys, "window", str(pf), "--format", "json")
     payload = json.loads(stdout)
     assert code == 0
-    assert payload["values"]["3"] == 0 and payload["recursion_violations"] == []
+    assert payload["values"]["3"] == 0 and "recursion_violations" not in payload
     assert payload["membership"]["up"]["ok"] is True
     code, stdout, _ = run(capsys, "window", str(pf), "--extend", "-8", "8", "--format", "json")
     payload = json.loads(stdout)
@@ -168,7 +181,6 @@ def test_window_command(tmp_path, capsys):
     # h_8 = chi of the degree -7 twist = 15, advisory rather than certified.
     assert payload["values"]["8"] == 15
     assert 8 not in payload["certified"]
-    assert payload["recursion_violations"] == []
 
 
 def test_verify_commands_pass(capsys):
@@ -269,7 +281,7 @@ def test_corpus_cell_without_a_verdict_fails_the_run_loudly(monkeypatch, capsys)
         corpus._cell("stub", lambda: {"detail": 1})
     assert corpus._cell("stub", lambda: {"_ok": False, "x": 1}) == {
         "name": "stub", "status": "fail", "detail": {"x": 1}}
-    monkeypatch.setattr(corpus, "_window_cell", lambda rep: {"violations": []})
+    monkeypatch.setattr(corpus, "_window_cell", lambda rep, up, down: {"window": {}})
     with pytest.raises(InternalCheckError, match="corpus cell window:pt_e0 gave no verdict"):
         corpus.run_corpus(corpus.RunConfig())
     assert main(["corpus"]) == 3
@@ -292,7 +304,8 @@ def test_corpus_corrupted_fixture_fails_exactly_one_cell():
 def test_corpus_ext_error_fails_only_the_cells_that_read_it():
     # pt_diag with an entry 1/p: every prime-mode Ext of it raises, and each
     # core pair is computed once, so the error must reach exactly the cells
-    # that read that pair: ext cells (a, b) and (b, a), and mode agreement.
+    # that read that pair: ext cells (a, b) and (b, a), the window cell of
+    # pt_diag, which reads (s0, pt_diag) first, and mode agreement.
     prime = PrimeScalars(2147483659)
     objs = corpus.standard_corpus()
     objs["pt_diag"] = point_module((1, Fraction(1, prime.p), 1), 1, 0, label="pt_diag")
@@ -318,10 +331,53 @@ def test_corpus_ext_error_fails_only_the_cells_that_read_it():
             assert cell["detail"].get("error") == error
     assert cells["mode-agreement"]["detail"] == {
         "error": first_error(*((a, b) for a in names for b in names))}
+    assert cells["window:pt_diag"]["detail"] == {"error": first_error(("s0", "pt_diag"))}
     for name, cell in cells.items():
         assert (cell["status"] == "pass") is not (
-            "pt_diag" in name and not name.startswith(("relations:", "window:", "twist-round"))
+            "pt_diag" in name and not name.startswith(("relations:", "twist-round"))
             or name == "mode-agreement"), name
+
+
+@pytest.mark.parametrize("scalars", [corpus.RATIONAL, PrimeScalars(2147483659)])
+def test_corpus_window_cells_build_the_simples_the_objects_lack(scalars):
+    # Without objects s0 and s2, or for a module of another heart, a window
+    # cell reads the Ext dims of the simples of its module's heart.
+    config = corpus.RunConfig(scalars=scalars)
+    full = {c["name"]: c for c in corpus.run_corpus(config)["cells"]}
+    objs = corpus.standard_corpus()
+    del objs["s0"], objs["s2"]
+    objs["pt_h1"] = windows.twist_up(objs["pt_e0"])
+    rep = corpus.run_corpus(config, objects=objs)
+    assert rep["passed"]
+    cells = {c["name"]: c for c in rep["cells"] if c["name"].startswith("window:")}
+    assert cells.keys() == {f"window:{name}" for name in objs}
+    for name in objs.keys() - {"pt_h1"}:
+        assert cells[f"window:{name}"] == full[f"window:{name}"]
+    m, s0, s2 = objs["pt_h1"], simple_module(0, 1), simple_module(2, 1)
+    detail = cells["window:pt_h1"]["detail"]
+    assert detail["up"] == homalg.cy3_record(homalg.ext_dims_Y(s0, m, scalars),
+                                             homalg.ext_dims_Y(m, s0, scalars))
+    assert detail["down"] == homalg.cy3_record(homalg.ext_dims_Y(m, s2, scalars),
+                                               homalg.ext_dims_Y(s2, m, scalars))
+    assert detail["window"] == windows.extend_window(windows.window_vector(m), 6, -2).to_dict()
+
+
+def test_corpus_window_cells_fail_on_wrong_ext_ranks(monkeypatch):
+    # Once membership passes, a window's values follow from term dims alone,
+    # so only CY3 duality against the simples can see wrong ranks: a mutant
+    # that adds 5 to e0 and 7 to e1 of every 3-fold Ext fails a window cell.
+    ext_dims_of = homalg.ext_dims_of
+
+    def mutant(cx, scalars=corpus.RATIONAL):
+        dims = ext_dims_of(cx, scalars)
+        return (dims[0] + 5, dims[1] + 7, *dims[2:]) if len(dims) == 4 else dims
+
+    monkeypatch.setattr(homalg, "ext_dims_of", mutant)
+    monkeypatch.setattr(windows, "ext_dims_of", mutant)
+    for scalars in (corpus.RATIONAL, PrimeScalars(2147483659)):
+        report = corpus.run_corpus(corpus.RunConfig(scalars=scalars))
+        assert any(c["status"] == "fail" for c in report["cells"]
+                   if c["name"].startswith("window:")), scalars
 
 
 @pytest.mark.parametrize("scalars", [corpus.RATIONAL, PrimeScalars(2147483659)])
@@ -521,8 +577,8 @@ PACKAGE_NAMES = (
     "Representation", "check_relations", "cyclic_derivative",
     "direct_sum", "dumps_rep", "epsilon", "hom_space", "loads_rep", "p2_restrict",
     "point_module", "pushforward_module", "simple_module", "zero_module",
-    "WindowVector", "extend_window", "koszul_complex", "recursion_violations", "twist_down",
-    "twist_up", "window_membership", "window_vector",
+    "WindowVector", "extend_window", "koszul_complex", "twist_down", "twist_up",
+    "window_membership", "window_vector",
     "characters", "windows",
 )
 
@@ -607,7 +663,7 @@ def test_window_of_a_zero_record_at_the_size_bound_is_quick(tmp_path, capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 0 and stdout == (
         "base=0 values={'0': 33333, '1': 33333, '2': 33333}\n"
-        "certified=[0, 1, 2] violations=[]\n"
+        "certified=[0, 1, 2]\n"
         "membership up: ok=False ranks={'kappa1_rank': 0, 'kappa1_target': 33333, "
         "'kappa2_rank': 0, 'kappa2_required': 66666, 'kernel_dim': 99999}\n"
         "membership down: ok=False ranks={'nu_rank': 0, 'nu_required': 33333, "

@@ -15,6 +15,7 @@ from localp2.linalg import Mat, rank
 from localp2.quiver import (
     check_relations,
     direct_sum,
+    dumps_json,
     epsilon,
     h0,
     hom_space,
@@ -29,7 +30,6 @@ from localp2.windows import (
     _membership,
     extend_window,
     koszul_complex,
-    recursion_violations,
     twist_down,
     twist_up,
     window_membership,
@@ -407,10 +407,6 @@ def test_extend_window_examples():
     pt = point_module((1, 1, 1), 1, 0)
     wv = extend_window(extend_window(window_vector(pt), 8), -8)
     assert all(wv.value(k) == 1 for k in range(-8, 9))
-    assert recursion_violations(wv) == []
-
-    bad = WindowVector.make(0, {0: 1, 1: 0, 2: 0, 3: 0}, [0, 1, 2, 3])
-    assert recursion_violations(bad) == [0]
 
     s0 = simple_module(0, 0)
     wv = extend_window(window_vector(s0), 3)
@@ -430,7 +426,7 @@ def test_extend_window_reproduces_twisted_dims():
 
 def test_window_vector_json_round_trip():
     wv = window_vector(pushforward_module(1, 0))
-    data = json.loads(wv.dumps())
+    data = json.loads(dumps_json(wv.to_dict()))
     again = WindowVector.make(data["base"], {int(k): v for k, v in data["values"].items()},
                               data["certified"])
     assert again == wv
