@@ -209,7 +209,7 @@ def cmd_window(args) -> int:
 
     rep = _load_y(args.file)
     up, down = windows.window_membership(rep, "up"), windows.window_membership(rep, "down")
-    wv = windows.certified_window(rep, up, down)
+    wv = windows.certified_window(rep, up.ok, down.ok)
     if args.extend:
         wv = windows.extend_window(wv, *args.extend)
     payload = wv.to_dict()

@@ -96,8 +96,8 @@ def _twist_ext_invariance(before: homalg.ExtDims, up_m: Representation, up_n: Re
 
 
 def _window_cell(m: Representation, up: dict, down: dict) -> dict:
-    """The extended window of ``m``, judged by the CY3 records of (S_0, m) and (m, S_2)."""
-    wv = windows.window_vector(m)
+    """``m``'s extended window, certified and judged by the CY3 records of (S_0, m), (m, S_2)."""
+    wv = windows.certified_window(m, up["ext_mn"][2:] == [0, 0], down["ext_mn"][2:] == [0, 0])
     lo, hi = wv.span()
     return {"_ok": up["passed"] and down["passed"], "up": up, "down": down,
             "window": windows.extend_window(wv, hi + 2, lo - 2).to_dict()}

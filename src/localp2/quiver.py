@@ -443,10 +443,6 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
 # JSON interchange
 
 
-def _matrices_to_json(matrices: Mapping[str, Mat]) -> dict:
-    return {name: [str(x) for row in m.data for x in row] for name, m in matrices.items()}
-
-
 # Every accepted value must be writable again, and the interpreter prints no
 # int of more than 4300 digits, so no numerator or denominator may reach
 # 10**4300.  Fraction(str) expands a decimal exponent in full ("1e5000000"
@@ -488,25 +484,23 @@ def _matrix_from_json(name: str, flat: Sequence[str], dims: Sequence[int]) -> Ma
     if len(flat) != rows * cols:
         raise ShapeError(f"matrix {name}: expected {rows * cols} entries, got {len(flat)}")
     what = f"entry of matrix {name}"
-    sparse = []
-    for i in range(rows):
-        row = {}
-        for j, text in enumerate(flat[i * cols:(i + 1) * cols]):
+    sparse = tuple({} for _ in range(rows))
+    for k, text in enumerate(flat):
+        if text != "0":  # the writer's zero; every other spelling is parsed and checked
             x = parse_scalar(text, what)
             if x:
-                row[j] = x
-        sparse.append(row)
-    return Mat(rows, cols, tuple(sparse))
+                sparse[k // cols][k % cols] = x
+    return Mat(rows, cols, sparse)
 
 
 def rep_to_dict(rep: Representation) -> dict:
-    out: dict = {}
-    if rep.heart is not None:
-        out["heart"] = rep.heart
-    out["dims"] = list(rep.dims)
-    out["matrices"] = _matrices_to_json(rep.matrices)
-    out["label"] = rep.label
-    return out
+    # A record lists every entry, but only the nonzero ones need converting.
+    matrices = {name: ["0"] * (m.rows * m.cols) for name, m in rep.matrices.items()}
+    for name, m in rep.matrices.items():
+        for r, c, x in m.entries:
+            matrices[name][r * m.cols + c] = str(x)
+    heart = {} if rep.heart is None else {"heart": rep.heart}
+    return {**heart, "dims": list(rep.dims), "matrices": matrices, "label": rep.label}
 
 
 def rep_from_dict(data: Mapping) -> Representation:

@@ -8,7 +8,9 @@ Ext^3(M, S_2) = 0.  ``koszul_complex`` builds the complex of a direction and
 (M_0, M_2^3, M_1^3, M_0), d0 = -(C1; C2; C3), d1 = kappa2, the skew map in the
 B's, and d2 = kappa1 = (A1 A2 A3); RHom(M, S_2) has terms (M_2, M_0^3, M_1^3,
 M_2), d0 = (C1^T; C2^T; C3^T), d1 = mu^T, mu the skew map in the A's, and
-d2 = -nu^T, nu = (B1; B2; B3).
+d2 = -nu^T, nu = (B1; B2; B3).  A certified window slot is the value of the
+recursion h_{n+3} = h_n - 3h_{n+1} + 3h_{n+2}; membership decides only whether
+it is certified.
 
 Each twist reads the complex that decided its membership.  ``twist_up`` takes
 the new top space ker(kappa2), and the new c's as the coordinates of -d0 a_k in
@@ -189,18 +191,21 @@ class WindowVector:
 
 def window_vector(rep: Representation) -> WindowVector:
     """Window slots of the representation; adjacent slots are added when membership proves them."""
-    return certified_window(rep, window_membership(rep, "up"), window_membership(rep, "down"))
+    return certified_window(rep, *(window_membership(rep, d).ok for d in ("up", "down")))
 
 
-def certified_window(rep: Representation, up: MembershipReport,
-                     down: MembershipReport) -> WindowVector:
-    """The three slots of ``rep``, plus the adjacent slot of each passing membership report."""
+def certified_window(rep: Representation, up: bool, down: bool) -> WindowVector:
+    """The three slots of ``rep``, plus slot n+3 if membership ``up`` and slot n-1 if
+    membership ``down`` passed.  A certified slot is the recursion's value, by rank-nullity
+    the passing report's ``kernel_dim`` or ``cokernel_dim``; membership decides only
+    whether it is certified."""
     n = rep.heart
-    values = {n: rep.dims[0], n + 1: rep.dims[1], n + 2: rep.dims[2]}
-    if up.ok:
-        values[n + 3] = up.ranks["kernel_dim"]
-    if down.ok:
-        values[n - 1] = down.ranks["cokernel_dim"]
+    h0, h1, h2 = rep.dims
+    values = {n: h0, n + 1: h1, n + 2: h2}
+    if up:
+        values[n + 3] = h0 - 3 * h1 + 3 * h2
+    if down:
+        values[n - 1] = 3 * h0 - 3 * h1 + h2
     return WindowVector.make(n, values, values.keys())
 
 

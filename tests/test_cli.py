@@ -380,6 +380,21 @@ def test_corpus_window_cells_fail_on_wrong_ext_ranks(monkeypatch):
                    if c["name"].startswith("window:")), scalars
 
 
+@pytest.mark.parametrize("scalars, count", [(corpus.RATIONAL, 172),
+                                             (PrimeScalars(2147483659), 173)])
+def test_corpus_window_cells_call_no_membership_function(monkeypatch, scalars, count):
+    # A window cell certifies its slots by the Ext^2 and Ext^3 that its CY3
+    # records read from the run's Ext table, so it builds no Koszul complex.
+    def refuse(*args):
+        raise AssertionError("run_corpus called a membership function")
+
+    monkeypatch.setattr(windows, "window_membership", refuse)
+    monkeypatch.setattr(windows, "window_vector", refuse)
+    report = corpus.run_corpus(corpus.RunConfig(scalars=scalars))
+    assert report["passed"]
+    assert [c["status"] for c in report["cells"]] == ["pass"] * count
+
+
 @pytest.mark.parametrize("scalars", [corpus.RATIONAL, PrimeScalars(2147483659)])
 def test_corpus_builds_each_module_and_each_ext_once(monkeypatch, scalars):
     # A module is told apart by its label and content.  Every 3-fold complex

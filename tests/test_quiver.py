@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from localp2 import quiver
 from localp2.corpus import standard_corpus
 from localp2.errors import HeartMismatchError, HeartRangeError, InputError, ShapeError
 from localp2.linalg import MAX_DIM, Mat, scalar
@@ -507,3 +508,49 @@ def test_json_round_trip_keeps_every_matrix():
         assert again.matrices.keys() == rep.matrices.keys()
         for name, mat in rep.matrices.items():
             assert again.matrices[name] == mat, (rep.label, name)
+
+
+def _dense_dumps_rep(rep):
+    # Reference writer: every entry of the dense view, zeros included.
+    data = {"dims": list(rep.dims), "label": rep.label,
+            "matrices": {name: [str(x) for row in m.data for x in row]
+                         for name, m in rep.matrices.items()}}
+    if rep.heart is not None:
+        data["heart"] = rep.heart
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+
+def test_records_are_written_and_read_from_the_nonzero_entries(monkeypatch):
+    # A record lists every entry, but the writer fills a list of "0" from the
+    # nonzero entries and the reader parses only what is not exactly "0".
+    reps = [pushforward_module(12, 0), standard_corpus()["pt_mix"],
+            point_module((1, 2, 3), Fraction(-7, 3), 2), zero_module(), simple_module(1, 0)]
+    texts = [_dense_dumps_rep(rep) for rep in reps]
+
+    def dense(self):
+        raise AssertionError("Mat.data read")
+
+    parsed = []
+
+    def counted(value, what):
+        parsed.append(value)
+        return parse_scalar(value, what)
+
+    monkeypatch.setattr(Mat, "data", property(dense))
+    monkeypatch.setattr(quiver, "parse_scalar", counted)
+    for rep, text in zip(reps, texts, strict=True):
+        assert dumps_rep(rep) == text, rep.label
+        parsed.clear()
+        assert loads_rep(text) == rep, rep.label
+        assert len(parsed) == sum(len(m.entries) for m in rep.matrices.values()), rep.label
+    assert any(type(x) is Fraction for rep in reps for m in rep.matrices.values()
+               for _, _, x in m.entries)
+
+    # Other spellings of zero are still parsed, and checked.
+    record = json.loads(texts[1])
+    for zero in ("0/5", "-0", "00", "0.0"):
+        record["matrices"]["a1"][0] = zero
+        assert rep_from_dict(record) == reps[1], zero
+    record["matrices"]["a1"][0] = "0/0"
+    with pytest.raises(InputError):
+        rep_from_dict(record)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,6 +29,7 @@ from localp2.quiver import (
 from localp2.windows import (
     WindowVector,
     _membership,
+    certified_window,
     extend_window,
     koszul_complex,
     twist_down,
@@ -401,6 +403,28 @@ def test_window_vector_certification():
     s0 = simple_module(0, 0)
     wv = window_vector(s0)
     assert 3 not in wv.certified  # up-membership fails, nothing certified above
+
+    # A certified slot is the recursion's value; rank-nullity makes it the
+    # passing report's kernel_dim (up) or cokernel_dim (down).
+    objs = standard_corpus()
+    reps = [*objs.values(), *(pushforward_module(d, n) for d in range(7) for n in range(d + 1)),
+            thick_point(3, objs["pt_diag"]), thick_point(5, objs["pt_mix"]),
+            direct_sum(objs["pt_e0"], pushforward_module(1, 0))]
+    for rep in (pushforward_module(2, 0), objs["pt_mix"]):
+        for _ in range(4):
+            rep = twist_down(rep)
+            reps.append(rep)
+    certified = Counter()
+    for rep in reps:
+        n, up, down = rep.heart, window_membership(rep, "up"), window_membership(rep, "down")
+        wv = certified_window(rep, up.ok, down.ok)
+        assert wv.certified == {n, n + 1, n + 2, *[n + 3] * up.ok, *[n - 1] * down.ok}
+        if up.ok:
+            assert wv.value(n + 3) == up.ranks["kernel_dim"], rep.label
+        if down.ok:
+            assert wv.value(n - 1) == down.ranks["cokernel_dim"], rep.label
+        certified.update(up=up.ok, down=down.ok)
+    assert certified == {"up": 39, "down": 46}
 
 
 def test_extend_window_examples():
