@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from localp2 import characters, corpus, homalg, windows
@@ -693,6 +693,55 @@ def test_window_of_a_zero_record_at_the_size_bound_is_quick(tmp_path, capsys):
             assert f"exceed the size bound {MAX_DIM}" in stderr
 
 
+_RECORD_COMMANDS = (("ext", "REC", "REC"), ("window", "REC"), ("twist", "REC", "up"),
+                    ("twist", "REC", "down"), ("mk", "sum", "REC", "REC"))
+
+
+def _record_value(entry, label=None):
+    return json.dumps({"heart": 0, "dims": [1, 1, 0], "matrices": {"a1": [entry]},
+                       "label": label})
+
+
+@pytest.mark.parametrize("text", [
+    *(_record_value(entry) for entry in (0.5, 1, 0, True, None, "0/0")),
+    *(_record_value("1", label) for label in (1.5, 7, [1])),
+], ids=["entry-0.5", "entry-1", "entry-0", "entry-true", "entry-null", "entry-0/0",
+        "label-1.5", "label-7", "label-[1]"])
+def test_records_with_non_string_entries_or_labels_are_input_errors(tmp_path, capsys, text):
+    path = tmp_path / "rec.json"
+    path.write_text(text)
+    for argv in _RECORD_COMMANDS:
+        code, stdout, stderr = run(capsys, *(str(path) if a == "REC" else a for a in argv))
+        assert (code, stdout) == (2, ""), argv
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, (argv, stderr)
+
+
+@pytest.mark.parametrize("spelling, value", [
+    ("1/2", "1/2"), ("0/5", "0"), ("-0", "0"), ("1e3", "1000"), (" 3 ", "3"),
+])
+def test_record_entry_spellings_read_as_their_value(tmp_path, capsys, spelling, value):
+    # Every command gives the same outputs as on the record spelled as the writer spells it.
+    path = tmp_path / "rec.json"
+    outputs = []
+    for entry in (spelling, value):
+        path.write_text(_record_value(entry))
+        assert loads_rep(path.read_text()).matrices["a1"].data == ((Fraction(value),),)
+        outputs.append([run(capsys, *(str(path) if a == "REC" else a for a in argv))
+                        for argv in _RECORD_COMMANDS])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == outputs[0][-1][0] == 0
+
+
+def test_a_record_above_the_record_bound_is_refused_and_no_file_is_written(tmp_path, capsys):
+    # O(46) has 10517049 entries; nothing is written, to a file or to stdout.
+    out = tmp_path / "big.json"
+    for argv in (("-o", str(out)), ()):
+        code, stdout, stderr = run(capsys, "mk", "pushforward", "46", *argv)
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert stderr == ("error: a record of dims [1128, 1081, 1035] has 10517049 entries, "
+                          "more than the record bound 10000000\n")
+
+
 def test_entries_of_4300_digits_round_trip_bit_exactly(tmp_path, capsys):
     # 10**4299 has 4300 digits, the most the interpreter prints: it is accepted
     # and written back exactly; one more digit is refused on reading.
@@ -753,7 +802,7 @@ def _shaped_record(draw, with_heart: bool):
     for name in draw(st.lists(st.sampled_from(names), unique=True, max_size=4)):
         rows, cols = matrix_shape(name, dims)
         size = rows * cols
-        valid = st.sampled_from(["0", "0", "0", 1, "-1", "1/2"])
+        valid = st.sampled_from(["0", "0", "0", "1", "-1", "1/2"])
         record["matrices"][name] = draw(st.lists(st.one_of(valid, valid, valid, _entry),
                                                  min_size=size, max_size=size))
     return record
@@ -781,6 +830,19 @@ def test_fuzzed_records_load_or_raise_input_error(text):
     for m in rep.matrices.values():
         for v in (v for row in m.sparse for v in row.values()):
             assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shaped_record(True) | _shaped_record(False), st.none() | st.text(max_size=4) | _junk)
+@example({"heart": 0, "dims": [1, 1, 0], "matrices": {"a1": ["1/2"]}}, 1.5)
+def test_every_record_that_loads_writes_back_and_reloads_equal(record, label):
+    record["label"] = label
+    try:
+        rep = loads_rep(json.dumps(record))
+    except InputError:
+        return
+    text = dumps_rep(rep)
+    assert loads_rep(text) == rep and dumps_rep(loads_rep(text)) == text
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -176,6 +177,34 @@ def test_pushforward_dims_are_checked_before_any_matrix_is_built():
     assert time.perf_counter() - start < 0.5
 
 
+def test_records_above_the_record_bound_are_refused_before_any_entry_list(monkeypatch):
+    # A record lists rows * cols entries per arrow: a zero module of dims
+    # (4000, 4000, 0) has 48 million and allocates nothing until it is written.
+    big = representation(0, (4000, 4000, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="has 48000000 entries, more than the record bound"):
+            dumps_rep(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    # O(45) is the largest pushforward in heart 0 that can be written.
+    o45, o46 = pushforward_module(45), pushforward_module(46)
+    sizes = [sum(m.rows * m.cols for m in rep.matrices.values()) for rep in (o45, o46)]
+    assert sizes == [9641025, 10517049]
+    assert sizes[0] <= quiver.MAX_RECORD_ENTRIES < sizes[1]
+    with pytest.raises(InputError, match="record bound"):
+        rep_to_dict(o46)
+    # The bound counts the entries of every arrow, zero matrices included.
+    pt = point_module((1, 2, 3), 1)
+    monkeypatch.setattr(quiver, "MAX_RECORD_ENTRIES", 9)
+    assert loads_rep(dumps_rep(pt)) == pt
+    monkeypatch.setattr(quiver, "MAX_RECORD_ENTRIES", 8)
+    with pytest.raises(InputError, match="record of dims \\[1, 1, 1\\] has 9 entries"):
+        dumps_rep(pt)
+
+
 def test_relations_of_zero_matrices_at_the_size_bound_are_checked_quickly():
     # Every path has a zero factor, so no relation term is evaluated.
     for text in ('{"heart": 0, "dims": [100000, 100000, 100000], "matrices": {}}',
@@ -301,6 +330,22 @@ def test_library_constructors_refuse_non_int_hearts_and_dims():
     # ints are taken as they are, and a plane module still has no heart.
     assert representation(2, (1, 0, 0)).heart == 2 and simple_module(0, -4).heart == -4
     assert representation(None, (1, 0, 0)).heart is None
+
+
+def test_library_constructors_refuse_labels_that_are_not_strings():
+    pt = point_module((1, 0, 0))
+    for label in (1.5, 7, [1], True, b"x", Fraction(1, 2)):
+        for build in (lambda lab: representation(0, (0, 0, 0), label=lab),
+                      lambda lab: representation(None, (1, 0, 0), label=lab),
+                      lambda lab: simple_module(0, 0, lab),
+                      lambda lab: point_module((1, 0, 0), 0, 0, lab),
+                      lambda lab: pushforward_module(1, 0, lab),
+                      lambda lab: direct_sum(pt, pt, lab)):
+            with pytest.raises(InputError, match=re.escape(f"label must be a string or null, "
+                                                           f"got {label!r}")):
+                build(label)
+    assert representation(0, (0, 0, 0), label="").label == ""
+    assert representation(0, (0, 0, 0)).label is None
 
 
 # Strings with quotes, backslashes, control characters, non-ASCII and astral
@@ -497,8 +542,18 @@ def _outcome(parse, text):
 @example("-" + "9" * 4300)
 @example("1" + "0" * 4300)
 @example("-" + "1" * 4301)
+# A record entry is a JSON string: a number, bool, null, list or object is refused.
+@example(0.5)
+@example(1)
+@example(0)
+@example(True)
+@example(None)
+@example([1])
+@example({"1": 1})
+@example(Fraction(1, 2))
 def test_parse_scalar_matches_the_fraction_reference(text):
     assert _outcome(parse_scalar, text) == _outcome(_fraction_parse_scalar, text)
+    assert isinstance(text, str) or _outcome(parse_scalar, text)[0] == "error"
 
 
 def test_json_round_trip_keeps_every_matrix():
